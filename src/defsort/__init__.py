@@ -11,7 +11,6 @@ from .defcollect import (
     DefNode,
     FlatModule,
     Namespace,
-    TypeLink,
     collect,
     pattern_names,
     type_dependency_links,
@@ -80,7 +79,6 @@ __all__ = [
     "SortReport",
     "Span",
     "ToolConfig",
-    "TypeLink",
     "UnknownNameError",
     "UseSite",
     "break_cycles",

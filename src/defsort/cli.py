@@ -136,11 +136,9 @@ def _dot_path(cfg: ToolConfig, module_name: str) -> str:
     return os.path.join(cfg.dot_dir, f"{module_name}.dot")
 
 
-def _emit_module_dot_file(cfg: ToolConfig, m) -> str:
+def _emit_module_dot_file(cfg: ToolConfig, m, report) -> str:
     """Write one module's definition graph; returns the file path."""
-    fm = collect(m)
-    g = build_graph(fm)
-    _, report = sort_module(m)
+    g = build_graph(collect(m))
     path = _dot_path(cfg, m.name)
     _write_atomic(path, emit_def_dot(g, report))
     return path
@@ -169,12 +167,6 @@ def _trace_lines(report, dot_path=None) -> list:
     return lines
 
 
-def _status_line(report) -> str:
-    if report.sorted:
-        return f"Exu successfully sorted module {report.module_name} definitions"
-    return f"Exu module {report.module_name} definitions already sorted"
-
-
 def _cmd_sort(cfg: ToolConfig, paths) -> int:
     parsed, errors = _parse_files(paths)
     for path, mods in parsed:
@@ -190,12 +182,10 @@ def _cmd_sort(cfg: ToolConfig, paths) -> int:
                 break
             dot_path = None
             if cfg.dot_enabled:
-                dot_path = _emit_module_dot_file(cfg, m)
-            if cfg.debug:
-                for line in _trace_lines(report, dot_path):
-                    print(line)
-            else:
-                print(_status_line(report))
+                dot_path = _emit_module_dot_file(cfg, m, report)
+            lines = _trace_lines(report, dot_path)  # the last line is the status
+            for line in lines if cfg.debug else lines[-1:]:
+                print(line)
             any_sorted = any_sorted or report.sorted
             texts.append(print_module(out))
         if texts and any_sorted and not cfg.check_only:
@@ -248,7 +238,7 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
     mods = [m for _, file_mods in parsed for m in file_mods]
     for m in mods:
         try:
-            path = _emit_module_dot_file(cfg, m)
+            path = _emit_module_dot_file(cfg, m, sort_module(m)[1])
         except _ANALYSIS_ERRORS as exc:
             print(str(exc), file=sys.stderr)
             errors += 1

@@ -39,6 +39,23 @@ CLAUSE_KINDS = frozenset(set(DefKind) - PRIMARY_KINDS)
 NodeKey = tuple
 
 
+@dataclass(frozen=True)
+class Edge:
+    """`user` depends on `used`; the name properties assume definition keys."""
+
+    user: NodeKey
+    used: NodeKey
+    at: Loc  # earliest use site witnessing the edge
+
+    @property
+    def user_name(self):
+        return self.user[1]
+
+    @property
+    def used_name(self):
+        return self.used[1]
+
+
 @dataclass(frozen=True, eq=False)
 class DefNode:
     name: str
@@ -170,21 +187,6 @@ def collect(m: N.SourceModule) -> FlatModule:
     return FlatModule(m.name, nodes, original, m)
 
 
-@dataclass(frozen=True)
-class TypeLink:
-    user: NodeKey
-    used: NodeKey
-    at: Loc
-
-    @property
-    def user_name(self):
-        return self.user[1]
-
-    @property
-    def used_name(self):
-        return self.used[1]
-
-
 def _named_refs(t):
     """(name, loc) for every Named reference inside a type expression."""
     if isinstance(t, N.TNamed):
@@ -215,7 +217,7 @@ def type_dependency_links(fm: FlatModule) -> list:
         if used == user.key:  # a recursive type does not order against itself
             return
         if used in fm._by_key:
-            links.append(TypeLink(user.key, used, at))
+            links.append(Edge(user.key, used, at))
         elif not has_imports:
             raise UnknownNameError(name, at)
 
@@ -225,7 +227,7 @@ def type_dependency_links(fm: FlatModule) -> list:
             for clause in ("inv", "eq", "ord"):
                 other = fm.get(Namespace.FUNCTION, f"{clause}_{node.name}")
                 if other is not None:
-                    links.append(TypeLink(node.key, other.key, node.location))
+                    links.append(Edge(node.key, other.key, node.location))
             if isinstance(d, N.RecordTypeDef):
                 for fld in d.fields:
                     for name, at in _named_refs(fld.type):

@@ -1,83 +1,70 @@
-"""Dependency graph over flattened definition nodes.
+"""Dependency graph kernel for definition order and module import order.
 
-Edges point from the user to the definition it uses.  All traversals visit
-nodes and neighbours in collection order, which keeps every result of this
-module deterministic for a given source module.
+Edges point from the user to the definition (or module) it uses.  All
+traversals visit nodes and neighbours in collection order, the order the
+nodes were given in, which keeps every result of this module deterministic
+for a given input.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
-from .defcollect import FlatModule, NodeKey, type_dependency_links
-from .diag import CycleError, Loc
+from .defcollect import Edge, FlatModule, NodeKey, type_dependency_links
+from .diag import CycleError
 from .freevars import def_use_sites
 
 
-@dataclass(frozen=True)
-class Edge:
-    user: NodeKey
-    used: NodeKey
-    at: Loc  # earliest use site witnessing the edge
-
-    @property
-    def user_name(self):
-        return self.user[1]
-
-    @property
-    def used_name(self):
-        return self.used[1]
-
-
 class DepGraph:
+    """Nodes in collection order, which is their insertion order, and for
+    each node a map from every node it uses to the edge witnessing that use.
+    """
+
     def __init__(self, nodes: dict, edges=()):
-        self.nodes = dict(nodes)  # NodeKey -> DefNode, collection order
-        self._edges: dict = {}  # (user, used) -> Edge
+        self.nodes = dict(nodes)  # key -> DefNode or module, collection order
+        self._pos = {k: i for i, k in enumerate(self.nodes)}
+        self._out: dict = {k: {} for k in self.nodes}  # user -> {used: Edge}
         for e in edges:
             self.add_edge(e)
 
     @property
     def edges(self) -> list:
-        return list(self._edges.values())
+        return [e for adj in self._out.values() for e in adj.values()]
 
     def add_edge(self, e: Edge):
         if e.user not in self.nodes or e.used not in self.nodes:
             raise KeyError(f"edge endpoints must be graph nodes: {e}")
-        old = self._edges.get((e.user, e.used))
+        adj = self._out[e.user]
+        old = adj.get(e.used)
         if old is None or (e.at.line, e.at.col) < (old.at.line, old.at.col):
-            self._edges[(e.user, e.used)] = e
+            adj[e.used] = e
 
     def edge(self, user: NodeKey, used: NodeKey) -> Edge:
-        return self._edges[(user, used)]
+        return self._out[user][used]
 
     def has_edge(self, user: NodeKey, used: NodeKey) -> bool:
-        return (user, used) in self._edges
+        return used in self._out.get(user, ())
 
     def remove_edge(self, user: NodeKey, used: NodeKey):
-        del self._edges[(user, used)]
+        del self._out[user][used]
 
     def out(self, key: NodeKey) -> list:
         """Dependencies of `key`, in collection order of the target."""
-        targets = [used for (user, used) in self._edges if user == key]
-        targets.sort(key=lambda k: self.nodes[k].index)
-        return targets
+        return sorted(self._out[key], key=self._pos.__getitem__)
 
     def in_degree(self) -> dict:
         deg = {k: 0 for k in self.nodes}
-        for e in self._edges.values():
-            deg[e.used] += 1
+        for adj in self._out.values():
+            for used in adj:
+                deg[used] += 1
         return deg
-
-    def _ordered_keys(self) -> list:
-        return sorted(self.nodes, key=lambda k: self.nodes[k].index)
 
 
 def build_graph(fm: FlatModule) -> DepGraph:
     """Graph of every flattened node with signature and body dependencies."""
-    g = DepGraph({n.key: n for n in fm.nodes})
-    for link in type_dependency_links(fm):
-        g.add_edge(Edge(link.user, link.used, link.at))
+    g = DepGraph({n.key: n for n in fm.nodes}, type_dependency_links(fm))
     for node in fm.nodes:
         for use, target in def_use_sites(node, fm):
             g.add_edge(Edge(node.key, target.key, use.at))
@@ -102,45 +89,40 @@ def _tarjan_sccs(g: DepGraph) -> list:
     on_stack: set = set()
     stack: list = []
     sccs: list = []
-    counter = [0]
+    work: list = []  # (node, iterator over its remaining dependencies)
 
-    for root in g._ordered_keys():
+    def visit(v):
+        index_of[v] = low[v] = len(index_of)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(g.out(v))))
+
+    for root in g.nodes:
         if root in index_of:
             continue
-        work = [(root, iter(g.out(root)))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        visit(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index_of:
-                    index_of[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out(w))))
-                    advanced = True
+                    visit(w)
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -151,9 +133,8 @@ def intra_scc_pairs(g: DepGraph) -> set:
         if len(comp) < 2:
             continue
         members = set(comp)
-        for (user, used) in g._edges:
-            if user in members and used in members:
-                pairs.add((user, used))
+        for user in comp:
+            pairs.update((user, used) for used in g._out[user] if used in members)
     return pairs
 
 
@@ -164,13 +145,13 @@ def find_cycles(g: DepGraph) -> list:
         if len(comp) < 2:
             continue
         members = set(comp)
-        start = min(comp, key=lambda k: g.nodes[k].index)
+        start = min(comp, key=g._pos.__getitem__)
         # breadth-first parents give the shortest closed walk through start
         parents = {start: None}
-        queue = [start]
+        queue = deque([start])
         walk = None
         while queue and walk is None:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in g.out(u):
                 if v not in members:
                     continue
@@ -186,49 +167,40 @@ def find_cycles(g: DepGraph) -> list:
                     queue.append(v)
         keys = tuple(walk)
         cycles.append(Cycle(keys, tuple(g.nodes[k].name for k in keys)))
-    cycles.sort(key=lambda c: g.nodes[c.keys[0]].index)
+    cycles.sort(key=lambda c: g._pos[c.keys[0]])
     return cycles
 
 
-def _first_back_edge(g: DepGraph):
-    """First edge closing a cycle when searching in collection order."""
+def break_cycles(g: DepGraph) -> list:
+    """Remove back edges until the graph is acyclic; returns what was cut.
+
+    One depth-first search in collection order cuts every back edge it meets.
+    A cut edge is never a tree edge, so a search restarted from scratch after
+    each cut would replay the same states up to the next back edge: the cuts
+    equal those of repeatedly removing the first edge that closes a cycle in
+    declaration order.
+    """
+    removed: list = []
     color: dict = {}  # 1 = on the current path, 2 = finished
-    for root in g._ordered_keys():
+    for root in g.nodes:
         if root in color:
             continue
         color[root] = 1
         work = [(root, iter(g.out(root)))]
         while work:
             u, it = work[-1]
-            advanced = False
             for v in it:
                 if color.get(v) == 1:
-                    return g.edge(u, v)
-                if v not in color:
+                    removed.append(g.edge(u, v))
+                    g.remove_edge(u, v)
+                elif v not in color:
                     color[v] = 1
                     work.append((v, iter(g.out(v))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[u] = 2
                 work.pop()
-    return None
-
-
-def break_cycles(g: DepGraph) -> list:
-    """Remove back edges until the graph is acyclic; returns what was cut.
-
-    Deliberately naive: one depth-first pass per removal, restarted from
-    scratch, so the edge cut is always the first one that closes a cycle in
-    declaration order.
-    """
-    removed: list = []
-    while True:
-        back = _first_back_edge(g)
-        if back is None:
-            return removed
-        g.remove_edge(back.user, back.used)
-        removed.append(back)
+    return removed
 
 
 def start_points(g: DepGraph) -> list:
@@ -246,23 +218,23 @@ def kahn_sort(g: DepGraph) -> list:
     the earliest-declared user definition is emitted first and synthetic
     invariants drain last.
     """
-    remaining = {k: 0 for k in g.nodes}
-    users_of: dict = {k: [] for k in g.nodes}
-    for e in g.edges:
-        remaining[e.user] += 1
-        users_of[e.used].append(e.user)
-    by_index = {g.nodes[k].index: k for k in g.nodes}
-    heap = [g.nodes[k].index for k, r in remaining.items() if r == 0]
+    keys = list(g.nodes)
+    remaining = [len(g._out[k]) for k in keys]
+    users_of: list = [[] for _ in keys]
+    for user, adj in g._out.items():
+        for used in adj:
+            users_of[g._pos[used]].append(g._pos[user])
+    heap = [i for i, r in enumerate(remaining) if r == 0]
     heapq.heapify(heap)
     emitted: list = []
     while heap:
-        key = by_index[heapq.heappop(heap)]
-        emitted.append(key)
-        for user in users_of[key]:
+        i = heapq.heappop(heap)
+        emitted.append(keys[i])
+        for user in users_of[i]:
             remaining[user] -= 1
             if remaining[user] == 0:
-                heapq.heappush(heap, g.nodes[user].index)
-    if len(emitted) != len(g.nodes):
-        stuck = sorted(set(g.nodes) - set(emitted), key=lambda k: g.nodes[k].index)
-        raise CycleError(f"cycle prevents sorting: {', '.join(k[1] for k in stuck)}")
+                heapq.heappush(heap, user)
+    if len(emitted) != len(keys):
+        stuck = [g.nodes[k].name for k, r in zip(keys, remaining) if r]
+        raise CycleError(f"cycle prevents sorting: {', '.join(stuck)}")
     return emitted

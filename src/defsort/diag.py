@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, order=True)
 class Loc:
-    """A 1-based position in a source file. Ordering ignores the file name."""
+    """A 1-based position in a source file, ordered by line, column, then file."""
 
     line: int
     col: int

@@ -2,15 +2,15 @@
 
 Modules are emitted imported-before-importer so the most depended-on module
 loads first; ties fall back to the order the modules were given in.  Import
-cycles are broken the same way definition cycles are: drop the first edge
-that closes a cycle, warn, repeat.
+cycles are broken by the same graph kernel as definition cycles: every edge
+that closes a cycle in input order is dropped with a warning.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
+from .depgraph import DepGraph, Edge, break_cycles, kahn_sort
 from .diag import Diagnostic
 
 
@@ -33,7 +33,7 @@ def build_module_graph(mods: list):
             ))
             continue
         byname[m.name] = m
-    edges: list = []
+    edges: dict = {}  # (importer, imported) -> None, input order
     for name, m in byname.items():
         for imp in m.imports:
             if imp.module not in byname:
@@ -42,72 +42,25 @@ def build_module_graph(mods: list):
                     f"module {name} imports unknown module {imp.module}",
                     m.name_loc,
                 ))
-            elif (name, imp.module) not in edges:
-                edges.append((name, imp.module))
-    return ModuleGraph(list(byname), edges), warnings
-
-
-def _first_back_edge(nodes: list, deps: dict):
-    pos = {n: i for i, n in enumerate(nodes)}
-    color: dict = {}
-    for root in nodes:
-        if root in color:
-            continue
-        color[root] = 1
-        work = [(root, iter(sorted(deps[root], key=pos.get)))]
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if color.get(v) == 1:
-                    return (u, v)
-                if v not in color:
-                    color[v] = 1
-                    work.append((v, iter(sorted(deps[v], key=pos.get))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                work.pop()
-    return None
+            else:
+                edges[(name, imp.module)] = None
+    return ModuleGraph(list(byname), list(edges)), warnings
 
 
 def order_modules(mods: list):
     """Returns (ordered module names, removed (importer, imported) edges,
     warnings)."""
     mg, warnings = build_module_graph(mods)
-    deps = {n: [] for n in mg.nodes}
-    for importer, imported in mg.edges:
-        deps[importer].append(imported)
-
+    first: dict = {}
+    for m in mods:
+        first.setdefault(m.name, m)
+    g = DepGraph(first, (Edge(u, v, first[u].name_loc) for u, v in mg.edges))
     removed: list = []
-    while True:
-        back = _first_back_edge(mg.nodes, deps)
-        if back is None:
-            break
-        importer, imported = back
-        deps[importer].remove(imported)
-        removed.append(back)
+    for e in break_cycles(g):
+        removed.append((e.user, e.used))
         warnings.append(Diagnostic(
             "warning", "import-cycle",
-            f"import cycle broken: ignoring import of {imported} by {importer}",
-            next(m.name_loc for m in mods if m.name == importer),
+            f"import cycle broken: ignoring import of {e.used} by {e.user}",
+            e.at,
         ))
-
-    pos = {n: i for i, n in enumerate(mg.nodes)}
-    remaining = {n: len(deps[n]) for n in mg.nodes}
-    importers_of: dict = {n: [] for n in mg.nodes}
-    for importer, targets in deps.items():
-        for t in targets:
-            importers_of[t].append(importer)
-    heap = [pos[n] for n, r in remaining.items() if r == 0]
-    heapq.heapify(heap)
-    ordered: list = []
-    while heap:
-        name = mg.nodes[heapq.heappop(heap)]
-        ordered.append(name)
-        for importer in importers_of[name]:
-            remaining[importer] -= 1
-            if remaining[importer] == 0:
-                heapq.heappush(heap, pos[importer])
-    return ordered, removed, warnings
+    return kahn_sort(g), removed, warnings
