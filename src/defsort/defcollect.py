@@ -13,6 +13,7 @@ from enum import Enum
 
 from . import nodes as N
 from .diag import DuplicateNameError, Loc, UnknownNameError
+from .nodes import pattern_names
 
 
 class Namespace(Enum):
@@ -105,18 +106,6 @@ class FlatModule:
         return self.get(Namespace.FUNCTION, name) or self.get(Namespace.TYPE, name)
 
 
-def pattern_names(pattern) -> list:
-    """All identifiers bound by a pattern, left to right."""
-    if isinstance(pattern, N.PatName):
-        return [pattern.name]
-    if isinstance(pattern, (N.PatSeq, N.PatSet, N.PatCtor)):
-        names: list = []
-        for item in pattern.items:
-            names.extend(pattern_names(item))
-        return names
-    return []
-
-
 def _param_names(d: N.FuncDef) -> frozenset:
     names: list = []
     for p in d.params:
@@ -187,20 +176,6 @@ def collect(m: N.SourceModule) -> FlatModule:
     return FlatModule(m.name, nodes, original, m)
 
 
-def _named_refs(t):
-    """(name, loc) for every Named reference inside a type expression."""
-    if isinstance(t, N.TNamed):
-        yield t.name, t.loc
-    elif isinstance(t, (N.TSeq, N.TSeq1, N.TSet, N.TOptional)):
-        yield from _named_refs(t.elem)
-    elif isinstance(t, N.TMap):
-        yield from _named_refs(t.key)
-        yield from _named_refs(t.val)
-    elif isinstance(t, N.TUnion):
-        for member in t.members:
-            yield from _named_refs(member)
-
-
 def type_dependency_links(fm: FlatModule) -> list:
     """Structural edges: type-to-clause links plus named references.
 
@@ -212,14 +187,15 @@ def type_dependency_links(fm: FlatModule) -> list:
     links: list = []
     has_imports = bool(fm.source.imports)
 
-    def named_type(user: DefNode, name: str, at: Loc):
-        used = (Namespace.TYPE, name)
-        if used == user.key:  # a recursive type does not order against itself
-            return
-        if used in fm._by_key:
-            links.append(Edge(user.key, used, at))
-        elif not has_imports:
-            raise UnknownNameError(name, at)
+    def link_named_types(user: DefNode, t):
+        for ref in N.named_types(t):
+            used = (Namespace.TYPE, ref.name)
+            if used == user.key:  # a recursive type does not order against itself
+                continue
+            if used in fm._by_key:
+                links.append(Edge(user.key, used, ref.loc))
+            elif not has_imports:
+                raise UnknownNameError(ref.name, ref.loc)
 
     for node in fm.nodes:
         d = fm.source.definitions[node.def_index]
@@ -230,18 +206,14 @@ def type_dependency_links(fm: FlatModule) -> list:
                     links.append(Edge(node.key, other.key, node.location))
             if isinstance(d, N.RecordTypeDef):
                 for fld in d.fields:
-                    for name, at in _named_refs(fld.type):
-                        named_type(node, name, at)
+                    link_named_types(node, fld.type)
             else:
-                for name, at in _named_refs(d.rhs):
-                    named_type(node, name, at)
+                link_named_types(node, d.rhs)
         elif node.kind is DefKind.VALUE_DEF:
             if d.decl_type is not None:
-                for name, at in _named_refs(d.decl_type):
-                    named_type(node, name, at)
+                link_named_types(node, d.decl_type)
         elif node.kind in (DefKind.FUNCTION_DEF, DefKind.PRE_FN, DefKind.POST_FN,
                            DefKind.MEASURE_FN):
             for t in list(d.param_types) + [d.ret_type]:
-                for name, at in _named_refs(t):
-                    named_type(node, name, at)
+                link_named_types(node, t)
     return links

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import nodes as N
-from .defcollect import DefKind, FlatModule, Namespace, pattern_names
+from .defcollect import DefKind, FlatModule, Namespace
 from .diag import Diagnostic, Loc
 
 
@@ -40,128 +40,83 @@ class BoundContext:
         return any(name in s for s in self.scopes)
 
 
+_SCOPED = (N.Let, N.Quant, N.SetComp, N.SeqComp, N.MapComp)
+
+
 def free_uses(body, ctx: BoundContext, conditional: bool = False) -> list:
-    """Every identifier used by `body` that the context does not bind."""
+    """Every identifier used by `body` that the context does not bind.
+
+    The walk keeps an explicit stack of (item, conditional) pairs.  Besides
+    expressions it holds named types (uses in the type namespace), binds
+    (their names come into scope when reached) and None (the innermost
+    scope ends), so the context changes exactly where the source says.
+    """
     uses: list = []
-
-    def type_refs(t, cond):
-        if isinstance(t, N.TNamed):
-            uses.append(UseSite(t.name, Namespace.TYPE, t.loc, cond))
-        elif isinstance(t, (N.TSeq, N.TSeq1, N.TSet, N.TOptional)):
-            type_refs(t.elem, cond)
-        elif isinstance(t, N.TMap):
-            type_refs(t.key, cond)
-            type_refs(t.val, cond)
-        elif isinstance(t, N.TUnion):
-            for m in t.members:
-                type_refs(m, cond)
-
-    def walk_binds(binds, cond):
-        """Sequential binds: each domain sees the names bound before it."""
-        introduced: list = []
-        for b in binds:
-            if b.domain is not None:
-                walk(b.domain, cond)
-            if b.decl_type is not None:
-                type_refs(b.decl_type, cond)
-            names = pattern_names(b.pattern)
-            ctx.push(names)
-            introduced.append(names)
-        return introduced
-
-    def pop_binds(introduced):
-        for _ in introduced:
-            ctx.pop()
-
-    def walk(e, cond):
-        if isinstance(e, N.Lit):
-            return
-        if isinstance(e, N.Name):
+    stack = [(body, conditional)]
+    while stack:
+        e, cond = stack.pop()
+        kind = type(e)
+        if kind is N.Name:
             if not ctx.bound(e.name):
                 uses.append(UseSite(e.name, Namespace.FUNCTION, e.loc, cond))
-            return
-        if isinstance(e, N.Apply):
+            continue
+        if kind in _SCOPED:
+            stack.extend(reversed(_scoped_steps(e, cond)))
+            continue
+        if kind is N.If:
+            stack.append((e.els, True))
+            for c, branch in reversed(e.elifs):
+                stack += ((branch, True), (c, cond))
+            stack += ((e.then, True), (e.cond, cond))
+            continue
+        if kind is N.TNamed:
+            uses.append(UseSite(e.name, Namespace.TYPE, e.loc, cond))
+            continue
+        if kind is N.LetBind or kind is N.Bind:
+            ctx.push(N.pattern_names(e.pattern))
+            continue
+        if e is None:
+            ctx.pop()
+            continue
+        if kind is N.Apply:
             if not ctx.bound(e.callee):
                 uses.append(UseSite(e.callee, Namespace.FUNCTION, e.loc, cond))
-            for a in e.args:
-                walk(a, cond)
-            return
-        if isinstance(e, N.Unary):
-            walk(e.operand, cond)
-            return
-        if isinstance(e, N.Binary):
-            walk(e.left, cond)
-            walk(e.right, cond)
-            return
-        if isinstance(e, N.If):
-            walk(e.cond, cond)
-            walk(e.then, True)
-            for c, branch in e.elifs:
-                walk(c, cond)
-                walk(branch, True)
-            walk(e.els, True)
-            return
-        if isinstance(e, N.Let):
-            pushed = 0
-            for b in e.binds:
-                if b.decl_type is not None:
-                    type_refs(b.decl_type, cond)
-                walk(b.init, cond)
-                ctx.push(pattern_names(b.pattern))
-                pushed += 1
-            walk(e.body, cond)
-            for _ in range(pushed):
-                ctx.pop()
-            return
-        if isinstance(e, N.Quant):
-            introduced = walk_binds(e.binds, cond)
-            walk(e.body, True)
-            pop_binds(introduced)
-            return
-        if isinstance(e, (N.SetEnum, N.SeqEnum)):
-            for item in e.items:
-                walk(item, cond)
-            return
-        if isinstance(e, N.MapEnum):
-            for k, v in e.maplets:
-                walk(k, cond)
-                walk(v, cond)
-            return
-        if isinstance(e, (N.SetComp, N.SeqComp)):
-            introduced = walk_binds(e.binds, cond)
-            walk(e.elem, cond)
-            if e.pred is not None:
-                walk(e.pred, cond)
-            pop_binds(introduced)
-            return
-        if isinstance(e, N.MapComp):
-            introduced = walk_binds(e.binds, cond)
-            walk(e.key, cond)
-            walk(e.val, cond)
-            if e.pred is not None:
-                walk(e.pred, cond)
-            pop_binds(introduced)
-            return
-        if isinstance(e, N.Is):
-            walk(e.expr, cond)
-            type_refs(e.type, cond)
-            return
-        if isinstance(e, N.FieldSel):
-            walk(e.expr, cond)
-            return
-        if isinstance(e, N.MkCtor):
+        elif kind is N.MkCtor:
             uses.append(UseSite(e.type_name, Namespace.TYPE, e.loc, cond))
-            for a in e.args:
-                walk(a, cond)
-            return
-        if isinstance(e, N.BuiltinApp):
-            for a in e.args:
-                walk(a, cond)
-            return
-        raise TypeError(f"unexpected expression node {type(e).__name__}")
-
-    walk(body, conditional)
+        elif kind is N.Is:
+            stack.extend((t, cond) for t in reversed(N.named_types(e.type)))
+        stack.extend((c, cond) for c in reversed(N.children(e)))
     return uses
+
+
+def _scoped_steps(e, cond) -> list:
+    """free_uses steps for a node that binds names, first step first.
+
+    Binds are sequential: each one's expressions see the names bound before
+    it, then its own names come into scope.  Quantifier bodies are
+    conditional; every scope ends after the node.
+    """
+    steps: list = []
+    for b in e.binds:
+        if type(b) is N.Bind and b.domain is not None:
+            steps.append((b.domain, cond))
+        if b.decl_type is not None:
+            steps += [(t, cond) for t in N.named_types(b.decl_type)]
+        if type(b) is N.LetBind:
+            steps.append((b.init, cond))
+        steps.append((b, cond))
+    kind = type(e)
+    if kind is N.Quant:
+        steps.append((e.body, True))
+    elif kind is N.Let:
+        steps.append((e.body, cond))
+    else:
+        parts = (e.key, e.val) if kind is N.MapComp else (e.elem,)
+        steps += [(x, cond) for x in parts]
+        if e.pred is not None:
+            steps.append((e.pred, cond))
+    steps += [(None, cond)] * len(e.binds)
+    return steps
 
 
 def def_use_sites(node, fm: FlatModule) -> list:
@@ -204,60 +159,6 @@ def init_dependencies(node, fm: FlatModule) -> set:
 # ── diagnostics ───────────────────────────────────────────────────────────
 
 
-def _iter_exprs(e):
-    yield e
-    if isinstance(e, (N.Apply, N.MkCtor, N.BuiltinApp)):
-        for a in e.args:
-            yield from _iter_exprs(a)
-    elif isinstance(e, N.Unary):
-        yield from _iter_exprs(e.operand)
-    elif isinstance(e, N.Binary):
-        yield from _iter_exprs(e.left)
-        yield from _iter_exprs(e.right)
-    elif isinstance(e, N.If):
-        yield from _iter_exprs(e.cond)
-        yield from _iter_exprs(e.then)
-        for c, b in e.elifs:
-            yield from _iter_exprs(c)
-            yield from _iter_exprs(b)
-        yield from _iter_exprs(e.els)
-    elif isinstance(e, N.Let):
-        for b in e.binds:
-            yield from _iter_exprs(b.init)
-        yield from _iter_exprs(e.body)
-    elif isinstance(e, N.Quant):
-        for b in e.binds:
-            if b.domain is not None:
-                yield from _iter_exprs(b.domain)
-        yield from _iter_exprs(e.body)
-    elif isinstance(e, (N.SetEnum, N.SeqEnum)):
-        for item in e.items:
-            yield from _iter_exprs(item)
-    elif isinstance(e, N.MapEnum):
-        for k, v in e.maplets:
-            yield from _iter_exprs(k)
-            yield from _iter_exprs(v)
-    elif isinstance(e, (N.SetComp, N.SeqComp)):
-        for b in e.binds:
-            if b.domain is not None:
-                yield from _iter_exprs(b.domain)
-        yield from _iter_exprs(e.elem)
-        if e.pred is not None:
-            yield from _iter_exprs(e.pred)
-    elif isinstance(e, N.MapComp):
-        for b in e.binds:
-            if b.domain is not None:
-                yield from _iter_exprs(b.domain)
-        yield from _iter_exprs(e.key)
-        yield from _iter_exprs(e.val)
-        if e.pred is not None:
-            yield from _iter_exprs(e.pred)
-    elif isinstance(e, N.Is):
-        yield from _iter_exprs(e.expr)
-    elif isinstance(e, N.FieldSel):
-        yield from _iter_exprs(e.expr)
-
-
 def _definition_exprs(d):
     if isinstance(d, N.RecordTypeDef):
         if d.inv is not None:
@@ -283,12 +184,12 @@ def check_duplicate_binds(m: N.SourceModule) -> list:
     diags: list = []
     for d in m.definitions:
         for root in _definition_exprs(d):
-            for e in _iter_exprs(root):
+            for e in N.subexpressions(root):
                 if not isinstance(e, (N.SetComp, N.SeqComp, N.MapComp)):
                     continue
                 seen: set = set()
                 for b in e.binds:
-                    for name in pattern_names(b.pattern):
+                    for name in N.pattern_names(b.pattern):
                         if name in seen:
                             diags.append(Diagnostic(
                                 "error", "dup-bind",
@@ -307,11 +208,14 @@ def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
     for node in fm.nodes:
         if node.body is None:
             continue
-        applies = [e for e in _iter_exprs(node.body) if isinstance(e, N.Apply)]
-        if not applies:
-            continue
-        referenced = {e.callee for e in applies}
-        referenced.update(e.name for e in _iter_exprs(node.body) if isinstance(e, N.Name))
+        applies: list = []
+        referenced: set = set()
+        for e in N.subexpressions(node.body):
+            if type(e) is N.Apply:
+                applies.append(e)
+                referenced.add(e.callee)
+            elif type(e) is N.Name:
+                referenced.add(e.name)
         for call in applies:
             target = fm.get(Namespace.FUNCTION, call.callee)
             pre = fm.get(Namespace.FUNCTION, f"pre_{call.callee}")

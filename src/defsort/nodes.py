@@ -384,3 +384,95 @@ class SourceModule:
     name_loc: Loc = _pos()
     span: Span = _pos()
     text: str = _pos()  # exact source slice of the whole module
+
+
+# ── walkers ───────────────────────────────────────────────────────────────
+# One walker per syntax category.  Each keeps an explicit stack, so nesting
+# depth costs no interpreter stack frames.
+
+
+def pattern_name_sites(p) -> list:
+    """(name, loc) for every identifier a pattern binds, left to right."""
+    sites: list = []
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        if type(p) is PatName:
+            sites.append((p.name, p.loc))
+        elif type(p) is not PatIgnore:
+            stack.extend(reversed(p.items))
+    return sites
+
+
+def pattern_names(p) -> list:
+    """All identifiers bound by a pattern, left to right."""
+    return [name for name, _ in pattern_name_sites(p)]
+
+
+def named_types(t) -> list:
+    """Every TNamed inside a type expression, left to right."""
+    found: list = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is TNamed:
+            found.append(t)
+        elif kind is TMap:
+            stack += (t.val, t.key)
+        elif kind is TUnion:
+            stack.extend(reversed(t.members))
+        elif kind in (TSeq, TSeq1, TSet, TOptional):
+            stack.append(t.elem)
+    return found
+
+
+def _domains(binds) -> tuple:
+    return tuple(b.domain for b in binds if b.domain is not None)
+
+
+def _optional(e) -> tuple:
+    return () if e is None else (e,)
+
+
+_CHILDREN = {
+    Lit: lambda e: (),
+    Name: lambda e: (),
+    Apply: lambda e: e.args,
+    MkCtor: lambda e: e.args,
+    BuiltinApp: lambda e: e.args,
+    Unary: lambda e: (e.operand,),
+    Binary: lambda e: (e.left, e.right),
+    If: lambda e: (e.cond, e.then, *(x for pair in e.elifs for x in pair), e.els),
+    Let: lambda e: (*(b.init for b in e.binds), e.body),
+    Quant: lambda e: (*_domains(e.binds), e.body),
+    SetEnum: lambda e: e.items,
+    SeqEnum: lambda e: e.items,
+    MapEnum: lambda e: tuple(x for maplet in e.maplets for x in maplet),
+    SetComp: lambda e: (*_domains(e.binds), e.elem, *_optional(e.pred)),
+    SeqComp: lambda e: (*_domains(e.binds), e.elem, *_optional(e.pred)),
+    MapComp: lambda e: (*_domains(e.binds), e.key, e.val, *_optional(e.pred)),
+    Is: lambda e: (e.expr,),
+    FieldSel: lambda e: (e.expr,),
+}
+
+
+def children(e) -> tuple:
+    """An expression's direct sub-expressions, in source order.
+
+    The exception is a comprehension, whose bind domains come before its
+    element: the binds are evaluated, and come into scope, first.
+    """
+    try:
+        return _CHILDREN[type(e)](e)
+    except KeyError:
+        raise TypeError(f"unexpected expression node {type(e).__name__}") from None
+
+
+def subexpressions(e):
+    """`e` and every expression nested in it, in pre-order."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))

@@ -1,6 +1,7 @@
 """Lexer, parser and printer for the VDM-SL module subset.
 
-The parser is a plain recursive descent over a pre-lexed token list.  Every
+The parser is a plain recursive descent over a pre-lexed token list, with
+binary operators parsed by precedence climbing over one table.  Every
 definition records the exact source span it came from (leading comments
 included), so later stages can move definitions around without touching
 their text.
@@ -8,6 +9,7 @@ their text.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from . import nodes as N
@@ -26,6 +28,20 @@ KEYWORDS = frozenset(
 BASIC_TYPES = frozenset({"nat", "nat1", "int", "real", "bool", "char", "token"})
 BUILTIN_OPS = frozenset({"hd", "tl", "len", "elems", "card", "dom", "rng", "inds"})
 SECTION_KEYWORDS = ("types", "values", "functions")
+
+# Binary operators by level, loosest first.  All associate to the left
+# except "=>".  Prefix "not" binds between "and" and the relations.
+BINARY_LEVELS = {
+    "<=>": 1,
+    "=>": 2,
+    "or": 3,
+    "and": 4,
+    **dict.fromkeys(("=", "<>", "<=", ">=", "<", ">", "subset", "psubset",
+                     "in set", "not in set"), 6),
+    **dict.fromkeys(("+", "-", "\\", "^", "union"), 7),
+    **dict.fromkeys(("*", "/", "div", "mod", "inter"), 8),
+}
+NOT_LEVEL = 5
 
 # longest first so the lexer never splits a two-char operator
 _PUNCT = (
@@ -155,18 +171,10 @@ def pattern_names_distinct(patterns, where: str):
     """ParseError if the same identifier is bound twice across `patterns`."""
     seen: dict[str, Loc] = {}
     for p in patterns:
-        for name, loc in _pattern_name_sites(p):
+        for name, loc in N.pattern_name_sites(p):
             if name in seen:
                 raise ParseError(f"name {name!r} bound twice in {where}", loc)
             seen[name] = loc
-
-
-def _pattern_name_sites(p):
-    if isinstance(p, N.PatName):
-        yield p.name, p.loc
-    elif isinstance(p, (N.PatSeq, N.PatSet, N.PatCtor)):
-        for item in p.items:
-            yield from _pattern_name_sites(item)
 
 
 # ── parser ────────────────────────────────────────────────────────────────
@@ -177,6 +185,7 @@ class _Parser:
         self.text = text
         self.file = file
         self.toks, self.comments = lex(text, file)
+        self.comment_offs = [c.off for c in self.comments]
         self.i = 0
 
     # token plumbing
@@ -283,7 +292,8 @@ class _Parser:
 
     def parse_definition(self, section: str, boundary: int):
         first = self.cur()
-        leading = [c for c in self.comments if boundary <= c.off < first.off]
+        lo = bisect_left(self.comment_offs, boundary)
+        leading = self.comments[lo : bisect_left(self.comment_offs, first.off, lo)]
         if section == "types":
             core = self.parse_typedef()
         elif section == "values":
@@ -491,97 +501,43 @@ class _Parser:
             return N.TNamed(t.text, t.loc)
         raise ParseError(f"expected a type, found {t.describe()}", t.loc)
 
-    # expressions, loosest binding first
+    # expressions: precedence climbing over BINARY_LEVELS
 
-    def parse_expr(self):
-        return self.parse_iff()
-
-    def parse_iff(self):
-        e = self.parse_implies()
-        while self.at("punct", "<=>"):
-            loc = self.advance().loc
-            e = N.Binary("<=>", e, self.parse_implies(), loc)
-        return e
-
-    def parse_implies(self):
-        e = self.parse_or()
-        if self.at("punct", "=>"):
-            loc = self.advance().loc
-            return N.Binary("=>", e, self.parse_implies(), loc)
-        return e
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.at_kw("or"):
-            loc = self.advance().loc
-            e = N.Binary("or", e, self.parse_and(), loc)
-        return e
-
-    def parse_and(self):
-        e = self.parse_not()
-        while self.at_kw("and"):
-            loc = self.advance().loc
-            e = N.Binary("and", e, self.parse_not(), loc)
-        return e
-
-    def parse_not(self):
-        if self.at_kw("not") and not (self.peek().kind == "kw" and self.peek().text == "in"):
-            loc = self.advance().loc
-            return N.Unary("not", self.parse_not(), loc)
-        return self.parse_rel()
-
-    _REL_PUNCT = ("=", "<>", "<=", ">=", "<", ">")
-
-    def parse_rel(self):
-        e = self.parse_add()
+    def parse_expr(self, min_level: int = 1):
+        """An expression whose binary operators all bind at `min_level` or tighter."""
+        t = self.cur()
+        if (
+            min_level <= NOT_LEVEL
+            and t.kind == "kw"
+            and t.text == "not"
+            and not (self.peek().kind == "kw" and self.peek().text == "in")
+        ):
+            self.advance()
+            e = N.Unary("not", self.parse_expr(NOT_LEVEL), t.loc)
+        else:
+            e = self.parse_prefix()
         while True:
-            t = self.cur()
-            if t.kind == "punct" and t.text in self._REL_PUNCT:
-                self.advance()
-                e = N.Binary(t.text, e, self.parse_add(), t.loc)
-            elif t.kind == "kw" and t.text in ("subset", "psubset"):
-                self.advance()
-                e = N.Binary(t.text, e, self.parse_add(), t.loc)
-            elif t.kind == "kw" and t.text == "in" and self.peek().text == "set":
-                self.advance()
-                self.advance()
-                e = N.Binary("in set", e, self.parse_add(), t.loc)
-            elif (
-                t.kind == "kw"
-                and t.text == "not"
-                and self.peek().text == "in"
-                and self.peek(2).text == "set"
-            ):
-                self.advance()
-                self.advance()
-                self.advance()
-                e = N.Binary("not in set", e, self.parse_add(), t.loc)
-            else:
+            op, width = self._binary_op()
+            level = BINARY_LEVELS.get(op, 0)
+            if level < min_level:
                 return e
+            t = self.cur()
+            self.i += width
+            right = self.parse_expr(level if op == "=>" else level + 1)
+            e = N.Binary(op, e, right, t.loc)
 
-    def parse_add(self):
-        e = self.parse_mul()
-        while True:
-            t = self.cur()
-            if (t.kind == "punct" and t.text in ("+", "-", "\\", "^")) or (
-                t.kind == "kw" and t.text == "union"
-            ):
-                self.advance()
-                e = N.Binary(t.text, e, self.parse_mul(), t.loc)
-            else:
-                return e
-
-    def parse_mul(self):
-        e = self.parse_prefix()
-        while True:
-            t = self.cur()
-            if (t.kind == "punct" and t.text in ("*", "/")) or (
-                t.kind == "kw" and t.text in ("div", "mod", "inter")
-            ):
-                self.advance()
-                e = N.Binary(t.text, e, self.parse_prefix(), t.loc)
-            else:
-                return e
+    def _binary_op(self):
+        """(operator, token count) at the cursor; (None, 0) when there is none."""
+        t = self.cur()
+        if t.kind == "kw" and t.text == "in":
+            if self.peek().text == "set":
+                return "in set", 2
+        elif t.kind == "kw" and t.text == "not":
+            if self.peek().text == "in" and self.peek(2).text == "set":
+                return "not in set", 3
+        elif t.kind in ("kw", "punct"):
+            return t.text, 1
+        return None, 0
 
     def parse_prefix(self):
         t = self.cur()
@@ -784,8 +740,6 @@ class _Parser:
 
 def _check_toplevel_names(defs, module_name: str):
     """Duplicate names inside one namespace are rejected at parse time."""
-    from .defcollect import pattern_names
-
     type_names: dict[str, Loc] = {}
     fn_names: dict[str, Loc] = {}
     for d in defs:
@@ -803,7 +757,7 @@ def _check_toplevel_names(defs, module_name: str):
                 )
             fn_names[d.name] = d.name_loc
         else:
-            for name in pattern_names(d.pattern):
+            for name in N.pattern_names(d.pattern):
                 if name in fn_names:
                     raise ParseError(
                         f"duplicate function or value name {name!r} in module {module_name}",
@@ -813,8 +767,16 @@ def _check_toplevel_names(defs, module_name: str):
 
 
 def parse_source(text: str, file: str = "<string>"):
-    """Parse a file's worth of text into a list of modules."""
-    return _Parser(text, file).parse_file()
+    """Parse a file's worth of text into a list of modules.
+
+    The parser recurses once per nesting level, so input nested deeper than
+    the interpreter's stack allows is a located ParseError.
+    """
+    parser = _Parser(text, file)
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        raise ParseError("nesting too deep", parser.cur().loc) from None
 
 
 def print_module(m: N.SourceModule) -> str:

@@ -1,6 +1,7 @@
 """End-to-end command behaviour: trace output, config resolution, files."""
 
 import os
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import CORPUS
 
 from defsort.cli import (
     DEFAULTS,
+    _write_atomic,
     build_arg_parser,
     load_properties,
     resolve_config,
@@ -262,3 +264,72 @@ def test_sort_overwrites_atomically(tmp_path):
     assert run(["sort", _corpus("M.vdmsl")]) == 0
     assert target.read_text() == first
     assert not (tmp_path / ".generated" / "sorted" / "M.vdmsl.tmp").exists()
+
+
+def test_sort_ignores_a_stale_temp_path(tmp_path, capsys):
+    (tmp_path / "out" / "M.vdmsl.tmp").mkdir(parents=True)
+    assert run(["sort", "--output", "out", _corpus("M.vdmsl")]) == 0
+    written = tmp_path / "out" / "M.vdmsl"
+    assert verify_order(parse_source(written.read_text(), str(written))[0])
+    assert sorted(os.listdir(tmp_path / "out")) == ["M.vdmsl", "M.vdmsl.tmp"]
+
+
+def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
+    (tmp_path / "M.vdmsl").mkdir()
+    with pytest.raises(OSError):
+        _write_atomic(str(tmp_path / "M.vdmsl"), "module M\n")
+    assert os.listdir(tmp_path) == ["M.vdmsl"]
+
+
+def test_a_failing_module_stops_its_file_but_not_the_others(tmp_path, capsys):
+    multi = tmp_path / "multi.vdmsl"
+    multi.write_text(
+        "module A\ndefinitions\nvalues\n  x = y;\n  y = 1;\nend A\n"
+        "module B\ndefinitions\ntypes\n  T = U;\nend B\n"
+        "module C\ndefinitions\nvalues\n  p = q;\n  q = 1;\nend C\n"
+    )
+    code = run(["sort", "--output", "out", str(multi), _corpus("M.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"{multi}:10:7: unknown type name 'U'\n"
+    assert captured.out.splitlines() == [
+        "Exu successfully sorted module A definitions",
+        "Exu successfully sorted module M definitions",
+    ]
+    assert os.listdir(tmp_path / "out") == ["M.vdmsl"]
+
+
+def _module(name, section):
+    return f"module {name}\ndefinitions\n{section}\nend {name}\n"
+
+
+TOO_DEEP = {
+    "parentheses": _module("P", "values\n  v = " + "(" * 1000 + "1" + ")" * 1000 + ";"),
+    "pattern": _module("P", "values\n  " + "[" * 1000 + "x" + "]" * 1000 + " = [1];"),
+    "type": _module("P", "types\n  S = " + "seq of " * 1000 + "nat;"),
+}
+
+
+@pytest.mark.parametrize("command", ["sort", "check"])
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_too_deep_nesting_is_a_located_error(shape, command, tmp_path, capsys):
+    deep = tmp_path / "deep.vdmsl"
+    deep.write_text(TOO_DEEP[shape])
+    code = run([command, "--debug", str(deep), _corpus("M.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert re.fullmatch(re.escape(f"{deep}:4:") + r"\d+: nesting too deep\n", captured.err)
+    assert "Calculating declaration dependencies for module `M`..." in captured.out
+
+
+def test_long_operator_and_field_chains_sort_and_check(tmp_path, capsys):
+    (tmp_path / "plus.vdmsl").write_text(
+        _module("A", "values\n  v = w" + " + 1" * 20000 + ";\n  w = 1;"))
+    (tmp_path / "field.vdmsl").write_text(
+        _module("F", "types\n  R :: f : nat;\nvalues\n  v = r" + ".f" * 5000 + ";\n  r = mk_R(1);"))
+    for name in ("plus.vdmsl", "field.vdmsl"):
+        assert run(["check", name]) == 0
+        assert run(["sort", "--output", "out", name]) == 0
+        written = tmp_path / "out" / name
+        assert verify_order(parse_source(written.read_text(), str(written))[0])
+    assert capsys.readouterr().err == ""

@@ -177,3 +177,9 @@ def test_print_then_print_is_stable():
     once = print_module(m)
     twice = print_module(parse_source(once)[0])
     assert once == twice
+
+
+def test_identifiers_are_ascii_only():
+    with pytest.raises(ParseError) as err:
+        parse_source("module M\ndefinitions\nvalues\n  café = 1;\nend M\n")
+    assert str(err.value) == "<string>:4:6: unexpected character 'é'"
