@@ -14,12 +14,11 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .defcollect import collect
-from .depgraph import build_graph
 from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, UnknownNameError
 from .dotviz import emit_def_dot, emit_module_dot
 from .freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
 from .modorder import build_module_graph, order_modules
-from .reorder import sort_module
+from .reorder import analyse
 from .syntax import parse_source, print_module
 
 BANNER = "Calling Exu VDM analyser..."
@@ -34,7 +33,13 @@ DEFAULTS = {
     "check": "false",
 }
 
-_ANALYSIS_ERRORS = (ParseError, DuplicateNameError, UnknownNameError, CycleError)
+
+class _OutputError(Exception):
+    """An output file could not be written; the message names the file."""
+
+
+# each stops one module or file, which is reported by the error's message
+_ERRORS = (ParseError, DuplicateNameError, UnknownNameError, CycleError, _OutputError)
 
 
 @dataclass
@@ -124,6 +129,14 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _write(path: str, text: str):
+    """_write_atomic, with a failure raised as an error line naming `path`."""
+    try:
+        _write_atomic(path, text)
+    except OSError as exc:
+        raise _OutputError(f"{path}: error: {exc.strerror or exc}") from None
+
+
 def _parse_files(paths):
     """-> (list of (path, modules), error count); errors are printed."""
     parsed: list = []
@@ -136,21 +149,16 @@ def _parse_files(paths):
         except OSError as exc:
             print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
             errors += 1
-        except _ANALYSIS_ERRORS as exc:
+        except _ERRORS as exc:
             print(str(exc), file=sys.stderr)
             errors += 1
     return parsed, errors
 
 
-def _dot_path(cfg: ToolConfig, module_name: str) -> str:
-    return os.path.join(cfg.dot_dir, f"{module_name}.dot")
-
-
-def _emit_module_dot_file(cfg: ToolConfig, m, report) -> str:
+def _emit_module_dot_file(cfg: ToolConfig, a) -> str:
     """Write one module's definition graph; returns the file path."""
-    g = build_graph(collect(m))
-    path = _dot_path(cfg, m.name)
-    _write_atomic(path, emit_def_dot(g, report))
+    path = os.path.join(cfg.dot_dir, f"{a.flat.module_name}.dot")
+    _write(path, emit_def_dot(a.graph, a.report))
     return path
 
 
@@ -182,24 +190,20 @@ def _cmd_sort(cfg: ToolConfig, paths) -> int:
     for path, mods in parsed:
         texts: list = []
         any_sorted = False
-        for m in mods:
-            try:
-                out, report = sort_module(m)
-            except _ANALYSIS_ERRORS as exc:
-                print(str(exc), file=sys.stderr)
-                errors += 1
-                texts = []
-                break
-            dot_path = None
-            if cfg.dot_enabled:
-                dot_path = _emit_module_dot_file(cfg, m, report)
-            lines = _trace_lines(report, dot_path)  # the last line is the status
-            for line in lines if cfg.debug else lines[-1:]:
-                print(line)
-            any_sorted = any_sorted or report.sorted
-            texts.append(print_module(out))
-        if texts and any_sorted and not cfg.check_only:
-            _write_atomic(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts))
+        try:
+            for m in mods:
+                a = analyse(m)
+                dot_path = _emit_module_dot_file(cfg, a) if cfg.dot_enabled else None
+                lines = _trace_lines(a.report, dot_path)  # the last line is the status
+                for line in lines if cfg.debug else lines[-1:]:
+                    print(line)
+                any_sorted = any_sorted or a.report.sorted
+                texts.append(a.text or print_module(m))
+            if any_sorted and not cfg.check_only:
+                _write(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts))
+        except _ERRORS as exc:
+            print(str(exc), file=sys.stderr)
+            errors += 1
     return 1 if errors else 0
 
 
@@ -214,18 +218,18 @@ def _cmd_check(cfg: ToolConfig, paths) -> int:
     for path, mods in parsed:
         for m in mods:
             try:
-                fm = collect(m)
-                diags = _module_diagnostics(m, fm)
                 if cfg.debug:
-                    _, report = sort_module(m)
-                    for line in _trace_lines(report):
-                        print(line)
-            except _ANALYSIS_ERRORS as exc:
+                    a = analyse(m)
+                    fm, lines = a.flat, _trace_lines(a.report)
+                else:
+                    fm, lines = collect(m), []
+                diags = _module_diagnostics(m, fm)
+            except _ERRORS as exc:
                 print(str(exc), file=sys.stderr)
                 errors += 1
                 continue
-            for d in diags:
-                print(str(d))
+            for line in lines + [str(d) for d in diags]:
+                print(line)
             errors += sum(1 for d in diags if d.severity == "error")
     return 1 if errors else 0
 
@@ -248,8 +252,8 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
     mods = [m for _, file_mods in parsed for m in file_mods]
     for m in mods:
         try:
-            path = _emit_module_dot_file(cfg, m, sort_module(m)[1])
-        except _ANALYSIS_ERRORS as exc:
+            path = _emit_module_dot_file(cfg, analyse(m))
+        except _ERRORS as exc:
             print(str(exc), file=sys.stderr)
             errors += 1
             continue
@@ -259,7 +263,11 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
         for w in warnings:
             print(str(w), file=sys.stderr)
         path = os.path.join(cfg.dot_dir, "modules.dot")
-        _write_atomic(path, emit_module_dot(mg))
+        try:
+            _write(path, emit_module_dot(mg))
+        except _OutputError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
         print(f"Printed module imports at {path}")
     return 1 if errors else 0
 

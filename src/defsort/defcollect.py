@@ -101,10 +101,6 @@ class FlatModule:
     def has(self, namespace: Namespace, name: str) -> bool:
         return (namespace, name) in self._by_key
 
-    def lookup_name(self, name: str):
-        """First node carrying `name`, searching functions then types."""
-        return self.get(Namespace.FUNCTION, name) or self.get(Namespace.TYPE, name)
-
 
 def _param_names(d: N.FuncDef) -> frozenset:
     names: list = []

@@ -9,7 +9,7 @@ idempotent: a sorted module reports nothing and is returned untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import nodes as N
 from .defcollect import PRIMARY_KINDS, DefKind, FlatModule, Namespace, collect
@@ -119,46 +119,62 @@ def organised_definitions(fm: FlatModule, order: list, g: DepGraph):
     """Project a node order back onto user definitions.
 
     Clause and synthetic nodes drop out; a definition binding several names
-    moves once, to the position of its earliest sorted name.
+    moves once, to the position of its earliest sorted name.  Definitions
+    that bind no name (`- = e`) have no node; they follow the sorted ones in
+    source order, after everything they can use.
     """
     nodes = [g.nodes[k] for k in order if g.nodes[k].kind in PRIMARY_KINDS]
     names = [n.name for n in nodes]
-    seen: set = set()
-    defs: list = []
-    for n in nodes:
-        if n.def_index not in seen:
-            seen.add(n.def_index)
-            defs.append(fm.source.definitions[n.def_index])
-    return names, defs
+    placed = dict.fromkeys(n.def_index for n in nodes)
+    nameless = [i for i in range(len(fm.source.definitions)) if i not in placed]
+    return names, [fm.source.definitions[i] for i in [*placed, *nameless]]
+
+
+@dataclass
+class Analysis:
+    """Everything the commands need to know about one module."""
+
+    flat: FlatModule
+    graph: DepGraph  # before any cycle is broken
+    report: SortReport
+    text: str | None  # the rewritten module, or None when no rewrite is needed
+
+
+def analyse(m: N.SourceModule) -> Analysis:
+    """Collect, graph and report one module, and print its rewrite if needed.
+
+    Without forward references there is nothing to rewrite.  Otherwise
+    cycles are broken and the nodes sorted on a copy of the graph, and the
+    definitions are printed in the new order.
+    """
+    fm = collect(m)
+    g = build_graph(fm)
+    refs = forward_references(fm, g)
+    starts = [n.name for n in start_points(g)]
+    removed, sorted_names, organised, text = [], [], [], None
+    if refs:
+        cut = DepGraph(g.nodes, g.edges)
+        removed = break_cycles(cut)
+        order = kahn_sort(cut)
+        sorted_names = [g.nodes[k].name for k in order]
+        organised, defs = organised_definitions(fm, order, cut)
+        text = print_module(replace(m, definitions=tuple(defs)))
+    report = SortReport(fm.module_name, list(fm.original_names), starts,
+                        sorted_names, organised, refs, removed, bool(refs))
+    return Analysis(fm, g, report, text)
 
 
 def sort_module(m: N.SourceModule):
     """Analyse one module; returns (module, SortReport).
 
     Without forward references the input module is handed back untouched.
-    Otherwise cycles are broken, the nodes are sorted, and the definitions
-    are re-emitted in the new order; the result is re-parsed so the caller
-    gets a module with locations that match the rewritten text.
+    Otherwise the rewritten text is parsed again, so the caller gets a
+    module with locations that match it.
     """
-    fm = collect(m)
-    g = build_graph(fm)
-    refs = forward_references(fm, g)
-    starts = [n.name for n in start_points(g)]
-    if not refs:
-        report = SortReport(fm.module_name, list(fm.original_names), starts,
-                            [], [], [], [], False)
-        return m, report
-    removed = break_cycles(g)
-    order = kahn_sort(g)
-    sorted_names = [g.nodes[k].name for k in order]
-    organised, defs = organised_definitions(fm, order, g)
-    rebuilt = N.SourceModule(m.name, m.exports_all, m.imports, defs,
-                             m.file, m.name_loc, m.span, m.text)
-    text = print_module(rebuilt)
-    out = parse_source(text, m.file)[0]
-    report = SortReport(fm.module_name, list(fm.original_names), starts,
-                        sorted_names, organised, refs, removed, True)
-    return out, report
+    a = analyse(m)
+    if a.text is None:
+        return m, a.report
+    return parse_source(a.text, m.file)[0], a.report
 
 
 def verify_order(m: N.SourceModule) -> bool:

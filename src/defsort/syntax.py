@@ -260,6 +260,8 @@ class _Parser:
                 d = self.parse_definition(sec_tok.text, boundary)
                 defs.append(d)
                 boundary = d.span.end_off
+            if boundary > sec_tok.end:  # the section has a definition
+                defs[-1] = self._with_trailing_comments(defs[-1])
         self.expect("kw", "end")
         end_tok = self.expect_name("module name")
         if end_tok.text != name_tok.text:
@@ -289,6 +291,17 @@ class _Parser:
         return Span(start_loc, end_loc, start_off, end_off)
 
     # definitions
+
+    def _with_trailing_comments(self, d):
+        """Extend a section's last definition over the comments between it
+        and the next section keyword or `end`, so they move with it."""
+        lo = bisect_left(self.comment_offs, d.span.end_off)
+        trailing = self.comments[lo : bisect_left(self.comment_offs, self.cur().off, lo)]
+        if not trailing:
+            return d
+        last = trailing[-1]
+        span = Span(d.span.start, last.loc, d.span.start_off, last.end)
+        return replace(d, span=span, verbatim=self.text[span.start_off : span.end_off])
 
     def parse_definition(self, section: str, boundary: int):
         first = self.cur()

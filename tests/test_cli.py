@@ -2,11 +2,14 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from conftest import CORPUS
 
+import defsort
 from defsort.cli import (
     DEFAULTS,
     _write_atomic,
@@ -167,6 +170,13 @@ def test_dot_command_writes_graphs(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["sort", "dot"])
+def test_dot_files_show_the_edges_that_cycle_breaking_cuts(command, tmp_path):
+    assert run([command, "--dot", "graphs", _corpus("mutrec.vdmsl")]) == 0
+    dot = (tmp_path / "graphs" / "MUTREC.dot").read_text()
+    assert '"f" -> "g";' in dot and '"g" -> "f";' in dot
+
+
 def test_parse_errors_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.vdmsl"
     bad.write_text("module Broken\n")
@@ -279,6 +289,30 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
     with pytest.raises(OSError):
         _write_atomic(str(tmp_path / "M.vdmsl"), "module M\n")
     assert os.listdir(tmp_path) == ["M.vdmsl"]
+
+
+@pytest.mark.parametrize("argv, blocked, written", [
+    (["sort", "--output", "out"], "out/M.vdmsl", ["out/mutrec.vdmsl"]),
+    (["sort", "--output", "out", "--dot", "out"], "out/M.dot", ["out/MUTREC.dot", "out/mutrec.vdmsl"]),
+    (["dot", "--dot", "out"], "out/M.dot", ["out/MUTREC.dot", "out/modules.dot"]),
+])
+def test_an_output_path_that_is_a_directory_is_an_error(argv, blocked, written, tmp_path, capsys):
+    (tmp_path / blocked).mkdir(parents=True)
+    code = run(argv + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"{os.path.join(*blocked.split('/'))}: error: Is a directory\n"
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(
+        os.path.basename(p) for p in [blocked, *written])
+    assert os.listdir(tmp_path / blocked) == []
+
+
+def test_the_module_entry_point_starts_without_a_warning(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DEFSORT_")}
+    env["PYTHONPATH"] = os.path.dirname(defsort.__path__[0])
+    proc = subprocess.run([sys.executable, "-m", "defsort.cli", "order", _corpus("M.vdmsl")],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "M\n", "")
 
 
 def test_a_failing_module_stops_its_file_but_not_the_others(tmp_path, capsys):

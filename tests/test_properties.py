@@ -1,0 +1,58 @@
+"""Rewrite invariants as properties over corpus modules whose definitions
+are permuted, then printed and parsed.
+
+The CLI writes the text `analyse` prints without parsing it again, so these
+properties are what make that text trustworthy: it re-parses to the module
+`sort_module` returns, it is in declaration order, and it keeps every
+definition's text.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS, parse_corpus
+
+from defsort import analyse, sort_module, verify_order
+from defsort.syntax import parse_source, print_module
+
+MODULES = [m for path in sorted(CORPUS.glob("*.vdmsl")) for m in parse_corpus(path.name)]
+
+
+@st.composite
+def permuted_modules(draw):
+    m = draw(st.sampled_from(MODULES))
+    defs = draw(st.permutations(m.definitions))
+    return parse_source(print_module(replace(m, definitions=tuple(defs))), m.file)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_modules())
+def test_a_module_is_rewritten_exactly_when_it_is_out_of_order(m):
+    assert (analyse(m).text is None) == verify_order(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_modules())
+def test_the_rewritten_text_is_what_sort_module_parses(m):
+    text = analyse(m).text
+    out, _ = sort_module(m)
+    assert print_module(out) == (text or print_module(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_modules())
+def test_sorting_verifies_and_is_idempotent(m):
+    out, _ = sort_module(m)
+    assert verify_order(out)
+    again, report = sort_module(out)
+    assert again is out and report.sorted is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_modules())
+def test_sorting_conserves_every_definition_text(m):
+    out, _ = sort_module(m)
+    assert Counter(d.verbatim for d in out.definitions) == Counter(d.verbatim for d in m.definitions)

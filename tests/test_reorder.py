@@ -146,3 +146,26 @@ def test_reported_modules_really_need_sorting_over_the_corpus():
             out, report = sort_module(m)
             assert report.sorted == (not verify_order(m)), path.name
             assert verify_order(out) is True, path.name
+
+
+def test_a_definition_that_binds_no_name_survives_sorting():
+    [m] = parse_source("module D\ndefinitions\nvalues\n  - = b;\n  b = c;\n  c = 1;\nend D\n")
+    out, report = sort_module(m)
+    assert report.sorted is True
+    assert [d.verbatim.strip() for d in out.definitions] == ["c = 1;", "b = c;", "- = b;"]
+    assert verify_order(out) is True
+
+
+def test_rewrite_keeps_the_comments_that_end_a_section():
+    [m] = parse_source(
+        "module C\ndefinitions\nvalues\n  a = b;\n  b = 1;\n  -- note on b\n"
+        "functions\n  f : nat -> nat\n  f(x) == g(x);\n"
+        "  g : nat -> nat\n  g(x) == x; -- after g\n  -- note before end\nend C\n"
+    )
+    assert m.definitions[1].verbatim == "  b = 1;\n  -- note on b"
+    assert m.definitions[3].verbatim.endswith("g(x) == x; -- after g\n  -- note before end")
+    out, report = sort_module(m)
+    assert report.organised_names == ["b", "a", "g", "f"]
+    printed = print_module(out)
+    for comment in ("-- note on b", "-- after g", "-- note before end"):
+        assert printed.count(comment) == 1, comment
