@@ -42,6 +42,18 @@ class _OutputError(Exception):
 _ERRORS = (ParseError, DuplicateNameError, UnknownNameError, CycleError, _OutputError)
 
 
+def _report(exc: Exception, path: str) -> int:
+    """Print the error line for an exception that stopped `path`; returns 1.
+
+    Any other exception is a fault of defsort's, reported as an internal
+    error so that the remaining files still run."""
+    if isinstance(exc, _ERRORS):
+        print(str(exc), file=sys.stderr)
+    else:
+        print(f"{path}: error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 @dataclass
 class ToolConfig:
     output_dir: str = DEFAULTS["output.dir"]
@@ -146,12 +158,11 @@ def _parse_files(paths):
             with open(path, encoding="utf-8") as f:
                 text = f.read()
             parsed.append((path, parse_source(text, path)))
-        except OSError as exc:
-            print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"{path}: error: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             errors += 1
-        except _ERRORS as exc:
-            print(str(exc), file=sys.stderr)
-            errors += 1
+        except Exception as exc:
+            errors += _report(exc, path)
     return parsed, errors
 
 
@@ -201,9 +212,8 @@ def _cmd_sort(cfg: ToolConfig, paths) -> int:
                 texts.append(a.text or print_module(m))
             if any_sorted and not cfg.check_only:
                 _write(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts))
-        except _ERRORS as exc:
-            print(str(exc), file=sys.stderr)
-            errors += 1
+        except Exception as exc:
+            errors += _report(exc, path)
     return 1 if errors else 0
 
 
@@ -224,9 +234,8 @@ def _cmd_check(cfg: ToolConfig, paths) -> int:
                 else:
                     fm, lines = collect(m), []
                 diags = _module_diagnostics(m, fm)
-            except _ERRORS as exc:
-                print(str(exc), file=sys.stderr)
-                errors += 1
+            except Exception as exc:
+                errors += _report(exc, path)
                 continue
             for line in lines + [str(d) for d in diags]:
                 print(line)
@@ -239,7 +248,10 @@ def _cmd_order(cfg: ToolConfig, paths) -> int:
     if errors:
         return 1
     mods = [m for _, file_mods in parsed for m in file_mods]
-    ordered, _, warnings = order_modules(mods)
+    try:
+        ordered, _, warnings = order_modules(mods)
+    except Exception as exc:  # no one file is at fault
+        return _report(exc, "defsort")
     for w in warnings:
         print(str(w), file=sys.stderr)
     for name in ordered:
@@ -253,21 +265,19 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
     for m in mods:
         try:
             path = _emit_module_dot_file(cfg, analyse(m))
-        except _ERRORS as exc:
-            print(str(exc), file=sys.stderr)
-            errors += 1
+        except Exception as exc:
+            errors += _report(exc, m.file)
             continue
         print(f"Printed dependencies for module {m.name}.dot at {path}")
     if mods:
-        mg, warnings = build_module_graph(mods)
-        for w in warnings:
-            print(str(w), file=sys.stderr)
         path = os.path.join(cfg.dot_dir, "modules.dot")
         try:
+            mg, warnings = build_module_graph(mods)
+            for w in warnings:
+                print(str(w), file=sys.stderr)
             _write(path, emit_module_dot(mg))
-        except _OutputError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+        except Exception as exc:
+            return _report(exc, path)
         print(f"Printed module imports at {path}")
     return 1 if errors else 0
 

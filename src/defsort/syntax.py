@@ -9,8 +9,9 @@ their text.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import nodes as N
 from .diag import Loc, ParseError, Span
@@ -51,13 +52,23 @@ _PUNCT = (
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # kw punct name nat real char quote comment eof
-    text: str
-    loc: Loc
-    off: int
-    end: int
+    """One token; its `loc` is built when read, as most tokens are never located."""
+
+    __slots__ = ("kind", "text", "line", "col", "file", "off", "end")
+
+    def __init__(self, kind: str, text: str, line: int, col: int, file: str, off: int, end: int):
+        self.kind = kind  # kw punct name nat real char quote comment eof
+        self.text = text
+        self.line = line
+        self.col = col
+        self.file = file
+        self.off = off
+        self.end = end
+
+    @property
+    def loc(self) -> Loc:
+        return Loc(self.line, self.col, self.file)
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -67,103 +78,47 @@ class Token:
         return f"{self.kind} '{self.text}'"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha())
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+# One named group per token class, tried in order; a character literal and a
+# quote name their inner text.  Numbers are ASCII digits only.
+_TOKEN = re.compile(
+    r"(?P<ws>[ \t\r]+)|(?P<nl>\n)|(?P<comment>--[^\n]*)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<real>[0-9]+\.[0-9]+)|(?P<nat>[0-9]+)"
+    r"|'(?P<char>[^'\n])'|<(?P<quote>[A-Za-z][A-Za-z0-9_]*)>"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
+)
 
 
 def lex(text: str, file: str = "<string>"):
     """Split text into (significant tokens, comment tokens)."""
     toks: list[Token] = []
     comments: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        off = m.start()
+        if off != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
+            line_start = pos
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        loc = Loc(line, col, file)
-        if text.startswith("--", i):
-            j = text.find("\n", i)
-            if j < 0:
-                j = n
-            comments.append(Token("comment", text[i:j].rstrip("\r"), loc, i, j))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
+        word = m[kind]
+        col = off - line_start + 1
+        if kind == "word":
             kind = "kw" if word in KEYWORDS else "name"
-            toks.append(Token(kind, word, loc, i, j))
-            col += j - i
-            i = j
+        elif kind == "comment":
+            comments.append(Token(kind, word.rstrip("\r"), line, col, file, off, pos))
             continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
-                j += 2
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(Token("real", text[i:j], loc, i, j))
-            else:
-                toks.append(Token("nat", text[i:j], loc, i, j))
-            col += j - i
-            i = j
-            continue
-        if c == "'":
-            if i + 2 < n and text[i + 2] == "'" and text[i + 1] != "'":
-                toks.append(Token("char", text[i + 1], loc, i, i + 3))
-                i += 3
-                col += 3
-                continue
-            raise ParseError("malformed character literal", loc)
-        if c == "<":
-            if text.startswith("<=>", i):
-                toks.append(Token("punct", "<=>", loc, i, i + 3))
-                i += 3
-                col += 3
-                continue
-            if text[i : i + 2] in ("<=", "<>"):
-                toks.append(Token("punct", text[i : i + 2], loc, i, i + 2))
-                i += 2
-                col += 2
-                continue
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            if j > i + 1 and j < n and text[j] == ">" and _is_ident_start(text[i + 1]):
-                toks.append(Token("quote", text[i + 1 : j], loc, i, j + 1))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            toks.append(Token("punct", "<", loc, i, i + 1))
-            i += 1
-            col += 1
-            continue
-        for op in _PUNCT:
-            if text.startswith(op, i):
-                toks.append(Token("punct", op, loc, i, i + len(op)))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", loc)
-    toks.append(Token("eof", "", Loc(line, col, file), n, n))
+        toks.append(Token(kind, word, line, col, file, off, pos))
+    col = pos - line_start + 1
+    if pos < len(text):
+        c = text[pos]
+        message = "malformed character literal" if c == "'" else f"unexpected character {c!r}"
+        raise ParseError(message, Loc(line, col, file))
+    toks.append(Token("eof", "", line, col, file, pos, pos))
     return toks, comments
 
 
@@ -201,28 +156,31 @@ class _Parser:
         return self.toks[self.i - 1]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur()
+        t = self.toks[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_kw(self, *words: str) -> bool:
-        t = self.cur()
+        t = self.toks[self.i]
         return t.kind == "kw" and t.text in words
 
     def advance(self) -> Token:
-        t = self.cur()
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def accept(self, kind: str, text: str | None = None):
-        if self.at(kind, text):
-            return self.advance()
+        t = self.toks[self.i]
+        if t.kind == kind and (text is None or t.text == text):
+            self.i += 1
+            return t
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
+        t = self.toks[self.i]
+        if t.kind == kind and (text is None or t.text == text):
+            self.i += 1
+            return t
         want = f"'{text}'" if text else kind
-        raise ParseError(f"expected {want}, found {self.cur().describe()}", self.cur().loc)
+        raise ParseError(f"expected {want}, found {t.describe()}", t.loc)
 
     def expect_name(self, what: str = "identifier") -> Token:
         if self.at("name"):
@@ -517,16 +475,23 @@ class _Parser:
     # expressions: precedence climbing over BINARY_LEVELS
 
     def parse_expr(self, min_level: int = 1):
-        """An expression whose binary operators all bind at `min_level` or tighter."""
-        t = self.cur()
-        if (
-            min_level <= NOT_LEVEL
-            and t.kind == "kw"
-            and t.text == "not"
-            and not (self.peek().kind == "kw" and self.peek().text == "in")
-        ):
-            self.advance()
-            e = N.Unary("not", self.parse_expr(NOT_LEVEL), t.loc)
+        """An expression whose binary operators all bind at `min_level` or tighter.
+
+        A run of prefix `not`s and a run of `=>`s are each collected in a
+        loop and folded afterwards, so neither nests the parser.
+        """
+        toks = self.toks
+        nots = []
+        t = toks[self.i]
+        while (min_level <= NOT_LEVEL and t.kind == "kw" and t.text == "not"
+               and not (toks[self.i + 1].kind == "kw" and toks[self.i + 1].text == "in")):
+            nots.append(t)
+            self.i += 1
+            t = toks[self.i]
+        if nots:
+            e = self.parse_expr(NOT_LEVEL)  # starts past the run, so recurses once
+            for t in reversed(nots):
+                e = N.Unary("not", e, t.loc)
         else:
             e = self.parse_prefix()
         while True:
@@ -534,33 +499,47 @@ class _Parser:
             level = BINARY_LEVELS.get(op, 0)
             if level < min_level:
                 return e
-            t = self.cur()
+            t = toks[self.i]
             self.i += width
-            right = self.parse_expr(level if op == "=>" else level + 1)
-            e = N.Binary(op, e, right, t.loc)
+            if op != "=>":
+                e = N.Binary(op, e, self.parse_expr(level + 1), t.loc)
+                continue
+            # "=>" associates to the right: fold its run from the right
+            arrows, operands = [t], [e, self.parse_expr(level + 1)]
+            while toks[self.i].kind == "punct" and toks[self.i].text == "=>":
+                arrows.append(toks[self.i])
+                self.i += 1
+                operands.append(self.parse_expr(level + 1))
+            e = operands.pop()
+            for t in reversed(arrows):
+                e = N.Binary("=>", operands.pop(), e, t.loc)
 
     def _binary_op(self):
         """(operator, token count) at the cursor; (None, 0) when there is none."""
-        t = self.cur()
+        toks, i = self.toks, self.i
+        t = toks[i]
         if t.kind == "kw" and t.text == "in":
-            if self.peek().text == "set":
+            if toks[i + 1].text == "set":
                 return "in set", 2
         elif t.kind == "kw" and t.text == "not":
-            if self.peek().text == "in" and self.peek(2).text == "set":
+            if toks[i + 1].text == "in" and toks[i + 2].text == "set":
                 return "not in set", 3
         elif t.kind in ("kw", "punct"):
             return t.text, 1
         return None, 0
 
     def parse_prefix(self):
-        t = self.cur()
-        if t.kind == "punct" and t.text == "-":
-            self.advance()
-            return N.Unary("-", self.parse_prefix(), t.loc)
-        if t.kind == "kw" and t.text in BUILTIN_OPS:
-            self.advance()
-            return N.BuiltinApp(t.text, (self.parse_prefix(),), t.loc)
-        return self.parse_postfix()
+        toks = self.toks
+        ops = []
+        t = toks[self.i]
+        while (t.kind == "punct" and t.text == "-") or (t.kind == "kw" and t.text in BUILTIN_OPS):
+            ops.append(t)
+            self.i += 1
+            t = toks[self.i]
+        e = self.parse_postfix()
+        for t in reversed(ops):
+            e = N.Unary("-", e, t.loc) if t.text == "-" else N.BuiltinApp(t.text, (e,), t.loc)
+        return e
 
     def parse_postfix(self):
         e = self.parse_primary()
@@ -580,7 +559,7 @@ class _Parser:
         return tuple(args)
 
     def parse_primary(self):
-        t = self.cur()
+        t = self.toks[self.i]
         if t.kind == "nat":
             self.advance()
             return N.Lit("nat", int(t.text), t.loc)

@@ -10,6 +10,7 @@ import pytest
 from conftest import CORPUS
 
 import defsort
+from defsort import cli
 from defsort.cli import (
     DEFAULTS,
     _write_atomic,
@@ -367,3 +368,86 @@ def test_long_operator_and_field_chains_sort_and_check(tmp_path, capsys):
         written = tmp_path / "out" / name
         assert verify_order(parse_source(written.read_text(), str(written))[0])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["sort", "check"])
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_a_non_ascii_digit_is_a_located_error(digit, command, tmp_path, capsys):
+    bad = tmp_path / "bad.vdmsl"
+    bad.write_text(_module("B", f"values\n  x = {digit};"), encoding="utf-8")
+    code = run([command, "--debug", "--output", "out", str(bad), _corpus("M.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"{bad}:4:7: unexpected character {digit!r}\n"
+    assert "Calculating declaration dependencies for module `M`..." in captured.out
+
+
+CHAINS = {
+    "not": "v = " + "not " * 5000 + "w;\n  w = true;",
+    "minus": "v = " + "- " * 5000 + "w;\n  w = 1;",
+    "hd": "v = " + "hd " * 5000 + "w;\n  w = [1];",
+    "implies": "v = w" + " => w" * 5000 + ";\n  w = true;",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAINS))
+def test_long_prefix_and_implication_chains_sort_and_check(kind, tmp_path, capsys):
+    (tmp_path / "chain.vdmsl").write_text(_module("C", "values\n  " + CHAINS[kind]))
+    assert run(["check", "chain.vdmsl"]) == 0
+    assert run(["sort", "--output", "out", "chain.vdmsl"]) == 0
+    written = tmp_path / "out" / "chain.vdmsl"
+    assert verify_order(parse_source(written.read_text(), str(written))[0])
+    assert capsys.readouterr().err == ""
+
+
+def _planted_fault(*args):
+    raise ValueError("planted fault")
+
+
+@pytest.mark.parametrize("argv", [["sort"], ["sort", "--dot", "dots"], ["check", "--debug"],
+                                  ["dot"], ["order"]])
+def test_a_fault_while_parsing_one_file_is_an_error_line(argv, tmp_path, monkeypatch, capsys):
+    real = cli.parse_source
+    monkeypatch.setattr(cli, "parse_source", lambda text, path: (
+        _planted_fault() if path == _corpus("M.vdmsl") else real(text, path)))
+    code = run(argv + ["--output", "out", _corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+    if argv[0] == "order":  # ordering needs every file
+        assert captured.out == ""
+    else:
+        assert "MUTREC" in captured.out
+
+
+@pytest.mark.parametrize("argv", [["sort"], ["check", "--debug"], ["dot"]])
+def test_a_fault_while_analysing_one_module_is_an_error_line(argv, tmp_path, monkeypatch, capsys):
+    real = cli.analyse
+    monkeypatch.setattr(cli, "analyse", lambda m: _planted_fault() if m.name == "M" else real(m))
+    code = run(argv + ["--output", "out", _corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+    assert "MUTREC" in captured.out
+    if argv[0] == "sort":
+        assert os.listdir(tmp_path / "out") == ["mutrec.vdmsl"]
+
+
+@pytest.mark.parametrize("argv, target, where", [
+    (["order"], "order_modules", "defsort"),
+    (["dot", "--dot", "out"], "build_module_graph", os.path.join("out", "modules.dot")),
+])
+def test_a_fault_across_all_files_is_one_error_line(argv, target, where, monkeypatch, capsys):
+    monkeypatch.setattr(cli, target, _planted_fault)
+    assert run(argv + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")]) == 1
+    assert capsys.readouterr().err == f"{where}: error: internal error: ValueError: planted fault\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.vdmsl"
+    bad.write_bytes(b"module B\ndefinitions\nvalues\n  x = \xff;\nend B\n")
+    code = run(["check", str(bad), _corpus("M.vdmsl")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"{bad}: error: 'utf-8' codec can't decode byte 0xff in position 34: invalid start byte\n")

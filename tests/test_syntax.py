@@ -183,3 +183,16 @@ def test_identifiers_are_ascii_only():
     with pytest.raises(ParseError) as err:
         parse_source("module M\ndefinitions\nvalues\n  café = 1;\nend M\n")
     assert str(err.value) == "<string>:4:6: unexpected character 'é'"
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_numbers_are_ascii_digits_only(digit):
+    with pytest.raises(ParseError) as err:
+        parse_source(f"module M\ndefinitions\nvalues\n  x = 1{digit};\nend M\n")
+    assert str(err.value) == f"<string>:4:8: unexpected character {digit!r}"
+
+
+def test_a_character_literal_cannot_hold_a_line_break():
+    with pytest.raises(ParseError) as err:
+        parse_source("module M\ndefinitions\nvalues\n  x = '\n'; y = 1 + ;\nend M\n")
+    assert str(err.value) == "<string>:4:7: malformed character literal"

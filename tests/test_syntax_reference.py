@@ -1,14 +1,17 @@
-"""The expression parser and the body walkers against recursive references.
+"""The lexer, the expression parser and the body walkers against references.
 
-The references are the earlier hand-written forms: one parser method per
-precedence level, a scan of every comment for every definition, and
-recursive walks for free uses and sub-expressions.  Generated expressions,
-well-formed and with tokens deleted, inserted or replaced, must give equal
-trees (every location included), equal parse errors, equal use sites and
-equal diagnostics.
+The references are the earlier hand-written forms: a character-at-a-time
+lexer, one parser method per precedence level, a scan of every comment for
+every definition, and recursive walks for free uses and sub-expressions.
+Generated text must give equal tokens and comments (every location
+included) and equal lexer errors.  Generated expressions, well-formed and
+with tokens deleted, inserted or replaced, must give equal trees (every
+location included), equal parse errors, equal use sites and equal
+diagnostics.
 """
 
 import dataclasses
+import pathlib
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
-from defsort.diag import Diagnostic, DuplicateNameError, ParseError
+from defsort.diag import Diagnostic, DuplicateNameError, Loc, ParseError
 from defsort.freevars import (
     BoundContext,
     UseSite,
@@ -24,9 +27,109 @@ from defsort.freevars import (
     check_precondition_calls,
     free_uses,
 )
-from defsort.syntax import _Parser, parse_source
+from defsort.syntax import _PUNCT, BUILTIN_OPS, KEYWORDS, _Parser, lex, parse_source
 
 # ── references ────────────────────────────────────────────────────────────
+
+
+def _is_ident_start(c):
+    return c.isascii() and (c.isalpha())
+
+
+def _is_ident_char(c):
+    return c.isascii() and (c.isalnum() or c == "_")
+
+
+def ref_lex(text, file="<string>"):
+    """(tokens, comments) as (kind, text, loc, off, end) tuples, one character at a time."""
+    toks = []
+    comments = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        loc = Loc(line, col, file)
+        if text.startswith("--", i):
+            j = text.find("\n", i)
+            if j < 0:
+                j = n
+            comments.append(("comment", text[i:j].rstrip("\r"), loc, i, j))
+            col += j - i
+            i = j
+            continue
+        if _is_ident_start(c):
+            j = i + 1
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            word = text[i:j]
+            kind = "kw" if word in KEYWORDS else "name"
+            toks.append((kind, word, loc, i, j))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n - 1 and text[j] == "." and text[j + 1].isdigit():
+                j += 2
+                while j < n and text[j].isdigit():
+                    j += 1
+                toks.append(("real", text[i:j], loc, i, j))
+            else:
+                toks.append(("nat", text[i:j], loc, i, j))
+            col += j - i
+            i = j
+            continue
+        if c == "'":
+            if i + 2 < n and text[i + 2] == "'" and text[i + 1] != "'":
+                toks.append(("char", text[i + 1], loc, i, i + 3))
+                i += 3
+                col += 3
+                continue
+            raise ParseError("malformed character literal", loc)
+        if c == "<":
+            if text.startswith("<=>", i):
+                toks.append(("punct", "<=>", loc, i, i + 3))
+                i += 3
+                col += 3
+                continue
+            if text[i : i + 2] in ("<=", "<>"):
+                toks.append(("punct", text[i : i + 2], loc, i, i + 2))
+                i += 2
+                col += 2
+                continue
+            j = i + 1
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            if j > i + 1 and j < n and text[j] == ">" and _is_ident_start(text[i + 1]):
+                toks.append(("quote", text[i + 1 : j], loc, i, j + 1))
+                col += j + 1 - i
+                i = j + 1
+                continue
+            toks.append(("punct", "<", loc, i, i + 1))
+            i += 1
+            col += 1
+            continue
+        for op in _PUNCT:
+            if text.startswith(op, i):
+                toks.append(("punct", op, loc, i, i + len(op)))
+                i += len(op)
+                col += len(op)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", loc)
+    toks.append(("eof", "", Loc(line, col, file), n, n))
+    return toks, comments
 
 
 class RefParser(_Parser):
@@ -407,7 +510,65 @@ def dump(x):
     return x
 
 
-# ── generated input ───────────────────────────────────────────────────────
+# ── generated text for the lexer ──────────────────────────────────────────
+
+CORPUS = [p.read_text() for p in sorted((pathlib.Path(__file__).parent / "corpus").glob("*.vdmsl"))]
+# whole tokens, their fragments and characters that begin no token; ASCII
+# digits only, as the reference reads any Unicode digit as part of a number
+LEX_PIECES = sorted(set(_PUNCT) | {
+    "'", "<", "-", "\r", "\t", "é", "_", "\n", " ", "  ", "a", "Zq9", "x_1", "mk_R", "not",
+    "in", "set", "1", "42", "4.5", "7.", ".8", "'c'", "''", "'''", "<Q>", "<Q", "<a_b>", "<1>",
+    "--", "-- note", "--@doc d", "-->", "<-", "!", "#", "$", "@", "~", "?", "`", '"', "€",
+})
+LEX_CHARS = sorted({c for piece in LEX_PIECES for c in piece})
+
+
+def kept(text):
+    """False where the reference is wrong on purpose: it reads a character
+    literal holding a line break as three columns of one line."""
+    return "'\n'" not in text
+
+
+@st.composite
+def corpus_edits(draw):
+    chars = list(draw(st.sampled_from(CORPUS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(chars)))
+        edit = draw(st.integers(0, 2))
+        if edit == 0 and i < len(chars):
+            del chars[i]
+        elif edit == 1 and i < len(chars):
+            chars[i] = draw(st.sampled_from(LEX_CHARS))
+        else:
+            chars.insert(i, draw(st.sampled_from(LEX_CHARS)))
+    return "".join(chars)
+
+
+def lex_both(text):
+    """(tokens and comments, or error text) from the lexer and from the reference."""
+    try:
+        toks, comments = lex(text, "L.vdmsl")
+        new = tuple([(t.kind, t.text, t.loc, t.off, t.end) for t in ts] for ts in (toks, comments))
+    except ParseError as exc:
+        new = str(exc)
+    try:
+        ref = ref_lex(text, "L.vdmsl")
+    except ParseError as exc:
+        ref = str(exc)
+    return new, ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join),
+    corpus_edits(),
+).filter(kept))
+def test_lexer_matches_the_character_loop_reference(text):
+    new, ref = lex_both(text)
+    assert new == ref
+
+
+# ── generated input for the parser ────────────────────────────────────────
 
 ATOMS = ["a", "b", "x", "y", "v", "w", "s", "pre_g", "1", "2.5", "true", "nil", "<Q>", "'c'"]
 BINARY = [
@@ -567,3 +728,43 @@ def test_walkers_match_the_recursive_references(body, pre, conditional):
         assert [id(e) for e in N.subexpressions(node.body)] == [id(e) for e in ref_iter_exprs(node.body)]
     assert check_duplicate_binds(m) == ref_duplicate_binds(m)
     assert check_precondition_calls(m, fm) == ref_precondition_calls(m, fm)
+
+
+@st.composite
+def operator_runs(draw):
+    """Atoms with runs of prefix operators before them and binary operators
+    between them, so `not`, prefix and `=>` runs meet every precedence level."""
+    parts = []
+    for k in range(draw(st.integers(1, 6))):
+        if k:
+            parts.append(draw(st.sampled_from(BINARY)))
+        parts.extend(draw(st.lists(st.sampled_from(PREFIX), max_size=3)))
+        parts.append(draw(st.sampled_from(ATOMS)))
+    return " ".join(parts)
+
+
+class RecursivePrefixParser(RefParser):
+    """The reference, with prefix operators parsed by one call each."""
+
+    def parse_prefix(self):
+        t = self.cur()
+        if t.kind == "punct" and t.text == "-":
+            self.advance()
+            return N.Unary("-", self.parse_prefix(), t.loc)
+        if t.kind == "kw" and t.text in BUILTIN_OPS:
+            self.advance()
+            return N.BuiltinApp(t.text, (self.parse_prefix(),), t.loc)
+        return self.parse_postfix()
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_runs(), operator_runs())
+def test_operator_runs_match_the_recursive_reference(body, pre):
+    text = module_text(body, pre)
+    results = []
+    for parse in (parse_source, lambda t, f: RecursivePrefixParser(t, f).parse_file()):
+        try:
+            results.append(dump(parse(text, "M.vdmsl")))
+        except ParseError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
