@@ -155,7 +155,7 @@ def _parse_files(paths):
     errors = 0
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
                 text = f.read()
             parsed.append((path, parse_source(text, path)))
         except (OSError, UnicodeDecodeError) as exc:

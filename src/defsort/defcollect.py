@@ -40,7 +40,7 @@ CLAUSE_KINDS = frozenset(set(DefKind) - PRIMARY_KINDS)
 NodeKey = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     """`user` depends on `used`; the name properties assume definition keys."""
 
@@ -57,7 +57,7 @@ class Edge:
         return self.used[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class DefNode:
     name: str
     namespace: Namespace
@@ -165,10 +165,7 @@ def collect(m: N.SourceModule) -> FlatModule:
             add(mk(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node.name,
                    True, node.location, (), node.def_index, TRUE_LIT))
 
-    original: list = []
-    for node in nodes:
-        if not node.synthetic and node.origin not in original:
-            original.append(node.origin)
+    original = list(dict.fromkeys(node.origin for node in nodes if not node.synthetic))
     return FlatModule(m.name, nodes, original, m)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(order=True, slots=True, unsafe_hash=True)
 class Loc:
     """A 1-based position in a source file, ordered by line, column, then file."""
 

@@ -16,7 +16,7 @@ from .defcollect import DefKind, FlatModule, Namespace
 from .diag import Diagnostic, Loc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UseSite:
     name: str
     space: Namespace

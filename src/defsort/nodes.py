@@ -2,6 +2,10 @@
 
 Structural equality deliberately ignores locations, spans and verbatim text,
 so a module compares equal to the result of printing and reparsing it.
+
+The classes built once per syntax node are slotted and not frozen, because
+a frozen dataclass costs several times as much to build; no stage assigns
+to them.  Definitions and modules stay frozen.
 """
 
 from __future__ import annotations
@@ -20,30 +24,30 @@ def _pos():
 # ── patterns ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatName:
     name: str
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatIgnore:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatSeq:
     items: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatSet:
     items: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PatCtor:
     type_name: str
     items: tuple
@@ -56,56 +60,56 @@ Pattern = Union[PatName, PatIgnore, PatSeq, PatSet, PatCtor]
 # ── type expressions ──────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TBasic:
     name: str  # nat nat1 int real bool char token
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TQuote:
     name: str
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TNamed:
     name: str
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TSeq:
     elem: "TypeExpr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TSeq1:
     elem: "TypeExpr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TSet:
     elem: "TypeExpr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TMap:
     key: "TypeExpr"
     val: "TypeExpr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TOptional:
     elem: "TypeExpr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TUnion:
     # parser flattens nested unions; always two or more members
     members: tuple
@@ -118,34 +122,34 @@ TypeExpr = Union[TBasic, TQuote, TNamed, TSeq, TSeq1, TSet, TMap, TOptional, TUn
 # ── expressions ───────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit:
     kind: str  # nat real bool char quote nil
     value: object
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name:
     name: str
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Apply:
     callee: str
     args: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unary:
     op: str
     operand: "Expr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary:
     op: str
     left: "Expr"
@@ -153,7 +157,7 @@ class Binary:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If:
     cond: "Expr"
     then: "Expr"
@@ -162,7 +166,7 @@ class If:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LetBind:
     pattern: Pattern
     decl_type: Optional[TypeExpr]
@@ -170,14 +174,14 @@ class LetBind:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let:
     binds: tuple  # of LetBind, bound sequentially
     body: "Expr"
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bind:
     """`pattern in set expr` or `pattern : type` in quantifiers/comprehensions."""
 
@@ -187,7 +191,7 @@ class Bind:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Quant:
     which: str  # forall | exists
     binds: tuple
@@ -195,25 +199,25 @@ class Quant:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetEnum:
     items: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SeqEnum:
     items: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MapEnum:
     maplets: tuple  # of (key, value)
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetComp:
     elem: "Expr"
     binds: tuple
@@ -221,7 +225,7 @@ class SetComp:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SeqComp:
     elem: "Expr"
     binds: tuple
@@ -229,7 +233,7 @@ class SeqComp:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MapComp:
     key: "Expr"
     val: "Expr"
@@ -238,28 +242,28 @@ class MapComp:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Is:
     expr: "Expr"
     type: TypeExpr
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldSel:
     expr: "Expr"
     field: str
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MkCtor:
     type_name: str
     args: tuple
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BuiltinApp:
     op: str  # hd tl len elems card dom rng inds
     args: tuple
@@ -276,14 +280,14 @@ Expr = Union[
 # ── definitions ───────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InvClause:
     pattern: Pattern
     expr: Expr
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EqClause:
     left: Pattern
     right: Pattern
@@ -291,7 +295,7 @@ class EqClause:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OrdClause:
     left: Pattern
     right: Pattern
@@ -299,7 +303,7 @@ class OrdClause:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecordField:
     name: str
     type: TypeExpr

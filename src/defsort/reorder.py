@@ -17,7 +17,7 @@ from .depgraph import DepGraph, break_cycles, build_graph, intra_scc_pairs, kahn
 from .syntax import parse_source, print_module
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForwardRef:
     """A definition that uses a name declared only further down the module."""
 

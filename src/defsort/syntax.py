@@ -55,20 +55,20 @@ _PUNCT = (
 class Token:
     """One token; its `loc` is built when read, as most tokens are never located."""
 
-    __slots__ = ("kind", "text", "line", "col", "file", "off", "end")
+    __slots__ = ("kind", "text", "off", "end", "src")
 
-    def __init__(self, kind: str, text: str, line: int, col: int, file: str, off: int, end: int):
+    def __init__(self, kind: str, text: str, off: int, end: int, src: tuple):
         self.kind = kind  # kw punct name nat real char quote comment eof
         self.text = text
-        self.line = line
-        self.col = col
-        self.file = file
         self.off = off
         self.end = end
+        self.src = src  # (file, offsets of every line break), shared per lex
 
     @property
     def loc(self) -> Loc:
-        return Loc(self.line, self.col, self.file)
+        file, breaks = self.src
+        i = bisect_left(breaks, self.off)  # line breaks before the token
+        return Loc(i + 1, self.off - breaks[i - 1] if i else self.off + 1, file)
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -78,47 +78,42 @@ class Token:
         return f"{self.kind} '{self.text}'"
 
 
-# One named group per token class, tried in order; a character literal and a
-# quote name their inner text.  Numbers are ASCII digits only.
+# One match per token: leading white space and line breaks, then one named
+# group per token class, tried in order.  A character literal and a quote
+# include their delimiters.  Numbers are ASCII digits only.  `bad` and `eof`
+# make the pattern match at every position, so a failed match can never
+# backtrack through the white space and be retried at each later offset.
 _TOKEN = re.compile(
-    r"(?P<ws>[ \t\r]+)|(?P<nl>\n)|(?P<comment>--[^\n]*)"
+    r"[ \t\r\n]*(?:(?P<comment>--[^\n]*)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<real>[0-9]+\.[0-9]+)|(?P<nat>[0-9]+)"
-    r"|'(?P<char>[^'\n])'|<(?P<quote>[A-Za-z][A-Za-z0-9_]*)>"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
+    r"|(?P<char>'[^'\n]')|(?P<quote><[A-Za-z][A-Za-z0-9_]*>)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)|(?P<eof>\Z))"
 )
+_BREAK = re.compile(r"\n")
 
 
 def lex(text: str, file: str = "<string>"):
     """Split text into (significant tokens, comment tokens)."""
+    src = (file, [m.start() for m in _BREAK.finditer(text)])
     toks: list[Token] = []
     comments: list[Token] = []
-    line, line_start, pos = 1, 0, 0
     for m in _TOKEN.finditer(text):
-        off = m.start()
-        if off != pos:
-            break
-        pos = m.end()
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "nl":
-            line += 1
-            line_start = pos
-            continue
+        off, end = m.span(kind)
         word = m[kind]
-        col = off - line_start + 1
         if kind == "word":
             kind = "kw" if word in KEYWORDS else "name"
         elif kind == "comment":
-            comments.append(Token(kind, word.rstrip("\r"), line, col, file, off, pos))
+            comments.append(Token(kind, word.rstrip("\r"), off, end, src))
             continue
-        toks.append(Token(kind, word, line, col, file, off, pos))
-    col = pos - line_start + 1
-    if pos < len(text):
-        c = text[pos]
-        message = "malformed character literal" if c == "'" else f"unexpected character {c!r}"
-        raise ParseError(message, Loc(line, col, file))
-    toks.append(Token("eof", "", line, col, file, pos, pos))
+        elif kind == "char" or kind == "quote":
+            word = word[1:-1]
+        elif kind == "bad":
+            message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
+            raise ParseError(message, Token(kind, word, off, end, src).loc)
+        toks.append(Token(kind, word, off, end, src))
+        if kind == "eof":
+            break
     return toks, comments
 
 

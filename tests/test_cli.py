@@ -451,3 +451,32 @@ def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     assert code == 1
     assert captured.err == (
         f"{bad}: error: 'utf-8' codec can't decode byte 0xff in position 34: invalid start byte\n")
+
+
+ONE_LINE = "module P definitions functions f: nat -> nat f(x) == x pre x > 0; " \
+           "g: nat -> nat g(y) == f(y); end P\n"
+
+
+@pytest.mark.parametrize("command", ["sort", "check"])
+def test_a_byte_order_mark_is_not_part_of_the_text(command, tmp_path, capsys):
+    runs = []
+    for kind, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d = tmp_path / kind
+        d.mkdir()
+        (d / "P.vdmsl").write_bytes(mark + ONE_LINE.encode())
+        for name in ("M.vdmsl", "precall.vdmsl"):
+            (d / name).write_bytes(mark + (CORPUS / name).read_bytes())
+        paths = [str(d / name) for name in ("P.vdmsl", "M.vdmsl", "precall.vdmsl")]
+        code = run([command, "--debug", "--output", str(d / "out")] + paths)
+        captured = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in (d / "out").glob("*")} if command == "sort" else {}
+        runs.append((code, captured.out.replace(str(d), "<dir>"), captured.err, written))
+    assert runs[1] == runs[0]
+    code, out, err, written = runs[1]
+    assert code == 0 and err == ""
+    if command == "check":  # a location on the first line counts from after the mark
+        assert "<dir>/P.vdmsl:1:89: warning: call to f is not guarded by pre_f [pre-call]" in out
+        assert "<dir>/precall.vdmsl:9:13: warning: call to f" in out
+    else:
+        assert list(written) == ["M.vdmsl"]  # the only module out of order
+        assert not any(text.startswith(b"\xef\xbb\xbf") for text in written.values())

@@ -4,7 +4,8 @@ are permuted, then printed and parsed.
 The CLI writes the text `analyse` prints without parsing it again, so these
 properties are what make that text trustworthy: it re-parses to the module
 `sort_module` returns, it is in declaration order, and it keeps every
-definition's text.
+definition's text.  No stage may change the syntax it is given, as the
+syntax classes are not frozen.
 """
 
 from collections import Counter
@@ -14,8 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, parse_corpus
+from test_syntax_reference import dump
 
 from defsort import analyse, sort_module, verify_order
+from defsort.defcollect import collect
+from defsort.freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
+from defsort.modorder import order_modules
 from defsort.syntax import parse_source, print_module
 
 MODULES = [m for path in sorted(CORPUS.glob("*.vdmsl")) for m in parse_corpus(path.name)]
@@ -56,3 +61,19 @@ def test_sorting_verifies_and_is_idempotent(m):
 def test_sorting_conserves_every_definition_text(m):
     out, _ = sort_module(m)
     assert Counter(d.verbatim for d in out.definitions) == Counter(d.verbatim for d in m.definitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(permuted_modules(), min_size=1, max_size=3))
+def test_no_stage_changes_the_syntax_it_is_given(mods):
+    before = dump(mods)  # every field, locations included
+    for m in mods:
+        analyse(m)
+        sort_module(m)
+        verify_order(m)
+        fm = collect(m)
+        check_duplicate_binds(m)
+        check_precondition_calls(m, fm)
+        check_init_cycles(fm)
+    order_modules(mods)
+    assert dump(mods) == before

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import glob
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from defsort import nodes as N
-from defsort.diag import ParseError
+from defsort.diag import Loc, ParseError
 from defsort.syntax import lex, parse_source, print_module
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -196,3 +198,64 @@ def test_a_character_literal_cannot_hold_a_line_break():
     with pytest.raises(ParseError) as err:
         parse_source("module M\ndefinitions\nvalues\n  x = '\n'; y = 1 + ;\nend M\n")
     assert str(err.value) == "<string>:4:7: malformed character literal"
+
+
+def _locs(tokens):
+    return [(t.text, t.loc.line, t.loc.col) for t in tokens]
+
+
+def test_lex_counts_columns_after_crlf_line_ends():
+    toks, comments = lex("module M\r\n  x -- note\r\nend M\r\n")
+    assert _locs(toks) == [("module", 1, 1), ("M", 1, 8), ("x", 2, 3), ("end", 3, 1),
+                           ("M", 3, 5), ("", 4, 1)]
+    assert [(c.text, c.loc.line, c.loc.col) for c in comments] == [("-- note", 2, 5)]
+
+
+@pytest.mark.parametrize("text, line, col", [("", 1, 1), ("a  ", 1, 4), ("a  \n  ", 2, 3),
+                                             ("a\n\n", 3, 1), ("a\t\r\n \t", 2, 3)])
+def test_end_of_input_is_located_after_trailing_white_space(text, line, col):
+    eof = lex(text, "E.vdmsl")[0][-1]
+    assert (eof.kind, eof.off, eof.loc) == ("eof", len(text), Loc(line, col, "E.vdmsl"))
+
+
+@contextmanager
+def _within(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_lexing_long_white_space_runs_is_linear():
+    # A token pattern that can fail after its leading white space backtracks
+    # through it and is retried at each later offset, which is quadratic:
+    # such a lexer took seconds on 8000 line breaks.  The character loop
+    # this lexer replaced passes this test too.
+    n = 100_000
+    with _within(10):
+        toks, _ = lex("a" + " " * n)
+        assert _locs(toks) == [("a", 1, 1), ("", 1, n + 2)]
+        toks, _ = lex("a" + "\n" * n)
+        assert _locs(toks) == [("a", 1, 1), ("", n + 1, 1)]
+        for bad, message in (("é", "unexpected character 'é'"), ("'", "malformed character literal")):
+            with pytest.raises(ParseError) as err:
+                lex("x =" + " " * n + bad, "W.vdmsl")
+            assert (err.value.message, err.value.at) == (message, Loc(1, n + 4, "W.vdmsl"))
+
+
+def test_loc_compares_hashes_and_prints_by_value():
+    a, b = Loc(3, 7, "M.vdmsl"), Loc(3, 7, "M.vdmsl")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "seen"}[b] == "seen"
+    assert a != Loc(3, 7) and a != Loc(3, 8, "M.vdmsl")
+    # ordered by line, then column, then file
+    locs = [Loc(3, 2, "B"), Loc(3, 2, "A"), Loc(2, 9, "Z"), Loc(3, 1, "Z")]
+    assert sorted(locs) == [Loc(2, 9, "Z"), Loc(3, 1, "Z"), Loc(3, 2, "A"), Loc(3, 2, "B")]
+    assert Loc(2, 9, "Z") < Loc(3, 1, "A") and not Loc(3, 2, "B") < Loc(3, 2, "A")
+    assert repr(a) == "Loc(line=3, col=7, file='M.vdmsl')"
+    assert str(a) == "M.vdmsl:3:7" and str(Loc(1, 1)) == "<string>:1:1"
