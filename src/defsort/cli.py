@@ -8,6 +8,7 @@ environment variables, then flags) and formats the trace output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -74,7 +75,7 @@ def load_properties(path: str):
     warnings: list = []
     if not os.path.exists(path):
         return props, warnings
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -149,6 +150,10 @@ def _write(path: str, text: str):
         raise _OutputError(f"{path}: error: {exc.strerror or exc}") from None
 
 
+def _report_unreadable(path: str, exc: Exception):
+    print(f"{path}: error: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+
+
 def _parse_files(paths):
     """-> (list of (path, modules), error count); errors are printed."""
     parsed: list = []
@@ -159,7 +164,7 @@ def _parse_files(paths):
                 text = f.read()
             parsed.append((path, parse_source(text, path)))
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"{path}: error: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            _report_unreadable(path, exc)
             errors += 1
         except Exception as exc:
             errors += _report(exc, path)
@@ -306,7 +311,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    cfg, warnings = resolve_config(args)
+    try:
+        cfg, warnings = resolve_config(args)
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable properties file
+        _report_unreadable(args.properties or DEFAULT_PROPERTIES_FILE, exc)
+        return 2
     for w in warnings:
         print(str(w), file=sys.stderr)
     if cfg.debug:
@@ -317,7 +326,15 @@ def run(argv=None) -> int:
         "order": _cmd_order,
         "dot": _cmd_dot,
     }[args.command]
-    return command(cfg, args.files)
+    # what a command builds lives until it returns and holds no cycles, so the
+    # cyclic collector would only walk a growing heap; the library leaves it be
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return command(cfg, args.files)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main():

@@ -19,6 +19,7 @@ from .nodes import pattern_names
 class Namespace(Enum):
     TYPE = "type"
     FUNCTION = "function"
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
 class DefKind(Enum):
@@ -31,6 +32,7 @@ class DefKind(Enum):
     PRE_FN = "pre"
     POST_FN = "post"
     MEASURE_FN = "measure"
+    __hash__ = object.__hash__  # as for Namespace
 
 
 PRIMARY_KINDS = frozenset({DefKind.TYPE_DEF, DefKind.VALUE_DEF, DefKind.FUNCTION_DEF})

@@ -480,3 +480,54 @@ def test_a_byte_order_mark_is_not_part_of_the_text(command, tmp_path, capsys):
     else:
         assert list(written) == ["M.vdmsl"]  # the only module out of order
         assert not any(text.startswith(b"\xef\xbb\xbf") for text in written.values())
+
+
+@pytest.mark.parametrize("argv, blocked, err", [
+    (["--properties", "bad.properties"], None,
+     "bad.properties: error: 'utf-8' codec can't decode byte 0xff in position 6: "
+     "invalid start byte\n"),
+    (["--properties", "dir.properties"], "dir.properties",
+     "dir.properties: error: Is a directory\n"),
+    ([], "defsort.properties", "./defsort.properties: error: Is a directory\n"),
+], ids=["undecodable", "directory", "default-directory"])
+def test_an_unreadable_properties_file_is_a_usage_error(argv, blocked, err, tmp_path, capsys):
+    (tmp_path / "bad.properties").write_bytes(b"debug=\xff\n")
+    if blocked:
+        (tmp_path / blocked).mkdir()
+    for command in ("sort", "check"):
+        code = run([command, "--debug", "--output", "out"] + argv + [_corpus("M.vdmsl")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_properties_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    (tmp_path / "bom.properties").write_bytes(b"\xef\xbb\xbfdebug=true\ncheck=true\n")
+    assert load_properties("bom.properties") == ({"debug": "true", "check": "true"}, [])
+    assert run(["sort", "--properties", "bom.properties", _corpus("M.vdmsl")]) == 0
+    assert capsys.readouterr().out.splitlines() == GOLDEN_TRACE
+    assert not (tmp_path / ".generated").exists()
+
+
+def test_no_output_depends_on_hashing(tmp_path):
+    """Set order follows string hashes, which vary with PYTHONHASHSEED, and
+    namespace keys, which hash by address; neither may reach an output."""
+    paths = [str(p) for p in sorted(CORPUS.glob("*.vdmsl"))]
+    runs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = {k: v for k, v in os.environ.items() if not k.startswith("DEFSORT_")}
+        env.update(PYTHONPATH=os.path.dirname(defsort.__path__[0]), PYTHONHASHSEED=seed)
+        outcomes = []
+        for argv in (["sort", "--debug", "--dot", "dots", "--output", "out"],
+                     ["check", "--debug"], ["order"], ["dot", "--dot", "graphs"]):
+            proc = subprocess.run([sys.executable, "-m", "defsort.cli"] + argv + paths,
+                                  capture_output=True, text=True, cwd=cwd, env=env)
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        written = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+        runs.append((outcomes, written))
+    assert runs[1] == runs[0]
+    outcomes, written = runs[0]
+    assert [code for code, _, _ in outcomes] == [0, 1, 0, 0]
+    assert {"out/M.vdmsl", "dots/M.dot", "graphs/M.dot", "graphs/modules.dot"} <= set(written)
