@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .defcollect import collect
 from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, UnknownNameError
 from .dotviz import emit_def_dot, emit_module_dot
-from .freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
+from .freevars import check_bodies, check_init_cycles
 from .modorder import build_module_graph, order_modules
 from .reorder import analyse
 from .syntax import parse_source, print_module
@@ -223,7 +223,8 @@ def _cmd_sort(cfg: ToolConfig, paths) -> int:
 
 
 def _module_diagnostics(m, fm) -> list:
-    diags = check_duplicate_binds(m) + check_init_cycles(fm) + check_precondition_calls(m, fm)
+    dups, calls = check_bodies(m, fm)
+    diags = dups + check_init_cycles(fm) + calls
     diags.sort(key=lambda d: (d.at.line, d.at.col, d.code))
     return diags
 

@@ -175,47 +175,68 @@ def _definition_exprs(d):
                 yield e
 
 
+_COMPREHENSIONS = (N.SetComp, N.SeqComp, N.MapComp)
+
+
+def _walk(root) -> tuple:
+    """One pass over a definition expression: its dup-bind findings, its
+    calls, and every name it mentions, called or not, in pre-order."""
+    dups: list = []
+    applies: list = []
+    referenced: set = set()
+    for e in N.subexpressions(root):
+        kind = type(e)
+        if kind is N.Name:
+            referenced.add(e.name)
+        elif kind is N.Apply:
+            applies.append(e)
+            referenced.add(e.callee)
+        elif kind in _COMPREHENSIONS:
+            seen: set = set()
+            for b in e.binds:
+                for name in N.pattern_names(b.pattern):
+                    if name in seen:
+                        dups.append(Diagnostic(
+                            "error", "dup-bind",
+                            f"comprehension binds {name!r} more than once",
+                            b.loc,
+                        ))
+                    else:
+                        seen.add(name)
+    return dups, applies, referenced
+
+
+def _walks(m: N.SourceModule):
+    """_walk of every definition expression, in source order.  A value
+    that binds several names, or none, is still one expression."""
+    for d in m.definitions:
+        for root in _definition_exprs(d):
+            yield _walk(root)
+
+
 def check_duplicate_binds(m: N.SourceModule) -> list:
     """A comprehension must not bind the same name twice.
 
     VDM treats repeated binds as an implicit union of ranges, which silently
     changes meaning; the second bind is reported as an error.
     """
-    diags: list = []
-    for d in m.definitions:
-        for root in _definition_exprs(d):
-            for e in N.subexpressions(root):
-                if not isinstance(e, (N.SetComp, N.SeqComp, N.MapComp)):
-                    continue
-                seen: set = set()
-                for b in e.binds:
-                    for name in N.pattern_names(b.pattern):
-                        if name in seen:
-                            diags.append(Diagnostic(
-                                "error", "dup-bind",
-                                f"comprehension binds {name!r} more than once",
-                                b.loc,
-                            ))
-                        else:
-                            seen.add(name)
-    return diags
+    return [diag for dups, _, _ in _walks(m) for diag in dups]
 
 
 def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
     """Warn on calls to a function with a precondition when the calling
-    body never consults that precondition itself."""
-    diags: list = []
-    for node in fm.nodes:
-        if node.body is None:
-            continue
-        applies: list = []
-        referenced: set = set()
-        for e in N.subexpressions(node.body):
-            if type(e) is N.Apply:
-                applies.append(e)
-                referenced.add(e.callee)
-            elif type(e) is N.Name:
-                referenced.add(e.name)
+    expression never consults that precondition itself.  Each call site is
+    reported once."""
+    return check_bodies(m, fm)[1]
+
+
+def check_bodies(m: N.SourceModule, fm: FlatModule) -> tuple:
+    """(check_duplicate_binds(m), check_precondition_calls(m, fm)), with
+    each definition expression walked once for both."""
+    dups: list = []
+    calls: list = []
+    for found, applies, referenced in _walks(m):
+        dups += found
         for call in applies:
             target = fm.get(Namespace.FUNCTION, call.callee)
             pre = fm.get(Namespace.FUNCTION, f"pre_{call.callee}")
@@ -226,12 +247,12 @@ def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
                 and pre.kind is DefKind.PRE_FN
                 and pre.name not in referenced
             ):
-                diags.append(Diagnostic(
+                calls.append(Diagnostic(
                     "warning", "pre-call",
                     f"call to {call.callee} is not guarded by {pre.name}",
                     call.loc,
                 ))
-    return diags
+    return dups, calls
 
 
 def check_init_cycles(fm: FlatModule) -> list:

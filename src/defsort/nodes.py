@@ -3,9 +3,11 @@
 Structural equality deliberately ignores locations, spans and verbatim text,
 so a module compares equal to the result of printing and reparsing it.
 
-The classes built once per syntax node are slotted and not frozen, because
-a frozen dataclass costs several times as much to build; no stage assigns
-to them.  Definitions and modules stay frozen.
+The classes built once per syntax node or definition are slotted and not
+frozen, because a frozen dataclass costs several times as much to build.
+The parser sets a definition's comments, span and text on the object it
+built, so a definition is built once; no later stage assigns to them.  Only
+modules stay frozen.
 """
 
 from __future__ import annotations
@@ -310,7 +312,7 @@ class RecordField:
     loc: Loc = _pos()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecordTypeDef:
     name: str
     fields: tuple
@@ -323,7 +325,7 @@ class RecordTypeDef:
     section = "types"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NamedTypeDef:
     name: str
     rhs: TypeExpr
@@ -338,7 +340,7 @@ class NamedTypeDef:
     section = "types"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ValueDef:
     pattern: Pattern
     decl_type: Optional[TypeExpr]
@@ -351,7 +353,7 @@ class ValueDef:
     section = "values"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FuncDef:
     name: str
     param_types: tuple
@@ -372,7 +374,7 @@ class FuncDef:
 Definition = Union[RecordTypeDef, NamedTypeDef, ValueDef, FuncDef]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ImportRef:
     module: str
     loc: Loc = _pos()

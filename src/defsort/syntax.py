@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import replace
 
 from . import nodes as N
 from .diag import Loc, ParseError, Span
@@ -253,8 +252,9 @@ class _Parser:
         if not trailing:
             return d
         last = trailing[-1]
-        span = Span(d.span.start, last.loc, d.span.start_off, last.end)
-        return replace(d, span=span, verbatim=self.text[span.start_off : span.end_off])
+        d.span = Span(d.span.start, last.loc, d.span.start_off, last.end)
+        d.verbatim = self.text[d.span.start_off : last.end]
+        return d
 
     def parse_definition(self, section: str, boundary: int):
         first = self.cur()
@@ -273,13 +273,12 @@ class _Parser:
         else:
             start_off, start_loc = first.off, first.loc
         span = self._make_span(start_off, start_loc, end_off)
-        docs = tuple(c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc"))
-        return replace(
-            core,
-            doc_comments=docs,
-            span=span,
-            verbatim=self.text[span.start_off : span.end_off],
+        core.doc_comments = tuple(
+            c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc")
         )
+        core.span = span
+        core.verbatim = self.text[span.start_off : span.end_off]
+        return core
 
     def parse_typedef(self):
         name = self.expect_name("type name")

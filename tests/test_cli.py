@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS
+from conftest import CORPUS, parse_corpus
+from test_syntax_reference import exprs
 
 import defsort
 from defsort import cli
@@ -19,6 +22,9 @@ from defsort.cli import (
     resolve_config,
     run,
 )
+from defsort.defcollect import collect
+from defsort.diag import DuplicateNameError, ParseError
+from defsort.freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
 from defsort.reorder import verify_order
 from defsort.syntax import parse_source
 
@@ -531,3 +537,55 @@ def test_no_output_depends_on_hashing(tmp_path):
     outcomes, written = runs[0]
     assert [code for code, _, _ in outcomes] == [0, 1, 0, 0]
     assert {"out/M.vdmsl", "dots/M.dot", "graphs/M.dot", "graphs/modules.dot"} <= set(written)
+
+
+def test_check_reports_a_pre_call_once_per_call_site(tmp_path, capsys):
+    """A value that binds several names, or none, is one expression."""
+    (tmp_path / "V.vdmsl").write_text(
+        "module V\ndefinitions\ntypes\n    R :: a : nat b : nat;\nvalues\n"
+        "    mk_R(p, q) = mk_R(g(1), 2);\n"
+        "    [s, t] = [g(2), 0];\n"
+        "    - = g(3);\n"
+        "functions\n    g: nat -> nat\n    g(x) == x\n    pre x > 0;\nend V\n"
+    )
+    assert run(["check", "V.vdmsl"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"V.vdmsl:{line}:{col}: warning: call to g is not guarded by pre_g [pre-call]"
+        for line, col in ((6, 23), (7, 15), (8, 9))
+    ]
+
+
+def _separate_checks(m, fm):
+    diags = check_duplicate_binds(m) + check_init_cycles(fm) + check_precondition_calls(m, fm)
+    return sorted(diags, key=lambda d: (d.at.line, d.at.col, d.code))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.vdmsl")))
+def test_one_walk_equals_the_separate_checks_on_the_corpus(name):
+    for m in parse_corpus(name):
+        fm = collect(m)
+        assert cli._module_diagnostics(m, fm) == _separate_checks(m, fm)
+
+
+# value patterns binding one name, several, or none; no two bind the same name
+VALUE_PATTERNS = ["v", "[ s , w ]", "mk_R ( a , - )", "{ b }", "-", "[ - , - ]"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(VALUE_PATTERNS), exprs(), st.booleans()),
+                min_size=1, max_size=4, unique_by=lambda v: v[0]),
+       exprs(), exprs())
+def test_one_walk_equals_the_separate_checks_on_generated_modules(values, body, pre):
+    text = "module M\ndefinitions\ntypes\n  R :: fld : nat;\nvalues\n"
+    text += "".join(f"  {pattern} = {f'g ( {init} )' if call else init};\n"
+                    for pattern, init, call in values)
+    text += (
+        "functions\n  g : nat -> nat\n  g(x) == x\n  pre x > 0;\n"
+        f"  f : nat * R -> nat\n  f(x, y) == {body}\n  pre {pre}\nend M\n"
+    )
+    try:
+        [m] = parse_source(text, "M.vdmsl")
+        fm = collect(m)
+    except (ParseError, DuplicateNameError):
+        return
+    assert cli._module_diagnostics(m, fm) == _separate_checks(m, fm)

@@ -212,3 +212,27 @@ def test_guarded_call_suppresses_the_warning():
     )
     m = parse_source(src)[0]
     assert check_precondition_calls(m, collect(m)) == []
+
+
+# one value definition binds two names, or none, yet is one expression
+SHARED_VALUES = (
+    "module V\ndefinitions\ntypes\n    R :: a : nat b : nat;\nvalues\n"
+    "    mk_R(p, q) = mk_R(g(1), 2);\n"
+    "    [s, t] = [g(2), 0];\n"
+    "    - = g(3);\n"
+    "functions\n    g: nat -> nat\n    g(x) == x\n    pre x > 0;\nend V\n"
+)
+
+
+def test_precondition_call_in_a_multi_name_value_is_reported_once():
+    m = parse_source(SHARED_VALUES)[0]
+    diags = check_precondition_calls(m, collect(m))
+    assert [(d.at.line, d.at.col) for d in diags if d.at.line in (6, 7)] == [(6, 23), (7, 15)]
+
+
+def test_precondition_call_in_a_nameless_value_is_reported():
+    m = parse_source(SHARED_VALUES)[0]
+    diags = check_precondition_calls(m, collect(m))
+    assert [str(d) for d in diags if d.at.line == 8] == [
+        "<string>:8:9: warning: call to g is not guarded by pre_g [pre-call]",
+    ]
