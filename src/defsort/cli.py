@@ -12,7 +12,7 @@ import gc
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .defcollect import collect
 from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, UnknownNameError
@@ -62,7 +62,6 @@ class ToolConfig:
     dot_enabled: bool = False
     debug: bool = False
     check_only: bool = False
-    properties: dict = field(default_factory=dict)
 
 
 def load_properties(path: str):
@@ -119,7 +118,6 @@ def resolve_config(args):
         dot_enabled=_truthy(props["dot.enabled"]),
         debug=_truthy(props["debug"]),
         check_only=_truthy(props["check"]),
-        properties=props,
     )
     return cfg, warnings
 

@@ -94,14 +94,8 @@ class FlatModule:
     def __post_init__(self):
         self._by_key = {n.key: n for n in self.nodes}
 
-    def node(self, key: NodeKey) -> DefNode:
-        return self._by_key[key]
-
     def get(self, namespace: Namespace, name: str):
         return self._by_key.get((namespace, name))
-
-    def has(self, namespace: Namespace, name: str) -> bool:
-        return (namespace, name) in self._by_key
 
 
 def _param_names(d: N.FuncDef) -> frozenset:

@@ -44,9 +44,6 @@ class DepGraph:
     def edge(self, user: NodeKey, used: NodeKey) -> Edge:
         return self._out[user][used]
 
-    def has_edge(self, user: NodeKey, used: NodeKey) -> bool:
-        return used in self._out.get(user, ())
-
     def remove_edge(self, user: NodeKey, used: NodeKey):
         del self._out[user][used]
 

@@ -1,10 +1,11 @@
 """Free-variable analysis over definition bodies.
 
-Use sites are collected with the local binding context (parameters, let
-bindings, quantifier and comprehension bindings) and marked conditional when
-they sit under an if/elseif branch or a quantifier body.  Initialization
-dependencies keep only unconditional uses of other values, which is the
-conservative rule for initialization-cycle errors.
+Use sites are collected by one stack walk whose every entry carries the
+names bound at that point (parameters, let bindings, quantifier and
+comprehension bindings), and are marked conditional when they sit under an
+if/elseif branch or a quantifier body.  Initialization dependencies keep only
+unconditional uses of other values, which is the conservative rule for
+initialization-cycle errors.
 """
 
 from __future__ import annotations
@@ -24,98 +25,75 @@ class UseSite:
     conditional: bool
 
 
-class BoundContext:
-    """Stack of name scopes; a name is bound if any scope holds it."""
-
-    def __init__(self, scopes=()):
-        self.scopes = [frozenset(s) for s in scopes]
-
-    def push(self, names):
-        self.scopes.append(frozenset(names))
-
-    def pop(self):
-        self.scopes.pop()
-
-    def bound(self, name: str) -> bool:
-        return any(name in s for s in self.scopes)
-
-
 _SCOPED = (N.Let, N.Quant, N.SetComp, N.SeqComp, N.MapComp)
 
 
-def free_uses(body, ctx: BoundContext, conditional: bool = False) -> list:
-    """Every identifier used by `body` that the context does not bind.
+def free_uses(body, bound=frozenset(), conditional: bool = False) -> list:
+    """Every identifier used by `body` that is not in `bound`.
 
-    The walk keeps an explicit stack of (item, conditional) pairs.  Besides
-    expressions it holds named types (uses in the type namespace), binds
-    (their names come into scope when reached) and None (the innermost
-    scope ends), so the context changes exactly where the source says.
+    The walk keeps an explicit stack of (item, conditional, bound) entries,
+    where an item is an expression or a named type (a use in the type
+    namespace) and `bound` holds the names bound at that point, so a scope
+    ends with the node that opened it.
     """
     uses: list = []
-    stack = [(body, conditional)]
+    stack = [(body, conditional, bound)]
     while stack:
-        e, cond = stack.pop()
+        e, cond, bound = stack.pop()
         kind = type(e)
         if kind is N.Name:
-            if not ctx.bound(e.name):
+            if e.name not in bound:
                 uses.append(UseSite(e.name, Namespace.FUNCTION, e.loc, cond))
             continue
         if kind in _SCOPED:
-            stack.extend(reversed(_scoped_steps(e, cond)))
+            stack.extend(reversed(_scoped_steps(e, cond, bound)))
             continue
         if kind is N.If:
-            stack.append((e.els, True))
+            stack.append((e.els, True, bound))
             for c, branch in reversed(e.elifs):
-                stack += ((branch, True), (c, cond))
-            stack += ((e.then, True), (e.cond, cond))
+                stack += ((branch, True, bound), (c, cond, bound))
+            stack += ((e.then, True, bound), (e.cond, cond, bound))
             continue
         if kind is N.TNamed:
             uses.append(UseSite(e.name, Namespace.TYPE, e.loc, cond))
             continue
-        if kind is N.LetBind or kind is N.Bind:
-            ctx.push(N.pattern_names(e.pattern))
-            continue
-        if e is None:
-            ctx.pop()
-            continue
         if kind is N.Apply:
-            if not ctx.bound(e.callee):
+            if e.callee not in bound:
                 uses.append(UseSite(e.callee, Namespace.FUNCTION, e.loc, cond))
         elif kind is N.MkCtor:
             uses.append(UseSite(e.type_name, Namespace.TYPE, e.loc, cond))
         elif kind is N.Is:
-            stack.extend((t, cond) for t in reversed(N.named_types(e.type)))
-        stack.extend((c, cond) for c in reversed(N.children(e)))
+            stack.extend((t, cond, bound) for t in reversed(N.named_types(e.type)))
+        stack.extend((c, cond, bound) for c in reversed(N.children(e)))
     return uses
 
 
-def _scoped_steps(e, cond) -> list:
-    """free_uses steps for a node that binds names, first step first.
+def _scoped_steps(e, cond, bound) -> list:
+    """free_uses entries for a node that binds names, first entry first.
 
     Binds are sequential: each one's expressions see the names bound before
-    it, then its own names come into scope.  Quantifier bodies are
-    conditional; every scope ends after the node.
+    it, and the entries after it see its own names too.  Quantifier bodies
+    are conditional.
     """
     steps: list = []
     for b in e.binds:
         if type(b) is N.Bind and b.domain is not None:
-            steps.append((b.domain, cond))
+            steps.append((b.domain, cond, bound))
         if b.decl_type is not None:
-            steps += [(t, cond) for t in N.named_types(b.decl_type)]
+            steps += [(t, cond, bound) for t in N.named_types(b.decl_type)]
         if type(b) is N.LetBind:
-            steps.append((b.init, cond))
-        steps.append((b, cond))
+            steps.append((b.init, cond, bound))
+        bound = bound.union(N.pattern_names(b.pattern))
     kind = type(e)
     if kind is N.Quant:
-        steps.append((e.body, True))
+        steps.append((e.body, True, bound))
     elif kind is N.Let:
-        steps.append((e.body, cond))
+        steps.append((e.body, cond, bound))
     else:
         parts = (e.key, e.val) if kind is N.MapComp else (e.elem,)
-        steps += [(x, cond) for x in parts]
+        steps += [(x, cond, bound) for x in parts]
         if e.pred is not None:
-            steps.append((e.pred, cond))
-    steps += [(None, cond)] * len(e.binds)
+            steps.append((e.pred, cond, bound))
     return steps
 
 
@@ -128,9 +106,8 @@ def def_use_sites(node, fm: FlatModule) -> list:
     """
     if node.body is None:
         return []
-    ctx = BoundContext([node.bound])
     resolved: list = []
-    for use in free_uses(node.body, ctx):
+    for use in free_uses(node.body, node.bound):
         target = fm.get(use.space, use.name)
         if target is None or target.key == node.key:
             continue
@@ -138,11 +115,6 @@ def def_use_sites(node, fm: FlatModule) -> list:
             continue
         resolved.append((use, target))
     return resolved
-
-
-def def_dependencies(node, fm: FlatModule) -> set:
-    """Names a node's body depends on, any evaluation path counted."""
-    return {target.name for _, target in def_use_sites(node, fm)}
 
 
 def init_dependencies(node, fm: FlatModule) -> set:

@@ -47,11 +47,11 @@ def test_collect_marks_only_missing_invariants_synthetic():
 
 def test_collect_namespaces_and_kinds():
     fm = collect(single_module("M.vdmsl"))
-    assert fm.node((Namespace.TYPE, "Rec")).kind is DefKind.TYPE_DEF
-    assert fm.node((Namespace.FUNCTION, "inv_S")).kind is DefKind.INVARIANT_FN
-    assert fm.node((Namespace.FUNCTION, "tail")).kind is DefKind.FUNCTION_DEF
-    assert not fm.has(Namespace.TYPE, "tail")
-    assert not fm.has(Namespace.FUNCTION, "Rec")
+    assert fm.get(Namespace.TYPE, "Rec").kind is DefKind.TYPE_DEF
+    assert fm.get(Namespace.FUNCTION, "inv_S").kind is DefKind.INVARIANT_FN
+    assert fm.get(Namespace.FUNCTION, "tail").kind is DefKind.FUNCTION_DEF
+    assert fm.get(Namespace.TYPE, "tail") is None
+    assert fm.get(Namespace.FUNCTION, "Rec") is None
 
 
 def test_collect_original_names_follow_declaration_order():

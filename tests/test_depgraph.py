@@ -82,7 +82,7 @@ def test_remove_edge_and_in_degree():
     g = _graph(["a", "b"], [("a", "b")])
     assert g.in_degree()[(Namespace.FUNCTION, "b")] == 1
     g.remove_edge((Namespace.FUNCTION, "a"), (Namespace.FUNCTION, "b"))
-    assert not g.has_edge((Namespace.FUNCTION, "a"), (Namespace.FUNCTION, "b"))
+    assert (Namespace.FUNCTION, "b") not in g.out((Namespace.FUNCTION, "a"))
     assert g.in_degree()[(Namespace.FUNCTION, "b")] == 0
 
 

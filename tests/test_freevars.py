@@ -4,11 +4,9 @@ from conftest import single_module
 
 from defsort.defcollect import DefKind, Namespace, collect
 from defsort.freevars import (
-    BoundContext,
     check_duplicate_binds,
     check_init_cycles,
     check_precondition_calls,
-    def_dependencies,
     def_use_sites,
     free_uses,
     init_dependencies,
@@ -24,20 +22,11 @@ def _value_body(expr_src):
 
 def _uses(expr_src, bound=()):
     body = _value_body(expr_src)
-    return free_uses(body, BoundContext([frozenset(bound)]))
+    return free_uses(body, frozenset(bound))
 
 
 def _triples(uses):
     return [(u.name, u.space, u.conditional) for u in uses]
-
-
-def test_bound_context_stacks_scopes():
-    ctx = BoundContext([{"a"}])
-    assert ctx.bound("a") and not ctx.bound("b")
-    ctx.push({"b"})
-    assert ctx.bound("b")
-    ctx.pop()
-    assert not ctx.bound("b")
 
 
 def test_names_and_applications_respect_bindings():
@@ -91,6 +80,18 @@ def test_comprehension_parts_stay_unconditional():
     ]
 
 
+def test_a_binding_ends_with_its_node():
+    for src, inner, outer in (
+        ("(let x = p in x) + x", "p", "x"),
+        ("{y | y in set s} union {y}", "s", "y"),
+        ("(forall z in set s & z > 0) and z", "s", "z"),
+    ):
+        assert _triples(_uses(src)) == [
+            (inner, Namespace.FUNCTION, False),
+            (outer, Namespace.FUNCTION, False),
+        ], src
+
+
 def test_constructors_and_type_tests_use_type_names():
     got = _triples(_uses("mk_Point(a, b)", bound={"a", "b"}))
     assert got == [("Point", Namespace.TYPE, False)]
@@ -138,7 +139,7 @@ def test_def_use_sites_drop_unresolved_names():
 def test_def_dependencies_for_golden_invariant():
     fm = collect(single_module("M.vdmsl"))
     inv_s = fm.get(Namespace.FUNCTION, "inv_S")
-    assert def_dependencies(inv_s, fm) == {"tail", "head"}
+    assert {target.name for _, target in def_use_sites(inv_s, fm)} == {"tail", "head"}
 
 
 def test_init_dependencies_ignore_conditional_uses():

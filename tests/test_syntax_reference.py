@@ -21,7 +21,6 @@ from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
 from defsort.diag import Diagnostic, DuplicateNameError, Loc, ParseError
 from defsort.freevars import (
-    BoundContext,
     UseSite,
     check_duplicate_binds,
     check_precondition_calls,
@@ -250,6 +249,22 @@ def ref_pattern_names(p):
     if isinstance(p, (N.PatSeq, N.PatSet, N.PatCtor)):
         return [name for item in p.items for name in ref_pattern_names(item)]
     return []
+
+
+class BoundContext:
+    """Stack of name scopes; a name is bound if any scope holds it."""
+
+    def __init__(self, scopes=()):
+        self.scopes = [frozenset(s) for s in scopes]
+
+    def push(self, names):
+        self.scopes.append(frozenset(names))
+
+    def pop(self):
+        self.scopes.pop()
+
+    def bound(self, name: str) -> bool:
+        return any(name in s for s in self.scopes)
 
 
 def ref_free_uses(body, ctx, conditional=False):
@@ -721,9 +736,7 @@ def test_walkers_match_the_recursive_references(body, pre, conditional):
     for node in fm.nodes:
         if node.body is None:
             continue
-        ctx = BoundContext([node.bound])
-        uses = free_uses(node.body, ctx, conditional)
-        assert len(ctx.scopes) == 1
+        uses = free_uses(node.body, node.bound, conditional)
         assert uses == ref_free_uses(node.body, BoundContext([node.bound]), conditional)
         assert [id(e) for e in N.subexpressions(node.body)] == [id(e) for e in ref_iter_exprs(node.body)]
     assert check_duplicate_binds(m) == ref_duplicate_binds(m)
