@@ -103,14 +103,15 @@ def resolve_config(args):
     for key, value in os.environ.items():
         if key.startswith("DEFSORT_"):
             props[key[len("DEFSORT_"):].lower().replace("_", ".")] = value
-    if args.output:
+    # a flag its command does not take is absent from `args`
+    if getattr(args, "output", None):
         props["output.dir"] = args.output
-    if args.dot:
+    if getattr(args, "dot", None):
         props["dot.dir"] = args.dot
         props["dot.enabled"] = "true"
     if args.debug:
         props["debug"] = "true"
-    if args.check:
+    if getattr(args, "check", False):
         props["check"] = "true"
     cfg = ToolConfig(
         output_dir=props["output.dir"],
@@ -286,30 +287,51 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
     return 1 if errors else 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+# every command reads --debug and --properties; these are all the flags
+_OPTIONS = {
+    "--debug": dict(action="store_true", help="print the analysis trace"),
+    "--check": dict(action="store_true", help="analyse only, write nothing"),
+    "--output": dict(metavar="DIR", help="directory for rewritten modules"),
+    "--dot": dict(metavar="DIR", help="write dot files into DIR"),
+    "--properties": dict(metavar="FILE", help="properties file to load"),
+}
+# each command with its help text and the other flags it reads
+_COMMANDS = (
+    ("sort", "rewrite modules in dependency order", ("--check", "--output", "--dot")),
+    ("check", "report diagnostics without writing anything", ()),
+    ("order", "print the inter-module load order", ()),
+    ("dot", "write dependency graphs as dot files", ("--dot",)),
+)
+
+
+def _arg_parsers():
+    """The top-level parser and each command's own parser, by name."""
     ap = argparse.ArgumentParser(
         prog="defsort",
         description="Analyse and rewrite VDM-SL modules so definitions precede their uses.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("sort", "rewrite modules in dependency order"),
-        ("check", "report diagnostics without writing anything"),
-        ("order", "print the inter-module load order"),
-        ("dot", "write dependency graphs as dot files"),
-    ):
+    for name, text, flags in _COMMANDS:
         p = sub.add_parser(name, help=text)
         p.add_argument("files", nargs="+", help="input .vdmsl files")
-        p.add_argument("--debug", action="store_true", help="print the analysis trace")
-        p.add_argument("--dot", metavar="DIR", help="also write dot files into DIR")
-        p.add_argument("--output", metavar="DIR", help="directory for rewritten modules")
-        p.add_argument("--check", action="store_true", help="analyse only, write nothing")
-        p.add_argument("--properties", metavar="FILE", help="properties file to load")
-    return ap
+        for flag in ("--debug", *flags, "--properties"):
+            p.add_argument(flag, **_OPTIONS[flag])
+    return ap, sub.choices
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """Each command accepts only the flags it reads, so any other is a usage error."""
+    return _arg_parsers()[0]
 
 
 def run(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    ap, commands = _arg_parsers()
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        flags = [a for a in extra if a.startswith("-")]
+        if flags:  # show the usage of the command, which lists the flags it reads
+            commands[args.command].error(f"unrecognized arguments: {' '.join(flags)}")
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg, warnings = resolve_config(args)
     except (OSError, UnicodeDecodeError) as exc:  # an unreadable properties file

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import nodes as N
-from .diag import DuplicateNameError, Loc, UnknownNameError
+from .diag import DuplicateNameError, Loc, Location, UnknownNameError
 from .nodes import pattern_names
 
 
@@ -48,7 +48,7 @@ class Edge:
 
     user: NodeKey
     used: NodeKey
-    at: Loc  # earliest use site witnessing the edge
+    at: Location  # earliest use site witnessing the edge
 
     @property
     def user_name(self):
@@ -120,6 +120,7 @@ def collect(m: N.SourceModule) -> FlatModule:
         nodes.append(node)
 
     def mk(name, ns, kind, origin, synthetic, loc, bound, di, body):
+        loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
         return DefNode(name, ns, kind, origin, synthetic, loc, frozenset(bound), di, len(nodes), body)
 
     for di, d in enumerate(m.definitions):

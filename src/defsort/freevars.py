@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 from . import nodes as N
 from .defcollect import DefKind, FlatModule, Namespace
-from .diag import Diagnostic, Loc
+from .diag import Diagnostic, Location
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class UseSite:
     name: str
     space: Namespace
-    at: Loc
+    at: Location
     conditional: bool
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .diag import Loc, Span
+from .diag import Location, Span
 
 
 def _pos():
@@ -29,31 +29,31 @@ def _pos():
 @dataclass(slots=True, unsafe_hash=True)
 class PatName:
     name: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class PatIgnore:
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class PatSeq:
     items: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class PatSet:
     items: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class PatCtor:
     type_name: str
     items: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 Pattern = Union[PatName, PatIgnore, PatSeq, PatSet, PatCtor]
@@ -65,57 +65,57 @@ Pattern = Union[PatName, PatIgnore, PatSeq, PatSet, PatCtor]
 @dataclass(slots=True, unsafe_hash=True)
 class TBasic:
     name: str  # nat nat1 int real bool char token
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TQuote:
     name: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TNamed:
     name: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TSeq:
     elem: "TypeExpr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TSeq1:
     elem: "TypeExpr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TSet:
     elem: "TypeExpr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TMap:
     key: "TypeExpr"
     val: "TypeExpr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TOptional:
     elem: "TypeExpr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class TUnion:
     # parser flattens nested unions; always two or more members
     members: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 TypeExpr = Union[TBasic, TQuote, TNamed, TSeq, TSeq1, TSet, TMap, TOptional, TUnion]
@@ -128,27 +128,27 @@ TypeExpr = Union[TBasic, TQuote, TNamed, TSeq, TSeq1, TSet, TMap, TOptional, TUn
 class Lit:
     kind: str  # nat real bool char quote nil
     value: object
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Name:
     name: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Apply:
     callee: str
     args: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Unary:
     op: str
     operand: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -156,7 +156,7 @@ class Binary:
     op: str
     left: "Expr"
     right: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -165,7 +165,7 @@ class If:
     then: "Expr"
     elifs: tuple  # of (cond, expr)
     els: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -173,14 +173,14 @@ class LetBind:
     pattern: Pattern
     decl_type: Optional[TypeExpr]
     init: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Let:
     binds: tuple  # of LetBind, bound sequentially
     body: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -190,7 +190,7 @@ class Bind:
     pattern: Pattern
     domain: Optional["Expr"]  # the set expression, if a set bind
     decl_type: Optional[TypeExpr]  # the type, if a type bind
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -198,25 +198,25 @@ class Quant:
     which: str  # forall | exists
     binds: tuple
     body: "Expr"
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class SetEnum:
     items: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class SeqEnum:
     items: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class MapEnum:
     maplets: tuple  # of (key, value)
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -224,7 +224,7 @@ class SetComp:
     elem: "Expr"
     binds: tuple
     pred: Optional["Expr"]
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -232,7 +232,7 @@ class SeqComp:
     elem: "Expr"
     binds: tuple
     pred: Optional["Expr"]
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -241,35 +241,35 @@ class MapComp:
     val: "Expr"
     binds: tuple
     pred: Optional["Expr"]
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Is:
     expr: "Expr"
     type: TypeExpr
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class FieldSel:
     expr: "Expr"
     field: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class MkCtor:
     type_name: str
     args: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class BuiltinApp:
     op: str  # hd tl len elems card dom rng inds
     args: tuple
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 Expr = Union[
@@ -286,7 +286,7 @@ Expr = Union[
 class InvClause:
     pattern: Pattern
     expr: Expr
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -294,7 +294,7 @@ class EqClause:
     left: Pattern
     right: Pattern
     expr: Expr
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -302,14 +302,14 @@ class OrdClause:
     left: Pattern
     right: Pattern
     expr: Expr
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class RecordField:
     name: str
     type: TypeExpr
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -318,7 +318,7 @@ class RecordTypeDef:
     fields: tuple
     inv: Optional[InvClause]
     doc_comments: tuple
-    name_loc: Loc = _pos()
+    name_loc: Location = _pos()
     span: Span = _pos()
     verbatim: str = _pos()
 
@@ -333,7 +333,7 @@ class NamedTypeDef:
     eq: Optional[EqClause]
     ord: Optional[OrdClause]
     doc_comments: tuple
-    name_loc: Loc = _pos()
+    name_loc: Location = _pos()
     span: Span = _pos()
     verbatim: str = _pos()
 
@@ -346,7 +346,7 @@ class ValueDef:
     decl_type: Optional[TypeExpr]
     init: Expr
     doc_comments: tuple
-    name_loc: Loc = _pos()  # location of the pattern
+    name_loc: Location = _pos()  # location of the pattern
     span: Span = _pos()
     verbatim: str = _pos()
 
@@ -364,7 +364,7 @@ class FuncDef:
     post: Optional[Expr]
     measure: Optional[Expr]
     doc_comments: tuple
-    name_loc: Loc = _pos()
+    name_loc: Location = _pos()
     span: Span = _pos()
     verbatim: str = _pos()
 
@@ -377,7 +377,7 @@ Definition = Union[RecordTypeDef, NamedTypeDef, ValueDef, FuncDef]
 @dataclass(slots=True, unsafe_hash=True)
 class ImportRef:
     module: str
-    loc: Loc = _pos()
+    loc: Location = _pos()
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ class SourceModule:
     imports: tuple
     definitions: tuple
     file: str = _pos()
-    name_loc: Loc = _pos()
+    name_loc: Location = _pos()
     span: Span = _pos()
     text: str = _pos()  # exact source slice of the whole module
 

@@ -13,7 +13,7 @@ import re
 from bisect import bisect_left
 
 from . import nodes as N
-from .diag import Loc, ParseError, Span
+from .diag import Loc, Location, ParseError, Span
 
 KEYWORDS = frozenset(
     """
@@ -51,23 +51,43 @@ _PUNCT = (
 )
 
 
-class Token:
-    """One token; its `loc` is built when read, as most tokens are never located."""
+class Token(Location):
+    """One token, and its own location: line and column are worked out when
+    read, from the line-break index its lex shares, as most are never read."""
 
-    __slots__ = ("kind", "text", "off", "end", "src")
+    __slots__ = ("kind", "text", "off", "src")
 
-    def __init__(self, kind: str, text: str, off: int, end: int, src: tuple):
+    def __init__(self, kind: str, text: str, off: int, src: tuple):
         self.kind = kind  # kw punct name nat real char quote comment eof
         self.text = text
         self.off = off
-        self.end = end
-        self.src = src  # (file, offsets of every line break), shared per lex
+        self.src = src  # (file, offsets of every line break, text length), shared per lex
 
     @property
-    def loc(self) -> Loc:
-        file, breaks = self.src
-        i = bisect_left(breaks, self.off)  # line breaks before the token
-        return Loc(i + 1, self.off - breaks[i - 1] if i else self.off + 1, file)
+    def line(self) -> int:
+        return bisect_left(self.src[1], self.off) + 1  # one past the breaks before it
+
+    @property
+    def col(self) -> int:
+        breaks = self.src[1]
+        i = bisect_left(breaks, self.off)
+        return self.off - breaks[i - 1] if i else self.off + 1
+
+    @property
+    def file(self) -> str:
+        return self.src[0]
+
+    @property
+    def end(self) -> int:
+        """Offset just past the token's source text."""
+        if self.kind == "comment":  # its text drops a trailing carriage return
+            _, breaks, length = self.src
+            i = bisect_left(breaks, self.off)
+            return breaks[i] if i < len(breaks) else length
+        quoted = self.kind == "char" or self.kind == "quote"
+        return self.off + len(self.text) + (2 if quoted else 0)
+
+    loc = property(lambda self: Loc(self.line, self.col, self.file))  # a stored copy
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -82,6 +102,7 @@ class Token:
 # include their delimiters.  Numbers are ASCII digits only.  `bad` and `eof`
 # make the pattern match at every position, so a failed match can never
 # backtrack through the white space and be retried at each later offset.
+# The token's group always ends the match.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:(?P<comment>--[^\n]*)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<real>[0-9]+\.[0-9]+)|(?P<nat>[0-9]+)"
@@ -89,36 +110,45 @@ _TOKEN = re.compile(
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)|(?P<eof>\Z))"
 )
 _BREAK = re.compile(r"\n")
+# one text string per keyword and punctuation spelling, shared by its tokens
+_SPELLING = {w: w for w in (*KEYWORDS, *_PUNCT)}
 
 
 def lex(text: str, file: str = "<string>"):
     """Split text into (significant tokens, comment tokens)."""
-    src = (file, [m.start() for m in _BREAK.finditer(text)])
+    src = (file, [m.start() for m in _BREAK.finditer(text)], len(text))
     toks: list[Token] = []
     comments: list[Token] = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        off, end = m.span(kind)
         word = m[kind]
+        off = m.end() - len(word)
+        # a Token call in each branch lexes about 4% faster than one shared append
         if kind == "word":
-            kind = "kw" if word in KEYWORDS else "name"
+            if word in KEYWORDS:
+                toks.append(Token("kw", _SPELLING[word], off, src))
+            else:
+                toks.append(Token("name", word, off, src))
+        elif kind == "punct":
+            toks.append(Token(kind, _SPELLING[word], off, src))
+        elif kind == "nat" or kind == "real":
+            toks.append(Token(kind, word, off, src))
         elif kind == "comment":
-            comments.append(Token(kind, word.rstrip("\r"), off, end, src))
-            continue
+            comments.append(Token(kind, word.rstrip("\r"), off, src))
         elif kind == "char" or kind == "quote":
-            word = word[1:-1]
-        elif kind == "bad":
-            message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
-            raise ParseError(message, Token(kind, word, off, end, src).loc)
-        toks.append(Token(kind, word, off, end, src))
-        if kind == "eof":
+            toks.append(Token(kind, word[1:-1], off, src))
+        elif kind == "eof":
+            toks.append(Token(kind, word, off, src))
             break
+        else:
+            message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
+            raise ParseError(message, Token(kind, word, off, src))
     return toks, comments
 
 
 def pattern_names_distinct(patterns, where: str):
     """ParseError if the same identifier is bound twice across `patterns`."""
-    seen: dict[str, Loc] = {}
+    seen: dict[str, Location] = {}
     for p in patterns:
         for name, loc in N.pattern_name_sites(p):
             if name in seen:
@@ -174,12 +204,12 @@ class _Parser:
             self.i += 1
             return t
         want = f"'{text}'" if text else kind
-        raise ParseError(f"expected {want}, found {t.describe()}", t.loc)
+        raise ParseError(f"expected {want}, found {t.describe()}", t)
 
     def expect_name(self, what: str = "identifier") -> Token:
         if self.at("name"):
             return self.advance()
-        raise ParseError(f"expected {what}, found {self.cur().describe()}", self.cur().loc)
+        raise ParseError(f"expected {what}, found {self.cur().describe()}", self.cur())
 
     # file / module level
 
@@ -202,45 +232,45 @@ class _Parser:
             self.expect("kw", "from")
             imp = self.expect_name("module name")
             self.expect("kw", "all")
-            imports.append(N.ImportRef(imp.text, imp.loc))
+            imports.append(N.ImportRef(imp.text, imp))
         self.expect("kw", "definitions")
         defs: list = []
         while self.at_kw(*SECTION_KEYWORDS):
             sec_tok = self.advance()
-            boundary = sec_tok.end
+            sec_end = boundary = sec_tok.end
             while not (self.at_kw(*SECTION_KEYWORDS) or self.at_kw("end") or self.at("eof")):
                 d = self.parse_definition(sec_tok.text, boundary)
                 defs.append(d)
                 boundary = d.span.end_off
-            if boundary > sec_tok.end:  # the section has a definition
+            if boundary > sec_end:  # the section has a definition
                 defs[-1] = self._with_trailing_comments(defs[-1])
         self.expect("kw", "end")
         end_tok = self.expect_name("module name")
         if end_tok.text != name_tok.text:
             raise ParseError(
                 f"module ends with 'end {end_tok.text}' but is named {name_tok.text!r}",
-                end_tok.loc,
+                end_tok,
             )
         _check_toplevel_names(defs, name_tok.text)
-        span = self._make_span(mod_tok.off, mod_tok.loc, end_tok.end)
+        span = self._make_span(mod_tok, end_tok.end)
         return N.SourceModule(
             name=name_tok.text,
             exports_all=exports_all,
             imports=tuple(imports),
             definitions=tuple(defs),
             file=self.file,
-            name_loc=name_tok.loc,
+            name_loc=name_tok,
             span=span,
             text=self.text[span.start_off : span.end_off],
         )
 
-    def _make_span(self, start_off: int, start_loc: Loc, end_off: int) -> Span:
-        line_start = start_off - (start_loc.col - 1)
-        if self.text[line_start:start_off].strip() == "":
-            start_off = line_start
-            start_loc = Loc(start_loc.line, 1, start_loc.file)
-        end_loc = self.last().loc
-        return Span(start_loc, end_loc, start_off, end_off)
+    def _make_span(self, start: Token, end_off: int) -> Span:
+        """From `start`, or from the start of its line when only white space
+        precedes it, to `end_off`, which ends the last token consumed."""
+        line_start = start.off - (start.col - 1)
+        if self.text[line_start : start.off].strip() == "":
+            return Span(Loc(start.line, 1, start.file), self.last(), line_start, end_off)
+        return Span(start, self.last(), start.off, end_off)
 
     # definitions
 
@@ -252,8 +282,9 @@ class _Parser:
         if not trailing:
             return d
         last = trailing[-1]
-        d.span = Span(d.span.start, last.loc, d.span.start_off, last.end)
-        d.verbatim = self.text[d.span.start_off : last.end]
+        end_off = last.end
+        d.span = Span(d.span.start, last, d.span.start_off, end_off)
+        d.verbatim = self.text[d.span.start_off : end_off]
         return d
 
     def parse_definition(self, section: str, boundary: int):
@@ -267,12 +298,8 @@ class _Parser:
         else:
             core = self.parse_fundef()
         self.accept("punct", ";")
-        end_off = self.last().end
-        if leading:
-            start_off, start_loc = leading[0].off, leading[0].loc
-        else:
-            start_off, start_loc = first.off, first.loc
-        span = self._make_span(start_off, start_loc, end_off)
+        start = leading[0] if leading else first
+        span = self._make_span(start, self.last().end)
         core.doc_comments = tuple(
             c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc")
         )
@@ -287,17 +314,17 @@ class _Parser:
             while self.at("name") and self.peek().kind == "punct" and self.peek().text == ":":
                 fname = self.advance()
                 self.expect("punct", ":")
-                fields.append(N.RecordField(fname.text, self.parse_type(), fname.loc))
+                fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
-                raise ParseError("record type needs at least one field", self.cur().loc)
+                raise ParseError("record type needs at least one field", self.cur())
             inv = self._parse_inv_clause()
-            return N.RecordTypeDef(name.text, tuple(fields), inv, (), name.loc, None, "")
+            return N.RecordTypeDef(name.text, tuple(fields), inv, (), name, None, "")
         self.expect("punct", "=")
         rhs = self.parse_type()
         inv = self._parse_inv_clause()
         eq = None
         if self.at_kw("eq"):
-            loc = self.advance().loc
+            loc = self.advance()
             left = self.parse_pattern()
             self.expect("punct", "=")
             right = self.parse_pattern()
@@ -306,19 +333,19 @@ class _Parser:
             eq = N.EqClause(left, right, self.parse_expr(), loc)
         order = None
         if self.at_kw("ord"):
-            loc = self.advance().loc
+            loc = self.advance()
             left = self.parse_pattern()
             self.expect("punct", "<")
             right = self.parse_pattern()
             pattern_names_distinct([left, right], "ord clause")
             self.expect("punct", "==")
             order = N.OrdClause(left, right, self.parse_expr(), loc)
-        return N.NamedTypeDef(name.text, rhs, inv, eq, order, (), name.loc, None, "")
+        return N.NamedTypeDef(name.text, rhs, inv, eq, order, (), name, None, "")
 
     def _parse_inv_clause(self):
         if not self.at_kw("inv"):
             return None
-        loc = self.advance().loc
+        loc = self.advance()
         pat = self.parse_pattern()
         pattern_names_distinct([pat], "inv clause")
         self.expect("punct", "==")
@@ -351,7 +378,7 @@ class _Parser:
         if body_name.text != name.text:
             raise ParseError(
                 f"body is named {body_name.text!r} but the signature says {name.text!r}",
-                body_name.loc,
+                body_name,
             )
         self.expect("punct", "(")
         params = []
@@ -364,7 +391,7 @@ class _Parser:
             raise ParseError(
                 f"{name.text} takes {len(param_types)} parameters "
                 f"but {len(params)} patterns are given",
-                body_name.loc,
+                body_name,
             )
         pattern_names_distinct(params, "parameter list")
         self.expect("punct", "==")
@@ -374,7 +401,7 @@ class _Parser:
         measure = self.parse_expr() if self.accept("kw", "measure") else None
         return N.FuncDef(
             name.text, tuple(param_types), ret, tuple(params),
-            body, pre, post, measure, (), name.loc, None, "",
+            body, pre, post, measure, (), name, None, "",
         )
 
     # patterns
@@ -383,21 +410,21 @@ class _Parser:
         t = self.cur()
         if t.kind == "punct" and t.text == "-":
             self.advance()
-            return N.PatIgnore(t.loc)
+            return N.PatIgnore(t)
         if t.kind == "name":
             if t.text.startswith("mk_") and self.peek().kind == "punct" and self.peek().text == "(":
                 self.advance()
                 ctor = t.text[3:]
                 if not ctor:
-                    raise ParseError("constructor pattern needs a type name", t.loc)
+                    raise ParseError("constructor pattern needs a type name", t)
                 self.expect("punct", "(")
                 items = [self.parse_pattern()]
                 while self.accept("punct", ","):
                     items.append(self.parse_pattern())
                 self.expect("punct", ")")
-                return N.PatCtor(ctor, tuple(items), t.loc)
+                return N.PatCtor(ctor, tuple(items), t)
             self.advance()
-            return N.PatName(t.text, t.loc)
+            return N.PatName(t.text, t)
         if t.kind == "punct" and t.text == "[":
             self.advance()
             items = []
@@ -406,7 +433,7 @@ class _Parser:
                 while self.accept("punct", ","):
                     items.append(self.parse_pattern())
             self.expect("punct", "]")
-            return N.PatSeq(tuple(items), t.loc)
+            return N.PatSeq(tuple(items), t)
         if t.kind == "punct" and t.text == "{":
             self.advance()
             items = []
@@ -415,8 +442,8 @@ class _Parser:
                 while self.accept("punct", ","):
                     items.append(self.parse_pattern())
             self.expect("punct", "}")
-            return N.PatSet(tuple(items), t.loc)
-        raise ParseError(f"expected a pattern, found {t.describe()}", t.loc)
+            return N.PatSet(tuple(items), t)
+        raise ParseError(f"expected a pattern, found {t.describe()}", t)
 
     # types
 
@@ -436,23 +463,23 @@ class _Parser:
         t = self.cur()
         if t.kind == "kw" and t.text in BASIC_TYPES:
             self.advance()
-            return N.TBasic(t.text, t.loc)
+            return N.TBasic(t.text, t)
         if t.kind == "kw" and t.text in ("seq", "seq1", "set"):
             self.advance()
             self.expect("kw", "of")
             elem = self.parse_type_atom()
             ctor = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}[t.text]
-            return ctor(elem, t.loc)
+            return ctor(elem, t)
         if t.kind == "kw" and t.text == "map":
             self.advance()
             key = self.parse_type_atom()
             self.expect("kw", "to")
-            return N.TMap(key, self.parse_type_atom(), t.loc)
+            return N.TMap(key, self.parse_type_atom(), t)
         if t.kind == "punct" and t.text == "[":
             self.advance()
             inner = self.parse_type()
             self.expect("punct", "]")
-            return N.TOptional(inner, t.loc)
+            return N.TOptional(inner, t)
         if t.kind == "punct" and t.text == "(":
             self.advance()
             inner = self.parse_type()
@@ -460,11 +487,11 @@ class _Parser:
             return inner
         if t.kind == "quote":
             self.advance()
-            return N.TQuote(t.text, t.loc)
+            return N.TQuote(t.text, t)
         if t.kind == "name":
             self.advance()
-            return N.TNamed(t.text, t.loc)
-        raise ParseError(f"expected a type, found {t.describe()}", t.loc)
+            return N.TNamed(t.text, t)
+        raise ParseError(f"expected a type, found {t.describe()}", t)
 
     # expressions: precedence climbing over BINARY_LEVELS
 
@@ -485,7 +512,7 @@ class _Parser:
         if nots:
             e = self.parse_expr(NOT_LEVEL)  # starts past the run, so recurses once
             for t in reversed(nots):
-                e = N.Unary("not", e, t.loc)
+                e = N.Unary("not", e, t)
         else:
             e = self.parse_prefix()
         while True:
@@ -496,7 +523,7 @@ class _Parser:
             t = toks[self.i]
             self.i += width
             if op != "=>":
-                e = N.Binary(op, e, self.parse_expr(level + 1), t.loc)
+                e = N.Binary(op, e, self.parse_expr(level + 1), t)
                 continue
             # "=>" associates to the right: fold its run from the right
             arrows, operands = [t], [e, self.parse_expr(level + 1)]
@@ -506,7 +533,7 @@ class _Parser:
                 operands.append(self.parse_expr(level + 1))
             e = operands.pop()
             for t in reversed(arrows):
-                e = N.Binary("=>", operands.pop(), e, t.loc)
+                e = N.Binary("=>", operands.pop(), e, t)
 
     def _binary_op(self):
         """(operator, token count) at the cursor; (None, 0) when there is none."""
@@ -530,16 +557,12 @@ class _Parser:
             ops.append(t)
             self.i += 1
             t = toks[self.i]
-        e = self.parse_postfix()
-        for t in reversed(ops):
-            e = N.Unary("-", e, t.loc) if t.text == "-" else N.BuiltinApp(t.text, (e,), t.loc)
-        return e
-
-    def parse_postfix(self):
-        e = self.parse_primary()
+        e = self.parse_primary()  # then its field selections, then the prefix run
         while self.at("punct", "."):
-            loc = self.advance().loc
-            e = N.FieldSel(e, self.expect_name("field name").text, loc)
+            dot = self.advance()
+            e = N.FieldSel(e, self.expect_name("field name").text, dot)
+        for t in reversed(ops):
+            e = N.Unary("-", e, t) if t.text == "-" else N.BuiltinApp(t.text, (e,), t)
         return e
 
     def _parse_args(self):
@@ -556,23 +579,23 @@ class _Parser:
         t = self.toks[self.i]
         if t.kind == "nat":
             self.advance()
-            return N.Lit("nat", int(t.text), t.loc)
+            return N.Lit("nat", int(t.text), t)
         if t.kind == "real":
             self.advance()
-            return N.Lit("real", float(t.text), t.loc)
+            return N.Lit("real", float(t.text), t)
         if t.kind == "char":
             self.advance()
-            return N.Lit("char", t.text, t.loc)
+            return N.Lit("char", t.text, t)
         if t.kind == "quote":
             self.advance()
-            return N.Lit("quote", t.text, t.loc)
+            return N.Lit("quote", t.text, t)
         if t.kind == "kw":
             if t.text in ("true", "false"):
                 self.advance()
-                return N.Lit("bool", t.text == "true", t.loc)
+                return N.Lit("bool", t.text == "true", t)
             if t.text == "nil":
                 self.advance()
-                return N.Lit("nil", None, t.loc)
+                return N.Lit("nil", None, t)
             if t.text == "if":
                 return self.parse_if()
             if t.text == "let":
@@ -590,7 +613,7 @@ class _Parser:
             return self.parse_braced()
         if t.kind == "punct" and t.text == "[":
             return self.parse_bracketed()
-        raise ParseError(f"expected an expression, found {t.describe()}", t.loc)
+        raise ParseError(f"expected an expression, found {t.describe()}", t)
 
     def parse_name_expr(self):
         t = self.advance()
@@ -599,28 +622,28 @@ class _Parser:
         if word.startswith("mk_") and applies:
             ctor = word[3:]
             if not ctor:
-                raise ParseError("record constructor needs a type name", t.loc)
-            return N.MkCtor(ctor, self._parse_args(), t.loc)
+                raise ParseError("record constructor needs a type name", t)
+            return N.MkCtor(ctor, self._parse_args(), t)
         if word == "is_" and applies:
             self.expect("punct", "(")
             e = self.parse_expr()
             self.expect("punct", ",")
             ty = self.parse_type()
             self.expect("punct", ")")
-            return N.Is(e, ty, t.loc)
+            return N.Is(e, ty, t)
         if word.startswith("is_") and applies:
             tyname = word[3:]
             self.expect("punct", "(")
             e = self.parse_expr()
             self.expect("punct", ")")
-            ty = N.TBasic(tyname, t.loc) if tyname in BASIC_TYPES else N.TNamed(tyname, t.loc)
-            return N.Is(e, ty, t.loc)
+            ty = N.TBasic(tyname, t) if tyname in BASIC_TYPES else N.TNamed(tyname, t)
+            return N.Is(e, ty, t)
         if applies:
-            return N.Apply(word, self._parse_args(), t.loc)
-        return N.Name(word, t.loc)
+            return N.Apply(word, self._parse_args(), t)
+        return N.Name(word, t)
 
     def parse_if(self):
-        loc = self.expect("kw", "if").loc
+        loc = self.expect("kw", "if")
         cond = self.parse_expr()
         self.expect("kw", "then")
         then = self.parse_expr()
@@ -633,7 +656,7 @@ class _Parser:
         return N.If(cond, then, tuple(elifs), self.parse_expr(), loc)
 
     def parse_let(self):
-        loc = self.expect("kw", "let").loc
+        loc = self.expect("kw", "let")
         binds = []
         while True:
             pat = self.parse_pattern()
@@ -650,7 +673,7 @@ class _Parser:
         t = self.advance()
         binds = self.parse_binds()
         self.expect("punct", "&")
-        return N.Quant(t.text, binds, self.parse_expr(), t.loc)
+        return N.Quant(t.text, binds, self.parse_expr(), t)
 
     def parse_binds(self):
         binds = []
@@ -666,7 +689,7 @@ class _Parser:
             else:
                 raise ParseError(
                     f"expected 'in set' or ':' in binding, found {self.cur().describe()}",
-                    self.cur().loc,
+                    self.cur(),
                 )
             if not self.accept("punct", ","):
                 return tuple(binds)
@@ -677,7 +700,7 @@ class _Parser:
         return binds, pred
 
     def parse_braced(self):
-        loc = self.expect("punct", "{").loc
+        loc = self.expect("punct", "{")
         if self.accept("punct", "}"):
             return N.SetEnum((), loc)
         if self.at("punct", "|->"):
@@ -709,7 +732,7 @@ class _Parser:
         return N.SetEnum(tuple(items), loc)
 
     def parse_bracketed(self):
-        loc = self.expect("punct", "[").loc
+        loc = self.expect("punct", "[")
         if self.accept("punct", "]"):
             return N.SeqEnum((), loc)
         first = self.parse_expr()
@@ -726,8 +749,8 @@ class _Parser:
 
 def _check_toplevel_names(defs, module_name: str):
     """Duplicate names inside one namespace are rejected at parse time."""
-    type_names: dict[str, Loc] = {}
-    fn_names: dict[str, Loc] = {}
+    type_names: dict[str, Location] = {}
+    fn_names: dict[str, Location] = {}
     for d in defs:
         if isinstance(d, (N.RecordTypeDef, N.NamedTypeDef)):
             if d.name in type_names:
@@ -762,7 +785,7 @@ def parse_source(text: str, file: str = "<string>"):
     try:
         return parser.parse_file()
     except RecursionError:
-        raise ParseError("nesting too deep", parser.cur().loc) from None
+        raise ParseError("nesting too deep", parser.cur()) from None
 
 
 def print_module(m: N.SourceModule) -> str:

@@ -58,6 +58,11 @@ def _corpus(name):
     return str(CORPUS / name)
 
 
+def _output(command, out="out"):
+    """`--output out` for `sort`, the one command that reads it."""
+    return ["--output", out] if command == "sort" else []
+
+
 def test_sort_debug_prints_the_full_trace(capsys, tmp_path):
     code = run(["sort", "--debug", _corpus("M.vdmsl")])
     out = capsys.readouterr().out.splitlines()
@@ -203,6 +208,29 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         run([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--dot", "d"],
+    ["order", "--output", "o", "--check"],
+    ["dot", "--output", "o"],
+    ["check", "--check"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run([*argv, _corpus("M.vdmsl")])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    # the command's own usage, naming only the flags it does not read
+    assert captured.err.startswith(f"usage: defsort {argv[0]} ")
+    assert "M.vdmsl" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_set_up_namespace_of_a_command_without_output_flags_resolves():
+    args = build_arg_parser().parse_args(["check", "x.vdmsl"])
+    assert resolve_config(args)[0] == resolve_config(build_arg_parser().parse_args(["sort", "x.vdmsl"]))[0]
 
 
 def test_load_properties_parses_and_warns(tmp_path):
@@ -381,7 +409,7 @@ def test_long_operator_and_field_chains_sort_and_check(tmp_path, capsys):
 def test_a_non_ascii_digit_is_a_located_error(digit, command, tmp_path, capsys):
     bad = tmp_path / "bad.vdmsl"
     bad.write_text(_module("B", f"values\n  x = {digit};"), encoding="utf-8")
-    code = run([command, "--debug", "--output", "out", str(bad), _corpus("M.vdmsl")])
+    code = run([command, "--debug", *_output(command), str(bad), _corpus("M.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"{bad}:4:7: unexpected character {digit!r}\n"
@@ -416,7 +444,7 @@ def test_a_fault_while_parsing_one_file_is_an_error_line(argv, tmp_path, monkeyp
     real = cli.parse_source
     monkeypatch.setattr(cli, "parse_source", lambda text, path: (
         _planted_fault() if path == _corpus("M.vdmsl") else real(text, path)))
-    code = run(argv + ["--output", "out", _corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
+    code = run(argv + _output(argv[0]) + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
@@ -430,7 +458,7 @@ def test_a_fault_while_parsing_one_file_is_an_error_line(argv, tmp_path, monkeyp
 def test_a_fault_while_analysing_one_module_is_an_error_line(argv, tmp_path, monkeypatch, capsys):
     real = cli.analyse
     monkeypatch.setattr(cli, "analyse", lambda m: _planted_fault() if m.name == "M" else real(m))
-    code = run(argv + ["--output", "out", _corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
+    code = run(argv + _output(argv[0]) + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
@@ -473,7 +501,7 @@ def test_a_byte_order_mark_is_not_part_of_the_text(command, tmp_path, capsys):
         for name in ("M.vdmsl", "precall.vdmsl"):
             (d / name).write_bytes(mark + (CORPUS / name).read_bytes())
         paths = [str(d / name) for name in ("P.vdmsl", "M.vdmsl", "precall.vdmsl")]
-        code = run([command, "--debug", "--output", str(d / "out")] + paths)
+        code = run([command, "--debug", *_output(command, str(d / "out"))] + paths)
         captured = capsys.readouterr()
         written = {p.name: p.read_bytes() for p in (d / "out").glob("*")} if command == "sort" else {}
         runs.append((code, captured.out.replace(str(d), "<dir>"), captured.err, written))
@@ -501,7 +529,7 @@ def test_an_unreadable_properties_file_is_a_usage_error(argv, blocked, err, tmp_
     if blocked:
         (tmp_path / blocked).mkdir()
     for command in ("sort", "check"):
-        code = run([command, "--debug", "--output", "out"] + argv + [_corpus("M.vdmsl")])
+        code = run([command, "--debug", *_output(command)] + argv + [_corpus("M.vdmsl")])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", err)
     assert not (tmp_path / "out").exists()

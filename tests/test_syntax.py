@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import glob
 import os
 import signal
@@ -9,9 +10,16 @@ import pytest
 
 from defsort import nodes as N
 from defsort.diag import Loc, ParseError
-from defsort.syntax import lex, parse_source, print_module
+from defsort.syntax import Token, lex, parse_source, print_module
+from test_syntax_reference import ref_definition_exprs, ref_lex
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _corpus_files():
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.vdmsl"))):
+        with open(path, encoding="utf-8") as f:
+            yield path, f.read()
 
 
 def _corpus(name: str) -> str:
@@ -259,3 +267,55 @@ def test_loc_compares_hashes_and_prints_by_value():
     assert Loc(2, 9, "Z") < Loc(3, 1, "A") and not Loc(3, 2, "B") < Loc(3, 2, "A")
     assert repr(a) == "Loc(line=3, col=7, file='M.vdmsl')"
     assert str(a) == "M.vdmsl:3:7" and str(Loc(1, 1)) == "<string>:1:1"
+
+    # a token is its own location: it behaves as the Loc of its place
+    for path, text in _corpus_files():
+        toks, comments = lex(text, path)
+        everything = toks + comments
+        for t in everything:
+            loc = Loc(t.line, t.col, t.file)
+            assert t == loc and loc == t and not t != loc and t <= loc and t >= loc
+            assert (hash(t), str(t), repr(t)) == (hash(loc), str(loc), repr(loc))
+            assert {loc: "seen"}[t] == "seen"
+            for other in ((t.line, t.col, t.file), str(t), t.off, None):
+                assert t != other and loc != other
+            with pytest.raises(TypeError):
+                t < (t.line, t.col, t.file)
+        mixed = [t if i % 2 else Loc(t.line, t.col, t.file) for i, t in enumerate(everything)]
+        as_locs = [Loc(t.line, t.col, t.file) for t in everything]
+        mixed.reverse()
+        assert [repr(x) for x in sorted(mixed)] == [repr(x) for x in sorted(as_locs)]
+        assert [str(x) for x in sorted(mixed, reverse=True)] == [str(x) for x in sorted(as_locs)[::-1]]
+
+
+def _located(m):
+    """(node, location) for every definition, clause, bind, expression, type
+    and pattern of a module, walked through the dataclass fields."""
+    found = [(m, m.name_loc)]
+    stack = [*m.imports, *m.definitions]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                if f.name in ("loc", "name_loc"):
+                    found.append((x, getattr(x, f.name)))
+                elif f.name not in ("span", "doc_comments", "verbatim"):
+                    stack.append(getattr(x, f.name))
+    return found
+
+
+def test_every_syntax_node_keeps_the_token_it_starts_at():
+    # no Loc is built while parsing: each node stores the token it has, and
+    # that token's location is the one the character-loop lexer gives it
+    for path, text in _corpus_files():
+        ref_tokens = {off: loc for _, _, loc, off, _ in ref_lex(text, path)[0]}
+        for m in parse_source(text, path):
+            located = _located(m)
+            exprs = {id(e) for d in m.definitions for root in ref_definition_exprs(d)
+                     for e in N.subexpressions(root)}
+            assert exprs <= {id(node) for node, _ in located}
+            for node, loc in located:
+                assert type(loc) is Token, (path, node)
+                assert loc == ref_tokens[loc.off], (path, node)

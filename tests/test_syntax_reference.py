@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
-from defsort.diag import Diagnostic, DuplicateNameError, Loc, ParseError
+from defsort.diag import Diagnostic, DuplicateNameError, Loc, Location, ParseError
 from defsort.freevars import (
     UseSite,
     check_duplicate_binds,
@@ -145,11 +145,7 @@ class RefParser(_Parser):
             core = self.parse_fundef()
         self.accept("punct", ";")
         end_off = self.last().end
-        if leading:
-            start_off, start_loc = leading[0].off, leading[0].loc
-        else:
-            start_off, start_loc = first.off, first.loc
-        span = self._make_span(start_off, start_loc, end_off)
+        span = self._make_span(leading[0] if leading else first, end_off)
         docs = tuple(c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc"))
         return replace(core, doc_comments=docs, span=span,
                        verbatim=self.text[span.start_off : span.end_off])
@@ -522,6 +518,8 @@ def dump(x):
         return (type(x).__name__,) + tuple(dump(getattr(x, f.name)) for f in dataclasses.fields(x))
     if isinstance(x, (tuple, list)):
         return tuple(dump(v) for v in x)
+    if isinstance(x, Location):  # a Loc or a token: its place as it is now
+        return ("Loc", x.line, x.col, x.file)
     return x
 
 
@@ -768,6 +766,13 @@ class RecursivePrefixParser(RefParser):
             self.advance()
             return N.BuiltinApp(t.text, (self.parse_prefix(),), t.loc)
         return self.parse_postfix()
+
+    def parse_postfix(self):
+        e = self.parse_primary()
+        while self.at("punct", "."):
+            loc = self.advance().loc
+            e = N.FieldSel(e, self.expect_name("field name").text, loc)
+        return e
 
 
 @settings(max_examples=300, deadline=None)
