@@ -1,7 +1,7 @@
 """Lexer, parser and printer for the VDM-SL module subset.
 
-The parser is a plain recursive descent over a pre-lexed token list, with
-binary operators parsed by precedence climbing over one table.  Every
+The parser is a recursive descent over a pre-lexed token list, except
+that an expression is read by one operator-precedence loop.  Every
 definition records the exact source span it came from (leading comments
 included), so later stages can move definitions around without touching
 their text.
@@ -42,6 +42,7 @@ BINARY_LEVELS = {
     **dict.fromkeys(("*", "/", "div", "mod", "inter"), 8),
 }
 NOT_LEVEL = 5
+PREFIX_LEVEL = 9  # `-` and the built-ins bind tighter than any binary operator
 
 # longest first so the lexer never splits a two-char operator
 _PUNCT = (
@@ -87,8 +88,6 @@ class Token(Location):
         quoted = self.kind == "char" or self.kind == "quote"
         return self.off + len(self.text) + (2 if quoted else 0)
 
-    loc = property(lambda self: Loc(self.line, self.col, self.file))  # a stored copy
-
     def describe(self) -> str:
         if self.kind == "eof":
             return "end of input"
@@ -97,17 +96,16 @@ class Token(Location):
         return f"{self.kind} '{self.text}'"
 
 
-# One match per token: leading white space and line breaks, then one named
-# group per token class, tried in order.  A character literal and a quote
-# include their delimiters.  Numbers are ASCII digits only.  `bad` and `eof`
-# make the pattern match at every position, so a failed match can never
-# backtrack through the white space and be retried at each later offset.
-# The token's group always ends the match.
+# One match per token: leading white space and line breaks, then one group
+# per token class, tried in order, so `lastindex` names the class: word,
+# comment, quote, punctuation (one-character marks in one class), real,
+# nat, character literal, any other character, end of input.  The last two
+# make the pattern match everywhere, so no match backtracks through space.
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(?P<comment>--[^\n]*)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<real>[0-9]+\.[0-9]+)|(?P<nat>[0-9]+)"
-    r"|(?P<char>'[^'\n]')|(?P<quote><[A-Za-z][A-Za-z0-9_]*>)"
-    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + r")|(?P<bad>.)|(?P<eof>\Z))"
+    r"[ \t\r\n]*(?:([A-Za-z][A-Za-z0-9_]*)|(--[^\n]*)|(<[A-Za-z][A-Za-z0-9_]*>)|("
+    + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
+    + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1)
+    + r"])|([0-9]+\.[0-9]+)|([0-9]+)|('[^'\n]')|(.)|(\Z))"
 )
 _BREAK = re.compile(r"\n")
 # one text string per keyword and punctuation spelling, shared by its tokens
@@ -120,29 +118,31 @@ def lex(text: str, file: str = "<string>"):
     toks: list[Token] = []
     comments: list[Token] = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word = m[kind]
-        off = m.end() - len(word)
+        g = m.lastindex
+        word = m[g]
+        off = m.start(g)
         # a Token call in each branch lexes about 4% faster than one shared append
-        if kind == "word":
+        if g == 1:
             if word in KEYWORDS:
                 toks.append(Token("kw", _SPELLING[word], off, src))
             else:
                 toks.append(Token("name", word, off, src))
-        elif kind == "punct":
-            toks.append(Token(kind, _SPELLING[word], off, src))
-        elif kind == "nat" or kind == "real":
-            toks.append(Token(kind, word, off, src))
-        elif kind == "comment":
-            comments.append(Token(kind, word.rstrip("\r"), off, src))
-        elif kind == "char" or kind == "quote":
-            toks.append(Token(kind, word[1:-1], off, src))
-        elif kind == "eof":
-            toks.append(Token(kind, word, off, src))
+        elif g == 4:
+            toks.append(Token("punct", _SPELLING[word], off, src))
+        elif g == 6:
+            toks.append(Token("nat", word, off, src))
+        elif g == 2:
+            comments.append(Token("comment", word.rstrip("\r"), off, src))
+        elif g == 5:
+            toks.append(Token("real", word, off, src))
+        elif g == 3 or g == 7:
+            toks.append(Token("quote" if g == 3 else "char", word[1:-1], off, src))
+        elif g == 9:
+            toks.append(Token("eof", word, off, src))
             break
         else:
             message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
-            raise ParseError(message, Token(kind, word, off, src))
+            raise ParseError(message, Token("bad", word, off, src))
     return toks, comments
 
 
@@ -425,24 +425,16 @@ class _Parser:
                 return N.PatCtor(ctor, tuple(items), t)
             self.advance()
             return N.PatName(t.text, t)
-        if t.kind == "punct" and t.text == "[":
+        if t.kind == "punct" and t.text in ("[", "{"):
             self.advance()
+            close = "]" if t.text == "[" else "}"
             items = []
-            if not self.at("punct", "]"):
+            if not self.at("punct", close):
                 items.append(self.parse_pattern())
                 while self.accept("punct", ","):
                     items.append(self.parse_pattern())
-            self.expect("punct", "]")
-            return N.PatSeq(tuple(items), t)
-        if t.kind == "punct" and t.text == "{":
-            self.advance()
-            items = []
-            if not self.at("punct", "}"):
-                items.append(self.parse_pattern())
-                while self.accept("punct", ","):
-                    items.append(self.parse_pattern())
-            self.expect("punct", "}")
-            return N.PatSet(tuple(items), t)
+            self.expect("punct", close)
+            return (N.PatSeq if close == "]" else N.PatSet)(tuple(items), t)
         raise ParseError(f"expected a pattern, found {t.describe()}", t)
 
     # types
@@ -493,77 +485,97 @@ class _Parser:
             return N.TNamed(t.text, t)
         raise ParseError(f"expected a type, found {t.describe()}", t)
 
-    # expressions: precedence climbing over BINARY_LEVELS
+    # expressions: one loop over BINARY_LEVELS
 
-    def parse_expr(self, min_level: int = 1):
-        """An expression whose binary operators all bind at `min_level` or tighter.
+    def parse_expr(self):
+        """One expression, read by one loop over a stack of pending operators.
 
-        A run of prefix `not`s and a run of `=>`s are each collected in a
-        loop and folded afterwards, so neither nests the parser.
+        Each entry waits for its right operand, tightest last: a binary
+        operator at its level, a prefix `not` at NOT_LEVEL, a prefix `-` or
+        built-in at PREFIX_LEVEL, or an open parenthesis or call at level 0.
+        So operator runs, parentheses and plain calls do not nest the
+        parser; any other operand is read by `parse_primary`, which recurses.
         """
         toks = self.toks
-        nots = []
-        t = toks[self.i]
-        while (min_level <= NOT_LEVEL and t.kind == "kw" and t.text == "not"
-               and not (toks[self.i + 1].kind == "kw" and toks[self.i + 1].text == "in")):
-            nots.append(t)
-            self.i += 1
-            t = toks[self.i]
-        if nots:
-            e = self.parse_expr(NOT_LEVEL)  # starts past the run, so recurses once
-            for t in reversed(nots):
-                e = N.Unary("not", e, t)
-        else:
-            e = self.parse_prefix()
+        i = self.i
+        ops = [(-1, None, None, None)]  # (level, token, left operand or a group's items, operator)
+        nots = True  # this operand may start with a run of `not`s
         while True:
-            op, width = self._binary_op()
-            level = BINARY_LEVELS.get(op, 0)
-            if level < min_level:
-                return e
-            t = toks[self.i]
-            self.i += width
-            if op != "=>":
-                e = N.Binary(op, e, self.parse_expr(level + 1), t)
-                continue
-            # "=>" associates to the right: fold its run from the right
-            arrows, operands = [t], [e, self.parse_expr(level + 1)]
-            while toks[self.i].kind == "punct" and toks[self.i].text == "=>":
-                arrows.append(toks[self.i])
-                self.i += 1
-                operands.append(self.parse_expr(level + 1))
-            e = operands.pop()
-            for t in reversed(arrows):
-                e = N.Binary("=>", operands.pop(), e, t)
-
-    def _binary_op(self):
-        """(operator, token count) at the cursor; (None, 0) when there is none."""
-        toks, i = self.toks, self.i
-        t = toks[i]
-        if t.kind == "kw" and t.text == "in":
-            if toks[i + 1].text == "set":
-                return "in set", 2
-        elif t.kind == "kw" and t.text == "not":
-            if toks[i + 1].text == "in" and toks[i + 2].text == "set":
-                return "not in set", 3
-        elif t.kind in ("kw", "punct"):
-            return t.text, 1
-        return None, 0
-
-    def parse_prefix(self):
-        toks = self.toks
-        ops = []
-        t = toks[self.i]
-        while (t.kind == "punct" and t.text == "-") or (t.kind == "kw" and t.text in BUILTIN_OPS):
-            ops.append(t)
-            self.i += 1
-            t = toks[self.i]
-        e = self.parse_primary()  # then its field selections, then the prefix run
-        while self.at("punct", "."):
-            dot = self.advance()
-            e = N.FieldSel(e, self.expect_name("field name").text, dot)
-        for t in reversed(ops):
-            e = N.Unary("-", e, t) if t.text == "-" else N.BuiltinApp(t.text, (e,), t)
-        return e
+            t = toks[i]
+            while (nots and t.kind == "kw" and t.text == "not"
+                   and not (toks[i + 1].kind == "kw" and toks[i + 1].text == "in")):
+                ops.append((NOT_LEVEL, t, None, "not"))
+                i += 1
+                t = toks[i]
+            while (t.kind == "punct" and t.text == "-") or (t.kind == "kw" and t.text in BUILTIN_OPS):
+                ops.append((PREFIX_LEVEL, t, None, t.text))
+                i += 1
+                t = toks[i]
+            if t.kind == "name" and not (toks[i + 1].kind == "punct" and toks[i + 1].text == "("):
+                e = N.Name(t.text, t)
+                i += 1
+            elif t.kind == "nat":
+                e = N.Lit("nat", int(t.text), t)
+                i += 1
+            elif (t.kind == "punct" and t.text == "(") or (
+                    t.kind == "name" and not t.text.startswith(("mk_", "is_"))):
+                i += 1 if t.kind == "punct" else 2
+                if t.kind == "name" and toks[i].kind == "punct" and toks[i].text == ")":
+                    e = N.Apply(t.text, (), t)
+                    i += 1
+                else:  # parentheses, or a call with its arguments
+                    ops.append((0, t, [], None))
+                    nots = True
+                    continue
+            else:
+                self.i = i
+                e = self.parse_primary()
+                i = self.i
+            while True:  # e is an operand: its field selections, then what follows it
+                t = toks[i]
+                while t.kind == "punct" and t.text == ".":
+                    self.i = i + 1
+                    e = N.FieldSel(e, self.expect_name("field name").text, t)
+                    i = self.i
+                    t = toks[i]
+                op = t.text if t.kind == "punct" or t.kind == "kw" else None
+                width = 1
+                if op == "in" and toks[i + 1].text == "set":
+                    op, width = "in set", 2
+                elif op == "not" and toks[i + 1].text == "in" and toks[i + 2].text == "set":
+                    op, width = "not in set", 3
+                level = BINARY_LEVELS.get(op, 0)
+                # pop what binds at least as tightly; "=>" associates to the right
+                bound = (3 if op == "=>" else level) if level else 1
+                while ops[-1][0] >= bound:
+                    lv, ot, left, oop = ops.pop()
+                    if left is not None:
+                        e = N.Binary(oop, left, e, ot)
+                    elif lv == PREFIX_LEVEL and oop != "-":
+                        e = N.BuiltinApp(oop, (e,), ot)
+                    else:
+                        e = N.Unary(oop, e, ot)
+                if level:
+                    ops.append((level, t, e, op))
+                    i += width
+                    nots = level < NOT_LEVEL
+                    break
+                _, start, items, _ = ops[-1]
+                if start is None:
+                    self.i = i
+                    return e
+                items.append(e)
+                if start.kind == "name" and t.kind == "punct" and t.text == ",":
+                    i += 1
+                    nots = True
+                    break
+                if not (t.kind == "punct" and t.text == ")"):
+                    self.i = i
+                    self.expect("punct", ")")
+                i += 1
+                ops.pop()
+                if start.kind == "name":
+                    e = N.Apply(start.text, tuple(items), start)
 
     def _parse_args(self):
         self.expect("punct", "(")
@@ -576,10 +588,8 @@ class _Parser:
         return tuple(args)
 
     def parse_primary(self):
+        """An operand that parse_expr does not read itself."""
         t = self.toks[self.i]
-        if t.kind == "nat":
-            self.advance()
-            return N.Lit("nat", int(t.text), t)
         if t.kind == "real":
             self.advance()
             return N.Lit("real", float(t.text), t)
@@ -603,44 +613,31 @@ class _Parser:
             if t.text in ("forall", "exists"):
                 return self.parse_quantifier()
         if t.kind == "name":
-            return self.parse_name_expr()
-        if t.kind == "punct" and t.text == "(":
-            self.advance()
-            e = self.parse_expr()
-            self.expect("punct", ")")
-            return e
+            return self.parse_mk_or_is()
         if t.kind == "punct" and t.text == "{":
             return self.parse_braced()
         if t.kind == "punct" and t.text == "[":
             return self.parse_bracketed()
         raise ParseError(f"expected an expression, found {t.describe()}", t)
 
-    def parse_name_expr(self):
+    def parse_mk_or_is(self):
+        """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
+        or `is_`, with its argument list next."""
         t = self.advance()
-        word = t.text
-        applies = self.at("punct", "(")
-        if word.startswith("mk_") and applies:
-            ctor = word[3:]
-            if not ctor:
+        if t.text.startswith("mk_"):
+            if t.text == "mk_":
                 raise ParseError("record constructor needs a type name", t)
-            return N.MkCtor(ctor, self._parse_args(), t)
-        if word == "is_" and applies:
-            self.expect("punct", "(")
-            e = self.parse_expr()
+            return N.MkCtor(t.text[3:], self._parse_args(), t)
+        self.expect("punct", "(")
+        e = self.parse_expr()
+        if t.text == "is_":
             self.expect("punct", ",")
             ty = self.parse_type()
-            self.expect("punct", ")")
-            return N.Is(e, ty, t)
-        if word.startswith("is_") and applies:
-            tyname = word[3:]
-            self.expect("punct", "(")
-            e = self.parse_expr()
-            self.expect("punct", ")")
-            ty = N.TBasic(tyname, t) if tyname in BASIC_TYPES else N.TNamed(tyname, t)
-            return N.Is(e, ty, t)
-        if applies:
-            return N.Apply(word, self._parse_args(), t)
-        return N.Name(word, t)
+        else:
+            name = t.text[3:]
+            ty = N.TBasic(name, t) if name in BASIC_TYPES else N.TNamed(name, t)
+        self.expect("punct", ")")
+        return N.Is(e, ty, t)
 
     def parse_if(self):
         loc = self.expect("kw", "if")
@@ -778,8 +775,10 @@ def _check_toplevel_names(defs, module_name: str):
 def parse_source(text: str, file: str = "<string>"):
     """Parse a file's worth of text into a list of modules.
 
-    The parser recurses once per nesting level, so input nested deeper than
-    the interpreter's stack allows is a located ParseError.
+    Parentheses, plain calls and operator runs are read by a loop, but other
+    constructs (`if`, `let`, quantifiers, braces, brackets, `mk_`, `is_`,
+    patterns and types) recurse once per nesting level, so such input nested
+    deeper than the interpreter's stack allows is a located ParseError.
     """
     parser = _Parser(text, file)
     try:

@@ -14,6 +14,7 @@ from test_syntax_reference import exprs
 
 import defsort
 from defsort import cli
+from defsort import nodes as N
 from defsort.cli import (
     DEFAULTS,
     _write_atomic,
@@ -373,7 +374,7 @@ def _module(name, section):
 
 
 TOO_DEEP = {
-    "parentheses": _module("P", "values\n  v = " + "(" * 1000 + "1" + ")" * 1000 + ";"),
+    "braces": _module("P", "values\n  v = " + "{ " * 1000 + "1" + " }" * 1000 + ";"),
     "pattern": _module("P", "values\n  " + "[" * 1000 + "x" + "]" * 1000 + " = [1];"),
     "type": _module("P", "types\n  S = " + "seq of " * 1000 + "nat;"),
 }
@@ -389,6 +390,38 @@ def test_too_deep_nesting_is_a_located_error(shape, command, tmp_path, capsys):
     assert code == 1
     assert re.fullmatch(re.escape(f"{deep}:4:") + r"\d+: nesting too deep\n", captured.err)
     assert "Calculating declaration dependencies for module `M`..." in captured.out
+
+
+# parentheses and plain calls are frames of the expression loop, not of the
+# interpreter, so their depth is bounded by nothing but memory
+NESTED = {
+    "calls": _module("C", "functions\n  f : nat -> nat\n  f(x) == x;\n  g : nat -> nat\n  g(y) == "
+                     + "f(" * 10000 + "y" + ")" * 10000 + ";"),
+    "parentheses": _module("P", "values\n  v = " + "(" * 10000 + "1" + ")" * 10000 + ";"),
+}
+
+
+def _frames_down(n, fn):
+    """fn(), called n interpreter frames below the caller."""
+    return _frames_down(n - 1, fn) if n else fn()
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_parentheses_and_calls_parse_at_any_stack_depth(shape, tmp_path, capsys):
+    deep = tmp_path / "deep.vdmsl"
+    deep.write_text(NESTED[shape])
+    seen = []
+    for frames in (0, 600):
+        code = _frames_down(frames, lambda: run(["check", "--debug", str(deep)]))
+        captured = capsys.readouterr()
+        [m] = _frames_down(frames, lambda: parse_source(deep.read_text(), str(deep)))
+        body = m.definitions[-1].body if shape == "calls" else m.definitions[-1].init
+        nodes = [(type(e).__name__, str(e.loc)) for e in N.subexpressions(body)]
+        seen.append((code, captured.out, captured.err, nodes))
+    assert seen[1] == seen[0]
+    code, out, err, nodes = seen[0]
+    assert (code, err, len(nodes)) == (0, "", 10001 if shape == "calls" else 1)
+    assert "Calculating declaration dependencies for module" in out
 
 
 def test_long_operator_and_field_chains_sort_and_check(tmp_path, capsys):

@@ -24,7 +24,7 @@ from defsort.modorder import build_module_graph, order_modules
 
 BAD_INPUTS = {
     "parse error": "module Broken\n",
-    "nesting too deep": "module P\ndefinitions\nvalues\n  v = " + "(" * 1000 + "1" + ")" * 1000
+    "nesting too deep": "module P\ndefinitions\nvalues\n  v = " + "{ " * 1000 + "1" + " }" * 1000
                         + ";\nend P\n",
     "unexpected character": "module B\ndefinitions\nvalues\n  x = ²;\nend B\n",
 }

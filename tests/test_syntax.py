@@ -35,7 +35,7 @@ def _module(text: str):
 
 def test_lex_tracks_lines_and_columns():
     toks, comments = lex("module M\n  T = nat;\nend M\n")
-    kinds = [(t.text, t.loc.line, t.loc.col) for t in toks[:3]]
+    kinds = [(t.text, t.line, t.col) for t in toks[:3]]
     assert kinds == [("module", 1, 1), ("M", 1, 8), ("T", 2, 3)]
     assert comments == []
 
@@ -209,21 +209,21 @@ def test_a_character_literal_cannot_hold_a_line_break():
 
 
 def _locs(tokens):
-    return [(t.text, t.loc.line, t.loc.col) for t in tokens]
+    return [(t.text, t.line, t.col) for t in tokens]
 
 
 def test_lex_counts_columns_after_crlf_line_ends():
     toks, comments = lex("module M\r\n  x -- note\r\nend M\r\n")
     assert _locs(toks) == [("module", 1, 1), ("M", 1, 8), ("x", 2, 3), ("end", 3, 1),
                            ("M", 3, 5), ("", 4, 1)]
-    assert [(c.text, c.loc.line, c.loc.col) for c in comments] == [("-- note", 2, 5)]
+    assert [(c.text, c.line, c.col) for c in comments] == [("-- note", 2, 5)]
 
 
 @pytest.mark.parametrize("text, line, col", [("", 1, 1), ("a  ", 1, 4), ("a  \n  ", 2, 3),
                                              ("a\n\n", 3, 1), ("a\t\r\n \t", 2, 3)])
 def test_end_of_input_is_located_after_trailing_white_space(text, line, col):
     eof = lex(text, "E.vdmsl")[0][-1]
-    assert (eof.kind, eof.off, eof.loc) == ("eof", len(text), Loc(line, col, "E.vdmsl"))
+    assert (eof.kind, eof.off, eof.line, eof.col, eof.file) == ("eof", len(text), line, col, "E.vdmsl")
 
 
 @contextmanager

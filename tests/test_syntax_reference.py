@@ -31,6 +31,11 @@ from defsort.syntax import _PUNCT, BUILTIN_OPS, KEYWORDS, _Parser, lex, parse_so
 # ── references ────────────────────────────────────────────────────────────
 
 
+def stored_loc(t):
+    """A token's place as a `Loc`, as the earlier parser stored it."""
+    return Loc(t.line, t.col, t.file)
+
+
 def _is_ident_start(c):
     return c.isascii() and (c.isalpha())
 
@@ -156,34 +161,34 @@ class RefParser(_Parser):
     def parse_iff(self):
         e = self.parse_implies()
         while self.at("punct", "<=>"):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             e = N.Binary("<=>", e, self.parse_implies(), loc)
         return e
 
     def parse_implies(self):
         e = self.parse_or()
         if self.at("punct", "=>"):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             return N.Binary("=>", e, self.parse_implies(), loc)
         return e
 
     def parse_or(self):
         e = self.parse_and()
         while self.at_kw("or"):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             e = N.Binary("or", e, self.parse_and(), loc)
         return e
 
     def parse_and(self):
         e = self.parse_not()
         while self.at_kw("and"):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             e = N.Binary("and", e, self.parse_not(), loc)
         return e
 
     def parse_not(self):
         if self.at_kw("not") and not (self.peek().kind == "kw" and self.peek().text == "in"):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             return N.Unary("not", self.parse_not(), loc)
         return self.parse_rel()
 
@@ -193,14 +198,14 @@ class RefParser(_Parser):
             t = self.cur()
             if t.kind == "punct" and t.text in ("=", "<>", "<=", ">=", "<", ">"):
                 self.advance()
-                e = N.Binary(t.text, e, self.parse_add(), t.loc)
+                e = N.Binary(t.text, e, self.parse_add(), stored_loc(t))
             elif t.kind == "kw" and t.text in ("subset", "psubset"):
                 self.advance()
-                e = N.Binary(t.text, e, self.parse_add(), t.loc)
+                e = N.Binary(t.text, e, self.parse_add(), stored_loc(t))
             elif t.kind == "kw" and t.text == "in" and self.peek().text == "set":
                 self.advance()
                 self.advance()
-                e = N.Binary("in set", e, self.parse_add(), t.loc)
+                e = N.Binary("in set", e, self.parse_add(), stored_loc(t))
             elif (
                 t.kind == "kw"
                 and t.text == "not"
@@ -210,7 +215,7 @@ class RefParser(_Parser):
                 self.advance()
                 self.advance()
                 self.advance()
-                e = N.Binary("not in set", e, self.parse_add(), t.loc)
+                e = N.Binary("not in set", e, self.parse_add(), stored_loc(t))
             else:
                 return e
 
@@ -222,7 +227,7 @@ class RefParser(_Parser):
                 t.kind == "kw" and t.text == "union"
             ):
                 self.advance()
-                e = N.Binary(t.text, e, self.parse_mul(), t.loc)
+                e = N.Binary(t.text, e, self.parse_mul(), stored_loc(t))
             else:
                 return e
 
@@ -234,9 +239,38 @@ class RefParser(_Parser):
                 t.kind == "kw" and t.text in ("div", "mod", "inter")
             ):
                 self.advance()
-                e = N.Binary(t.text, e, self.parse_prefix(), t.loc)
+                e = N.Binary(t.text, e, self.parse_prefix(), stored_loc(t))
             else:
                 return e
+
+    def parse_primary(self):
+        """The operands `parse_expr` reads itself, then the rest."""
+        t = self.cur()
+        if t.kind == "nat":
+            self.advance()
+            return N.Lit("nat", int(t.text), t)
+        if t.kind == "punct" and t.text == "(":
+            self.advance()
+            e = self.parse_expr()
+            self.expect("punct", ")")
+            return e
+        applies = self.peek().kind == "punct" and self.peek().text == "("
+        if t.kind == "name" and not (applies and t.text.startswith(("mk_", "is_"))):
+            self.advance()
+            return N.Apply(t.text, self._parse_args(), t) if applies else N.Name(t.text, t)
+        return super().parse_primary()
+
+    def parse_prefix(self):
+        ops = []
+        while self.at("punct", "-") or (self.cur().kind == "kw" and self.cur().text in BUILTIN_OPS):
+            ops.append(self.advance())
+        e = self.parse_primary()  # then its field selections, then the prefix run
+        while self.at("punct", "."):
+            dot = self.advance()
+            e = N.FieldSel(e, self.expect_name("field name").text, dot)
+        for t in reversed(ops):
+            e = N.Unary("-", e, t) if t.text == "-" else N.BuiltinApp(t.text, (e,), t)
+        return e
 
 
 def ref_pattern_names(p):
@@ -561,7 +595,7 @@ def lex_both(text):
     """(tokens and comments, or error text) from the lexer and from the reference."""
     try:
         toks, comments = lex(text, "L.vdmsl")
-        new = tuple([(t.kind, t.text, t.loc, t.off, t.end) for t in ts] for ts in (toks, comments))
+        new = tuple([(t.kind, t.text, stored_loc(t), t.off, t.end) for t in ts] for ts in (toks, comments))
     except ParseError as exc:
         new = str(exc)
     try:
@@ -583,7 +617,8 @@ def test_lexer_matches_the_character_loop_reference(text):
 
 # ── generated input for the parser ────────────────────────────────────────
 
-ATOMS = ["a", "b", "x", "y", "v", "w", "s", "pre_g", "1", "2.5", "true", "nil", "<Q>", "'c'"]
+ATOMS = ["a", "b", "x", "y", "v", "w", "s", "pre_g", "1", "2.5", "true", "nil", "<Q>", "'c'",
+         "f ( )", "mk_R ( )"]
 BINARY = [
     "<=>", "=>", "or", "and", "=", "<>", "<=", ">=", "<", ">", "subset", "psubset",
     "in set", "not in set", "+", "-", "\\", "^", "union", "*", "/", "div", "mod", "inter",
@@ -624,7 +659,7 @@ def exprs(draw, depth=3):
     def tail():
         return f" & {sub()}" if draw(st.booleans()) else ""
 
-    form = draw(st.integers(0, 16))
+    form = draw(st.integers(0, 17))
     if form <= 3:  # a chain over one or two operators, so they repeat
         ops = draw(st.lists(st.sampled_from(BINARY), min_size=1, max_size=2))
         out = sub()
@@ -660,10 +695,14 @@ def exprs(draw, depth=3):
         return f"{{ {sub()} |-> {sub()} | {draw(binds(d, exprs))}{tail()} }}"
     if form == 14:
         callee = draw(st.sampled_from(["f", "g", "mk_R", "is_R", "pre_g"]))
-        return f"{callee} ( {' , '.join(sub() for _ in range(draw(st.integers(1, 2))))} )"
+        args = " , ".join(sub() for _ in range(draw(st.integers(0, 2))))
+        return f"{callee} ( {args} )" if args else f"{callee} ( )"
     if form == 15:
         return f"is_ ( {sub()} , {draw(st.sampled_from(TYPES))} )"
-    return f"{sub()} . fld"
+    if form == 16:  # a prefix run before a parenthesised group
+        prefixes = draw(st.lists(st.sampled_from(PREFIX), min_size=1, max_size=3))
+        return f"{' '.join(prefixes)} ( {sub()} )"
+    return draw(st.sampled_from(["%s . fld", "( %s ) . fld", "f ( %s ) . fld"])) % sub()
 
 
 @st.composite
@@ -742,16 +781,30 @@ def test_walkers_match_the_recursive_references(body, pre, conditional):
 
 
 @st.composite
-def operator_runs(draw):
-    """Atoms with runs of prefix operators before them and binary operators
-    between them, so `not`, prefix and `=>` runs meet every precedence level."""
+def operator_runs(draw, depth=1):
+    """Operands with runs of prefix operators before them and binary
+    operators between them, so `not`, prefix and `=>` runs meet every
+    precedence level, also at the start of a parenthesised group or a call
+    argument.  An operand is an atom, a group or a call, perhaps selected
+    from."""
     parts = []
-    for k in range(draw(st.integers(1, 6))):
+    for k in range(draw(st.integers(1, 6 if depth else 3))):
         if k:
             parts.append(draw(st.sampled_from(BINARY)))
         parts.extend(draw(st.lists(st.sampled_from(PREFIX), max_size=3)))
-        parts.append(draw(st.sampled_from(ATOMS)))
+        shape = draw(st.integers(0, 15 if depth else 9))  # odd and over 8: selected from
+        if shape < 10:
+            parts.append(draw(st.sampled_from(ATOMS)))
+        elif shape < 12:
+            parts.append(f"( {draw(INNER_RUNS)} )")
+        else:
+            parts.append(f"f ( {' , '.join(draw(INNER_RUNS) for _ in range(shape // 2 - 5))} )")
+        if shape % 2 and shape > 8:
+            parts.append(". fld")
     return " ".join(parts)
+
+
+INNER_RUNS = operator_runs(0)
 
 
 class RecursivePrefixParser(RefParser):
@@ -761,16 +814,16 @@ class RecursivePrefixParser(RefParser):
         t = self.cur()
         if t.kind == "punct" and t.text == "-":
             self.advance()
-            return N.Unary("-", self.parse_prefix(), t.loc)
+            return N.Unary("-", self.parse_prefix(), stored_loc(t))
         if t.kind == "kw" and t.text in BUILTIN_OPS:
             self.advance()
-            return N.BuiltinApp(t.text, (self.parse_prefix(),), t.loc)
+            return N.BuiltinApp(t.text, (self.parse_prefix(),), stored_loc(t))
         return self.parse_postfix()
 
     def parse_postfix(self):
         e = self.parse_primary()
         while self.at("punct", "."):
-            loc = self.advance().loc
+            loc = stored_loc(self.advance())
             e = N.FieldSel(e, self.expect_name("field name").text, loc)
         return e
 
