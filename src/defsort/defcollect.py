@@ -105,11 +105,26 @@ def _param_names(d: N.FuncDef) -> frozenset:
     return frozenset(names)
 
 
+def _signature_types(d) -> list:
+    """A definition's field, right-hand side, declared, parameter and
+    result types, in source order."""
+    if isinstance(d, N.RecordTypeDef):
+        return [fld.type for fld in d.fields]
+    if isinstance(d, N.NamedTypeDef):
+        return [d.rhs]
+    if isinstance(d, N.ValueDef):
+        return [] if d.decl_type is None else [d.decl_type]
+    return [*d.param_types, d.ret_type]
+
+
 TRUE_LIT = N.Lit("bool", True, Loc(0, 0))
 
 
 def collect(m: N.SourceModule) -> FlatModule:
-    """Flatten a module; raises DuplicateNameError on a namespace collision."""
+    """Flatten a module; raises DuplicateNameError on a namespace collision,
+    then UnknownNameError on the first signature type name that no type
+    definition declares, unless the module imports (and so may name types
+    it does not declare)."""
     nodes: list = []
     seen: dict = {}
 
@@ -162,6 +177,13 @@ def collect(m: N.SourceModule) -> FlatModule:
             add(mk(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node.name,
                    True, node.location, (), node.def_index, TRUE_LIT))
 
+    if not m.imports:  # a definition with no node (`- : T = e`) is not read
+        for di in dict.fromkeys(node.def_index for node in nodes):
+            for t in _signature_types(m.definitions[di]):
+                for ref in N.named_types(t):
+                    if (Namespace.TYPE, ref.name) not in seen:
+                        raise UnknownNameError(ref.name, ref.loc)
+
     original = list(dict.fromkeys(node.origin for node in nodes if not node.synthetic))
     return FlatModule(m.name, nodes, original, m)
 
@@ -171,22 +193,10 @@ def type_dependency_links(fm: FlatModule) -> list:
 
     A record's field types and a named type's right-hand side attach to the
     type node itself; invariant/eq/ord nodes carry no signature links.
-    Unresolved type names fall back to imports when the module has any,
-    otherwise they are an error.
+    Type names that resolve to no definition are skipped: `collect` has
+    rejected them unless the module imports them.
     """
     links: list = []
-    has_imports = bool(fm.source.imports)
-
-    def link_named_types(user: DefNode, t):
-        for ref in N.named_types(t):
-            used = (Namespace.TYPE, ref.name)
-            if used == user.key:  # a recursive type does not order against itself
-                continue
-            if used in fm._by_key:
-                links.append(Edge(user.key, used, ref.loc))
-            elif not has_imports:
-                raise UnknownNameError(ref.name, ref.loc)
-
     for node in fm.nodes:
         d = fm.source.definitions[node.def_index]
         if node.kind is DefKind.TYPE_DEF:
@@ -194,16 +204,12 @@ def type_dependency_links(fm: FlatModule) -> list:
                 other = fm.get(Namespace.FUNCTION, f"{clause}_{node.name}")
                 if other is not None:
                     links.append(Edge(node.key, other.key, node.location))
-            if isinstance(d, N.RecordTypeDef):
-                for fld in d.fields:
-                    link_named_types(node, fld.type)
-            else:
-                link_named_types(node, d.rhs)
-        elif node.kind is DefKind.VALUE_DEF:
-            if d.decl_type is not None:
-                link_named_types(node, d.decl_type)
-        elif node.kind in (DefKind.FUNCTION_DEF, DefKind.PRE_FN, DefKind.POST_FN,
-                           DefKind.MEASURE_FN):
-            for t in list(d.param_types) + [d.ret_type]:
-                link_named_types(node, t)
+        elif node.kind in (DefKind.INVARIANT_FN, DefKind.EQ_FN, DefKind.ORD_FN):
+            continue
+        for t in _signature_types(d):
+            for ref in N.named_types(t):
+                used = (Namespace.TYPE, ref.name)
+                # a recursive type does not order against itself
+                if used != node.key and used in fm._by_key:
+                    links.append(Edge(node.key, used, ref.loc))
     return links

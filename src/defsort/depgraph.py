@@ -79,19 +79,28 @@ class Cycle:
         return len(self.keys) - 1
 
 
-def _tarjan_sccs(g: DepGraph) -> list:
-    """Strongly connected components, iteratively, in discovery order."""
+def search(g: DepGraph) -> tuple:
+    """Tarjan's algorithm (Tarjan 1972), iteratively, in collection order.
+
+    Returns the strongly connected components in the order they complete,
+    and the back edges, the edges to a node on the current search path
+    (self-loops included), in the order the search meets them.  Removing
+    the back edges leaves the graph acyclic.
+    """
     index_of: dict = {}
     low: dict = {}
-    on_stack: set = set()
+    on_stack: set = set()  # visited, component not yet complete
+    on_path: set = set()  # the nodes of `work`
     stack: list = []
     sccs: list = []
+    back: list = []
     work: list = []  # (node, iterator over its remaining dependencies)
 
     def visit(v):
         index_of[v] = low[v] = len(index_of)
         stack.append(v)
         on_stack.add(v)
+        on_path.add(v)
         work.append((v, iter(g.out(v))))
 
     for root in g.nodes:
@@ -105,12 +114,18 @@ def _tarjan_sccs(g: DepGraph) -> list:
                     visit(w)
                     break
                 if w in on_stack:
-                    low[v] = min(low[v], index_of[w])
+                    if w in on_path:
+                        back.append(g.edge(v, w))
+                    x = index_of[w]
+                    if x < low[v]:
+                        low[v] = x
             else:
                 work.pop()
+                on_path.discard(v)
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                 if low[v] == index_of[v]:
                     comp = []
                     while True:
@@ -120,25 +135,19 @@ def _tarjan_sccs(g: DepGraph) -> list:
                         if w == v:
                             break
                     sccs.append(comp)
-    return sccs
+    return sccs, back
 
 
-def intra_scc_pairs(g: DepGraph) -> set:
-    """Edges that live inside a strongly connected component."""
-    pairs: set = set()
-    for comp in _tarjan_sccs(g):
-        if len(comp) < 2:
-            continue
-        members = set(comp)
-        for user in comp:
-            pairs.update((user, used) for used in g._out[user] if used in members)
-    return pairs
+def scc_labels(sccs: list) -> dict:
+    """Each node's component number: two nodes share one exactly when each
+    reaches the other."""
+    return {k: i for i, comp in enumerate(sccs) for k in comp}
 
 
 def find_cycles(g: DepGraph) -> list:
     """One closed-walk witness per strongly connected component of size > 1."""
     cycles: list = []
-    for comp in _tarjan_sccs(g):
+    for comp in search(g)[0]:
         if len(comp) < 2:
             continue
         members = set(comp)
@@ -169,35 +178,17 @@ def find_cycles(g: DepGraph) -> list:
 
 
 def break_cycles(g: DepGraph) -> list:
-    """Remove back edges until the graph is acyclic; returns what was cut.
+    """Remove the back edges of `search(g)`; returns them, as cut.
 
-    One depth-first search in collection order cuts every back edge it meets.
-    A cut edge is never a tree edge, so a search restarted from scratch after
-    each cut would replay the same states up to the next back edge: the cuts
-    equal those of repeatedly removing the first edge that closes a cycle in
-    declaration order.
+    A back edge is never a tree edge, so a search restarted from scratch
+    after each cut would replay the same states up to the next back edge:
+    the cuts equal those of repeatedly removing the first edge that closes a
+    cycle in declaration order.
     """
-    removed: list = []
-    color: dict = {}  # 1 = on the current path, 2 = finished
-    for root in g.nodes:
-        if root in color:
-            continue
-        color[root] = 1
-        work = [(root, iter(g.out(root)))]
-        while work:
-            u, it = work[-1]
-            for v in it:
-                if color.get(v) == 1:
-                    removed.append(g.edge(u, v))
-                    g.remove_edge(u, v)
-                elif v not in color:
-                    color[v] = 1
-                    work.append((v, iter(g.out(v))))
-                    break
-            else:
-                color[u] = 2
-                work.pop()
-    return removed
+    back = search(g)[1]
+    for e in back:
+        g.remove_edge(e.user, e.used)
+    return back
 
 
 def start_points(g: DepGraph) -> list:

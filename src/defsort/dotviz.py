@@ -9,7 +9,6 @@ then synthetic invariant, then terminal, then plain ellipse.
 from __future__ import annotations
 
 from .depgraph import DepGraph, start_points
-from .modorder import ModuleGraph
 from .reorder import SortReport
 
 
@@ -58,12 +57,12 @@ def emit_def_dot(g: DepGraph, report: SortReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_module_dot(mg: ModuleGraph) -> str:
+def emit_module_dot(g: DepGraph) -> str:
     """Import graph across modules, before any cycle breaking."""
     lines = ["digraph modules {"]
-    for name in mg.nodes:
+    for name in g.nodes:
         lines.append(f'    "{name}";')
-    for importer, imported in mg.edges:
-        lines.append(f'    "{importer}" -> "{imported}";')
+    for e in g.edges:
+        lines.append(f'    "{e.user}" -> "{e.used}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,20 +8,13 @@ that closes a cycle in input order is dropped with a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .depgraph import DepGraph, Edge, break_cycles, kahn_sort
 from .diag import Diagnostic
 
 
-@dataclass
-class ModuleGraph:
-    nodes: list  # module names, input order
-    edges: list  # (importer, imported) pairs, input order
-
-
 def build_module_graph(mods: list):
-    """Graph of resolvable imports; unresolved ones only produce warnings."""
+    """(graph, warnings): each module name's first module, and an edge per
+    resolvable import, in input order; unresolved imports only warn."""
     warnings: list = []
     byname: dict = {}
     for m in mods:
@@ -33,7 +26,7 @@ def build_module_graph(mods: list):
             ))
             continue
         byname[m.name] = m
-    edges: dict = {}  # (importer, imported) -> None, input order
+    g = DepGraph(byname)
     for name, m in byname.items():
         for imp in m.imports:
             if imp.module not in byname:
@@ -42,19 +35,15 @@ def build_module_graph(mods: list):
                     f"module {name} imports unknown module {imp.module}",
                     m.name_loc,
                 ))
-            else:
-                edges[(name, imp.module)] = None
-    return ModuleGraph(list(byname), list(edges)), warnings
+            else:  # a repeated import keeps its first edge
+                g.add_edge(Edge(name, imp.module, m.name_loc))
+    return g, warnings
 
 
 def order_modules(mods: list):
     """Returns (ordered module names, removed (importer, imported) edges,
     warnings)."""
-    mg, warnings = build_module_graph(mods)
-    first: dict = {}
-    for m in mods:
-        first.setdefault(m.name, m)
-    g = DepGraph(first, (Edge(u, v, first[u].name_loc) for u, v in mg.edges))
+    g, warnings = build_module_graph(mods)
     removed: list = []
     for e in break_cycles(g):
         removed.append((e.user, e.used))

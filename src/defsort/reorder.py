@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from . import nodes as N
 from .defcollect import PRIMARY_KINDS, DefKind, FlatModule, Namespace, collect
-from .depgraph import DepGraph, break_cycles, build_graph, intra_scc_pairs, kahn_sort, start_points
+from .depgraph import DepGraph, build_graph, kahn_sort, scc_labels, search, start_points
 from .syntax import parse_source, print_module
 
 
@@ -43,7 +43,7 @@ def _origin_node(fm: FlatModule, node):
     return fm.get(Namespace.FUNCTION, node.origin)
 
 
-def forward_references(fm: FlatModule, g: DepGraph) -> list:
+def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) -> list:
     """Every reportable use of a name declared later in the module.
 
     All forward type uses of a node are reported; of its forward function
@@ -52,8 +52,10 @@ def forward_references(fm: FlatModule, g: DepGraph) -> list:
     charged to the definition it belongs to.  Findings are deduplicated by
     (charged name, used definition) and returned in presentation order:
     type-space findings first, then by the charged definition's position.
+    `labels` are `g`'s component numbers (`scc_labels`), found when omitted.
     """
-    intra = intra_scc_pairs(g)
+    if labels is None:
+        labels = scc_labels(search(g)[0])
     seen: set = set()
     found: list = []
 
@@ -73,8 +75,9 @@ def forward_references(fm: FlatModule, g: DepGraph) -> list:
 
     for node in fm.nodes:
         forward_fns: list = []
+        label = labels[node.key]
         for used_key in g.out(node.key):
-            if (node.key, used_key) in intra:
+            if labels[used_key] == label:
                 continue
             used = g.nodes[used_key]
             if used.origin == node.origin:
@@ -143,18 +146,23 @@ class Analysis:
 def analyse(m: N.SourceModule) -> Analysis:
     """Collect, graph and report one module, and print its rewrite if needed.
 
-    Without forward references there is nothing to rewrite.  Otherwise
-    cycles are broken and the nodes sorted on a copy of the graph, and the
+    One search of the graph gives both its components, which exempt
+    cyclic uses from the forward references, and its back edges.  Without
+    forward references there is nothing to rewrite.  Otherwise the back
+    edges are cut and the nodes sorted on a copy of the graph, and the
     definitions are printed in the new order.
     """
     fm = collect(m)
     g = build_graph(fm)
-    refs = forward_references(fm, g)
+    sccs, back = search(g)
+    refs = forward_references(fm, g, scc_labels(sccs))
     starts = [n.name for n in start_points(g)]
     removed, sorted_names, organised, text = [], [], [], None
     if refs:
         cut = DepGraph(g.nodes, g.edges)
-        removed = break_cycles(cut)
+        for e in back:
+            cut.remove_edge(e.user, e.used)
+        removed = back
         order = kahn_sort(cut)
         sorted_names = [g.nodes[k].name for k in order]
         organised, defs = organised_definitions(fm, order, cut)

@@ -392,6 +392,13 @@ def test_too_deep_nesting_is_a_located_error(shape, command, tmp_path, capsys):
     assert "Calculating declaration dependencies for module `M`..." in captured.out
 
 
+@pytest.mark.parametrize("argv", [["check"], ["check", "--debug"], ["sort", "--check"], ["dot"]])
+def test_an_unknown_type_name_is_the_same_error_under_every_command(argv, tmp_path, capsys):
+    (tmp_path / "u.vdmsl").write_text(_module("U", "types\n  T = Missing;"))
+    assert run(argv + ["u.vdmsl"]) == 1
+    assert capsys.readouterr().err == "u.vdmsl:4:7: unknown type name 'Missing'\n"
+
+
 # parentheses and plain calls are frames of the expression loop, not of the
 # interpreter, so their depth is bounded by nothing but memory
 NESTED = {

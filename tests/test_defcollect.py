@@ -218,13 +218,12 @@ def test_recursive_type_does_not_link_to_itself():
 
 
 def test_unknown_type_name_is_an_error_without_imports():
-    fm = _flat(
-        "module U\nexports all\ndefinitions\ntypes\n"
-        "    S = Missing;\n"
-        "end U\n"
-    )
     with pytest.raises(UnknownNameError):
-        type_dependency_links(fm)
+        _flat(
+            "module U\nexports all\ndefinitions\ntypes\n"
+            "    S = Missing;\n"
+            "end U\n"
+        )
 
 
 def test_unknown_type_name_is_assumed_imported_when_imports_exist():

@@ -11,8 +11,9 @@ from defsort.depgraph import (
     break_cycles,
     build_graph,
     find_cycles,
-    intra_scc_pairs,
     kahn_sort,
+    scc_labels,
+    search,
     start_points,
 )
 from defsort.diag import CycleError, Loc
@@ -100,7 +101,8 @@ def test_find_cycles_empty_on_acyclic_graph():
 
 def test_intra_scc_pairs_cover_both_directions():
     g = build_graph(collect(single_module("mutrec.vdmsl")))
-    pairs = {(u[1], v[1]) for u, v in intra_scc_pairs(g)}
+    labels = scc_labels(search(g)[0])
+    pairs = {(u[1], v[1]) for u in g.nodes for v in g.out(u) if labels[u] == labels[v]}
     assert pairs == {("f", "g"), ("g", "f")}
 
 

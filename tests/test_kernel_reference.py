@@ -3,7 +3,8 @@
 The references work on plain dicts of dependency lists: cycles are broken by
 restarting a recursive depth-first search from scratch after every cut,
 topological order picks the first ready node by rescanning all nodes, and
-components come from pairwise reachability.
+components come from pairwise reachability, or from Warshall's transitive
+closure.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defsort.defcollect import DefKind, DefNode, Namespace
-from defsort.depgraph import DepGraph, Edge, break_cycles, find_cycles, kahn_sort
+from defsort.depgraph import DepGraph, Edge, break_cycles, find_cycles, kahn_sort, scc_labels, search
 from defsort.diag import CycleError, Loc
 from defsort.modorder import build_module_graph, order_modules
 from defsort.syntax import parse_source
@@ -100,6 +101,16 @@ def ref_find_cycles(order, deps):
     return walks
 
 
+def ref_mutually_reachable(order, deps):
+    """Pairs (u, v), u == v included, where each reaches the other."""
+    reach = {(u, u) for u in order} | {(u, v) for u in order for v in deps[u]}
+    for k in order:
+        for u in order:
+            if (u, k) in reach:
+                reach |= {(u, v) for v in order if (k, v) in reach}
+    return {(u, v) for u, v in reach if (v, u) in reach}
+
+
 def _key(i):
     return (Namespace.FUNCTION, f"n{i}")
 
@@ -158,9 +169,19 @@ def test_find_cycles_and_kahn_on_unbroken_graphs_match_the_reference(graph):
         assert kahn_sort(g) == emitted
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_nodes_share_a_component_label_exactly_when_each_reaches_the_other(graph):
+    labels = scc_labels(search(kernel_graph(*graph))[0])
+    order, deps, _ = reference_graph(*graph)
+    same = {(u, v) for u in order for v in order if labels[u] == labels[v]}
+    assert same == ref_mutually_reachable(order, deps)
+
+
 def ref_order_modules(mods):
     mg, diags = build_module_graph(mods)
-    deps = {u: [v for v in mg.nodes if (u, v) in mg.edges] for u in mg.nodes}
+    pairs = {(e.user, e.used) for e in mg.edges}
+    deps = {u: [v for v in mg.nodes if (u, v) in pairs] for u in mg.nodes}
     cuts = ref_break_cycles(mg.nodes, deps)
     warnings = [str(d) for d in diags]
     for u, v in cuts:

@@ -19,6 +19,7 @@ from test_syntax_reference import dump
 
 from defsort import analyse, sort_module, verify_order
 from defsort.defcollect import collect
+from defsort.depgraph import break_cycles, build_graph
 from defsort.freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
 from defsort.modorder import order_modules
 from defsort.syntax import parse_source, print_module
@@ -61,6 +62,14 @@ def test_sorting_verifies_and_is_idempotent(m):
 def test_sorting_conserves_every_definition_text(m):
     out, _ = sort_module(m)
     assert Counter(d.verbatim for d in out.definitions) == Counter(d.verbatim for d in m.definitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_modules())
+def test_a_sort_cuts_what_break_cycles_cuts(m):
+    report = analyse(m).report
+    cuts = break_cycles(build_graph(collect(m))) if report.sorted else []
+    assert report.removed_edges == cuts
 
 
 @settings(max_examples=100, deadline=None)
