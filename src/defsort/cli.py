@@ -11,11 +11,9 @@ import argparse
 import gc
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 
 from .defcollect import collect
-from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, UnknownNameError
+from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, Record, UnknownNameError
 from .dotviz import emit_def_dot, emit_module_dot
 from .freevars import check_bodies, check_init_cycles
 from .modorder import build_module_graph, order_modules
@@ -55,13 +53,8 @@ def _report(exc: Exception, path: str) -> int:
     return 1
 
 
-@dataclass
-class ToolConfig:
-    output_dir: str = DEFAULTS["output.dir"]
-    dot_dir: str = DEFAULTS["dot.dir"]
-    dot_enabled: bool = False
-    debug: bool = False
-    check_only: bool = False
+class ToolConfig(Record):
+    __slots__ = ("output_dir", "dot_dir", "dot_enabled", "debug", "check_only")
 
 
 def load_properties(path: str):
@@ -128,13 +121,12 @@ def _write_atomic(path: str, text: str):
     concurrent runs never share one and readers never see half a file."""
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp", dir=parent)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(6).hex()}.tmp"
+    # the kernel applies the umask, so the file gets the mode open() would give
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would give; mkstemp gives 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -8,11 +8,10 @@ synthetic, trivially-true invariant node so that invariant totality holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import nodes as N
-from .diag import DuplicateNameError, Loc, Location, UnknownNameError
+from .diag import DuplicateNameError, Loc, Record, UnknownNameError
 from .nodes import pattern_names
 
 
@@ -42,13 +41,11 @@ CLAUSE_KINDS = frozenset(set(DefKind) - PRIMARY_KINDS)
 NodeKey = tuple
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Edge:
-    """`user` depends on `used`; the name properties assume definition keys."""
+class Edge(Record):
+    """`user` depends on `used`, two node keys; `at` is the earliest use site
+    witnessing the edge.  The name properties assume definition keys."""
 
-    user: NodeKey
-    used: NodeKey
-    at: Location  # earliest use site witnessing the edge
+    __slots__ = ("user", "used", "at")
 
     @property
     def user_name(self):
@@ -59,18 +56,21 @@ class Edge:
         return self.used[1]
 
 
-@dataclass(eq=False, slots=True)
-class DefNode:
-    name: str
-    namespace: Namespace
-    kind: DefKind
-    origin: str  # user definition this node was flattened from
-    synthetic: bool
-    location: Loc  # declaration location used for ordering and labels
-    bound: frozenset  # names the node's body may use without depending on them
-    def_index: int  # index into the source module's definition list
-    index: int  # collection order; synthesized nodes come after all user nodes
-    body: object  # Expr or None
+class DefNode(Record):
+    """One flattened node; two nodes are equal only when they are one.
+
+    `origin` is the user definition the node was flattened from, `location`
+    its declaration `Loc` (for ordering and labels), `bound` the names its
+    body may use without depending on them, `def_index` the index of its
+    definition in the source module, `index` its collection order
+    (synthesized nodes come after all user nodes) and `body` its
+    expression, or None.
+    """
+
+    __slots__ = ("name", "namespace", "kind", "origin", "synthetic", "location", "bound",
+                 "def_index", "index", "body")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def key(self) -> NodeKey:
@@ -84,15 +84,15 @@ class DefNode:
         return f"<DefNode {self.name} {self.kind.value}@{self.location.line}>"
 
 
-@dataclass
-class FlatModule:
-    module_name: str
-    nodes: list
-    original_names: list
-    source: N.SourceModule
+class FlatModule(Record):
+    __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key")
 
-    def __post_init__(self):
-        self._by_key = {n.key: n for n in self.nodes}
+    def __init__(self, module_name: str, nodes: list, original_names: list, source):
+        self.module_name = module_name
+        self.nodes = nodes
+        self.original_names = original_names
+        self.source = source
+        self._by_key = {n.key: n for n in nodes}
 
     def get(self, namespace: Namespace, name: str):
         return self._by_key.get((namespace, name))
@@ -177,9 +177,9 @@ def collect(m: N.SourceModule) -> FlatModule:
             add(mk(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node.name,
                    True, node.location, (), node.def_index, TRUE_LIT))
 
-    if not m.imports:  # a definition with no node (`- : T = e`) is not read
-        for di in dict.fromkeys(node.def_index for node in nodes):
-            for t in _signature_types(m.definitions[di]):
+    if not m.imports:
+        for d in m.definitions:
+            for t in _signature_types(d):
                 for ref in N.named_types(t):
                     if (Namespace.TYPE, ref.name) not in seen:
                         raise UnknownNameError(ref.name, ref.loc)

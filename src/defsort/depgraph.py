@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 from .defcollect import Edge, FlatModule, NodeKey, type_dependency_links
-from .diag import CycleError
+from .diag import CycleError, Record
 from .freevars import def_use_sites
 
 
@@ -68,12 +67,12 @@ def build_graph(fm: FlatModule) -> DepGraph:
     return g
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A closed walk through one strongly connected component."""
+class Cycle(Record):
+    """A closed walk through one strongly connected component: `keys` is
+    the walk of node keys, first == last, and `members` the same walk as
+    bare names."""
 
-    keys: tuple  # walk of node keys, first == last
-    members: tuple  # same walk as bare names
+    __slots__ = ("keys", "members")
 
     def __len__(self):
         return len(self.keys) - 1

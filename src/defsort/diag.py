@@ -1,9 +1,49 @@
-"""Source locations, spans and diagnostics shared by every stage."""
+"""Source locations, spans, diagnostics and the `Record` base of every value class."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
+
+# where a value sits in its source: never part of equality, hash or repr
+POSITION_FIELDS = frozenset({"loc", "name_loc", "span", "verbatim"})
+
+
+class Record:
+    """A plain slotted value class.
+
+    A subclass lists its fields once, in `__slots__`, and gets a constructor
+    that takes them in that order, positionally or by keyword.  Equality,
+    hash and repr read every field but the position fields above.  A slot
+    whose name starts with `_` is private state: the class sets it in its
+    own `__init__`, and it is not a field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = [s for s in cls.__slots__ if not s.startswith("_")]
+        cls._compared = tuple(f for f in fields if f not in POSITION_FIELDS)
+        # generated code, so a constructor costs what a hand-written one does
+        src = "def _key(self):\n    return (" + "".join(f"self.{f}, " for f in cls._compared) + ")\n"
+        if "__init__" not in cls.__dict__:
+            src += f"def __init__(self, {', '.join(fields)}):\n"
+            src += "".join(f"    self.{f} = {f}\n" for f in fields)
+        code: dict = {}
+        exec(compile(src, f"<record {cls.__qualname__}>", "exec"), {}, code)
+        for name, fn in code.items():
+            setattr(cls, name, fn)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({body})"
 
 
 @total_ordering
@@ -47,22 +87,14 @@ class Loc(Location):
         self.file = file
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """Half-open byte range [start_off, end_off) plus its endpoint locations."""
 
-    start: Location
-    end: Location
-    start_off: int
-    end_off: int
+    __slots__ = ("start", "end", "start_off", "end_off")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    at: Location
+class Diagnostic(Record):
+    __slots__ = ("severity", "code", "message", "at")  # severity: "error" | "warning"
 
     def __str__(self) -> str:
         return f"{self.at}: {self.severity}: {self.message} [{self.code}]"

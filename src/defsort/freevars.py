@@ -10,19 +10,13 @@ initialization-cycle errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import nodes as N
 from .defcollect import DefKind, FlatModule, Namespace
-from .diag import Diagnostic, Location
+from .diag import Diagnostic, Record
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class UseSite:
-    name: str
-    space: Namespace
-    at: Location
-    conditional: bool
+class UseSite(Record):
+    __slots__ = ("name", "space", "at", "conditional")
 
 
 _SCOPED = (N.Let, N.Quant, N.SetComp, N.SeqComp, N.MapComp)

@@ -1,383 +1,225 @@
 """AST for the VDM-SL module subset.
 
-Structural equality deliberately ignores locations, spans and verbatim text,
-so a module compares equal to the result of printing and reparsing it.
+Every syntax class is a `diag.Record`: a plain slotted class whose fields
+are its `__slots__`, with a generated constructor.  Structural equality,
+hash and repr ignore locations, spans and verbatim text, so a module
+compares equal to the result of printing and reparsing it.
 
-The classes built once per syntax node or definition are slotted and not
-frozen, because a frozen dataclass costs several times as much to build.
-The parser sets a definition's comments, span and text on the object it
-built, so a definition is built once; no later stage assigns to them.  Only
-modules stay frozen.
+Records are not frozen.  The parser sets a definition's comments, span and
+text on the object it built, so a definition is built once; no later stage
+assigns to them.  Only modules stay frozen dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
-from .diag import Location, Span
-
-
-def _pos():
-    # position-ish payload: never part of structural equality
-    return field(compare=False, repr=False)
-
+from .diag import Location, Record, Span
 
 # ── patterns ──────────────────────────────────────────────────────────────
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PatName:
-    name: str
-    loc: Location = _pos()
+class PatName(Record):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PatIgnore:
-    loc: Location = _pos()
+class PatIgnore(Record):
+    __slots__ = ("loc",)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PatSeq:
-    items: tuple
-    loc: Location = _pos()
+class PatSeq(Record):
+    __slots__ = ("items", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PatSet:
-    items: tuple
-    loc: Location = _pos()
+class PatSet(Record):
+    __slots__ = ("items", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PatCtor:
-    type_name: str
-    items: tuple
-    loc: Location = _pos()
-
-
-Pattern = Union[PatName, PatIgnore, PatSeq, PatSet, PatCtor]
+class PatCtor(Record):
+    __slots__ = ("type_name", "items", "loc")
 
 
 # ── type expressions ──────────────────────────────────────────────────────
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TBasic:
-    name: str  # nat nat1 int real bool char token
-    loc: Location = _pos()
+class TBasic(Record):
+    __slots__ = ("name", "loc")  # name: nat nat1 int real bool char token
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TQuote:
-    name: str
-    loc: Location = _pos()
+class TQuote(Record):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TNamed:
-    name: str
-    loc: Location = _pos()
+class TNamed(Record):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TSeq:
-    elem: "TypeExpr"
-    loc: Location = _pos()
+class TSeq(Record):
+    __slots__ = ("elem", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TSeq1:
-    elem: "TypeExpr"
-    loc: Location = _pos()
+class TSeq1(Record):
+    __slots__ = ("elem", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TSet:
-    elem: "TypeExpr"
-    loc: Location = _pos()
+class TSet(Record):
+    __slots__ = ("elem", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TMap:
-    key: "TypeExpr"
-    val: "TypeExpr"
-    loc: Location = _pos()
+class TMap(Record):
+    __slots__ = ("key", "val", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TOptional:
-    elem: "TypeExpr"
-    loc: Location = _pos()
+class TOptional(Record):
+    __slots__ = ("elem", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TUnion:
+class TUnion(Record):
     # parser flattens nested unions; always two or more members
-    members: tuple
-    loc: Location = _pos()
-
-
-TypeExpr = Union[TBasic, TQuote, TNamed, TSeq, TSeq1, TSet, TMap, TOptional, TUnion]
+    __slots__ = ("members", "loc")
 
 
 # ── expressions ───────────────────────────────────────────────────────────
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Lit:
-    kind: str  # nat real bool char quote nil
-    value: object
-    loc: Location = _pos()
+class Lit(Record):
+    __slots__ = ("kind", "value", "loc")  # kind: nat real bool char quote nil
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Name:
-    name: str
-    loc: Location = _pos()
+class Name(Record):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Apply:
-    callee: str
-    args: tuple
-    loc: Location = _pos()
+class Apply(Record):
+    __slots__ = ("callee", "args", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Unary:
-    op: str
-    operand: "Expr"
-    loc: Location = _pos()
+class Unary(Record):
+    __slots__ = ("op", "operand", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    loc: Location = _pos()
+class Binary(Record):
+    __slots__ = ("op", "left", "right", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class If:
-    cond: "Expr"
-    then: "Expr"
-    elifs: tuple  # of (cond, expr)
-    els: "Expr"
-    loc: Location = _pos()
+class If(Record):
+    __slots__ = ("cond", "then", "elifs", "els", "loc")  # elifs: (cond, expr) pairs
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class LetBind:
-    pattern: Pattern
-    decl_type: Optional[TypeExpr]
-    init: "Expr"
-    loc: Location = _pos()
+class LetBind(Record):
+    __slots__ = ("pattern", "decl_type", "init", "loc")  # decl_type may be None
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Let:
-    binds: tuple  # of LetBind, bound sequentially
-    body: "Expr"
-    loc: Location = _pos()
+class Let(Record):
+    __slots__ = ("binds", "body", "loc")  # binds: LetBinds, bound sequentially
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Bind:
-    """`pattern in set expr` or `pattern : type` in quantifiers/comprehensions."""
+class Bind(Record):
+    """`pattern in set expr` or `pattern : type` in quantifiers/comprehensions:
+    `domain` is the set expression of a set bind and `decl_type` the type of
+    a type bind; the other is None."""
 
-    pattern: Pattern
-    domain: Optional["Expr"]  # the set expression, if a set bind
-    decl_type: Optional[TypeExpr]  # the type, if a type bind
-    loc: Location = _pos()
+    __slots__ = ("pattern", "domain", "decl_type", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Quant:
-    which: str  # forall | exists
-    binds: tuple
-    body: "Expr"
-    loc: Location = _pos()
+class Quant(Record):
+    __slots__ = ("which", "binds", "body", "loc")  # which: forall | exists
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SetEnum:
-    items: tuple
-    loc: Location = _pos()
+class SetEnum(Record):
+    __slots__ = ("items", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SeqEnum:
-    items: tuple
-    loc: Location = _pos()
+class SeqEnum(Record):
+    __slots__ = ("items", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class MapEnum:
-    maplets: tuple  # of (key, value)
-    loc: Location = _pos()
+class MapEnum(Record):
+    __slots__ = ("maplets", "loc")  # maplets: (key, value) pairs
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SetComp:
-    elem: "Expr"
-    binds: tuple
-    pred: Optional["Expr"]
-    loc: Location = _pos()
+class SetComp(Record):
+    __slots__ = ("elem", "binds", "pred", "loc")  # pred may be None
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SeqComp:
-    elem: "Expr"
-    binds: tuple
-    pred: Optional["Expr"]
-    loc: Location = _pos()
+class SeqComp(Record):
+    __slots__ = ("elem", "binds", "pred", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class MapComp:
-    key: "Expr"
-    val: "Expr"
-    binds: tuple
-    pred: Optional["Expr"]
-    loc: Location = _pos()
+class MapComp(Record):
+    __slots__ = ("key", "val", "binds", "pred", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Is:
-    expr: "Expr"
-    type: TypeExpr
-    loc: Location = _pos()
+class Is(Record):
+    __slots__ = ("expr", "type", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FieldSel:
-    expr: "Expr"
-    field: str
-    loc: Location = _pos()
+class FieldSel(Record):
+    __slots__ = ("expr", "field", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class MkCtor:
-    type_name: str
-    args: tuple
-    loc: Location = _pos()
+class MkCtor(Record):
+    __slots__ = ("type_name", "args", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class BuiltinApp:
-    op: str  # hd tl len elems card dom rng inds
-    args: tuple
-    loc: Location = _pos()
-
-
-Expr = Union[
-    Lit, Name, Apply, Unary, Binary, If, Let, Quant,
-    SetEnum, SeqEnum, MapEnum, SetComp, SeqComp, MapComp,
-    Is, FieldSel, MkCtor, BuiltinApp,
-]
+class BuiltinApp(Record):
+    __slots__ = ("op", "args", "loc")  # op: hd tl len elems card dom rng inds
 
 
 # ── definitions ───────────────────────────────────────────────────────────
+# Optional parts (an invariant, a declared type, a precondition …) are None
+# when absent.  `name_loc` is where the name, or a value's pattern, starts.
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class InvClause:
-    pattern: Pattern
-    expr: Expr
-    loc: Location = _pos()
+class InvClause(Record):
+    __slots__ = ("pattern", "expr", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class EqClause:
-    left: Pattern
-    right: Pattern
-    expr: Expr
-    loc: Location = _pos()
+class EqClause(Record):
+    __slots__ = ("left", "right", "expr", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class OrdClause:
-    left: Pattern
-    right: Pattern
-    expr: Expr
-    loc: Location = _pos()
+class OrdClause(Record):
+    __slots__ = ("left", "right", "expr", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RecordField:
-    name: str
-    type: TypeExpr
-    loc: Location = _pos()
+class RecordField(Record):
+    __slots__ = ("name", "type", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RecordTypeDef:
-    name: str
-    fields: tuple
-    inv: Optional[InvClause]
-    doc_comments: tuple
-    name_loc: Location = _pos()
-    span: Span = _pos()
-    verbatim: str = _pos()
+class RecordTypeDef(Record):
+    __slots__ = ("name", "fields", "inv", "doc_comments", "name_loc", "span", "verbatim")
 
     section = "types"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class NamedTypeDef:
-    name: str
-    rhs: TypeExpr
-    inv: Optional[InvClause]
-    eq: Optional[EqClause]
-    ord: Optional[OrdClause]
-    doc_comments: tuple
-    name_loc: Location = _pos()
-    span: Span = _pos()
-    verbatim: str = _pos()
+class NamedTypeDef(Record):
+    __slots__ = ("name", "rhs", "inv", "eq", "ord", "doc_comments", "name_loc", "span", "verbatim")
 
     section = "types"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ValueDef:
-    pattern: Pattern
-    decl_type: Optional[TypeExpr]
-    init: Expr
-    doc_comments: tuple
-    name_loc: Location = _pos()  # location of the pattern
-    span: Span = _pos()
-    verbatim: str = _pos()
+class ValueDef(Record):
+    __slots__ = ("pattern", "decl_type", "init", "doc_comments", "name_loc", "span", "verbatim")
 
     section = "values"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FuncDef:
-    name: str
-    param_types: tuple
-    ret_type: TypeExpr
-    params: tuple  # one pattern per domain component
-    body: Expr
-    pre: Optional[Expr]
-    post: Optional[Expr]
-    measure: Optional[Expr]
-    doc_comments: tuple
-    name_loc: Location = _pos()
-    span: Span = _pos()
-    verbatim: str = _pos()
+class FuncDef(Record):
+    # params: one pattern per domain component
+    __slots__ = ("name", "param_types", "ret_type", "params", "body", "pre", "post", "measure",
+                 "doc_comments", "name_loc", "span", "verbatim")
 
     section = "functions"
 
 
-Definition = Union[RecordTypeDef, NamedTypeDef, ValueDef, FuncDef]
+class ImportRef(Record):
+    __slots__ = ("module", "loc")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ImportRef:
-    module: str
-    loc: Location = _pos()
+def _pos():
+    # position-ish payload: never part of structural equality
+    return field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -390,6 +232,8 @@ class SourceModule:
     name_loc: Location = _pos()
     span: Span = _pos()
     text: str = _pos()  # exact source slice of the whole module
+
+
 
 
 # ── walkers ───────────────────────────────────────────────────────────────

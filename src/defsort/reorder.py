@@ -9,21 +9,21 @@ idempotent: a sorted module reports nothing and is returned untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import nodes as N
 from .defcollect import PRIMARY_KINDS, DefKind, FlatModule, Namespace, collect
 from .depgraph import DepGraph, build_graph, kahn_sort, scc_labels, search, start_points
+from .diag import Record
 from .syntax import parse_source, print_module
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ForwardRef:
-    """A definition that uses a name declared only further down the module."""
+class ForwardRef(Record):
+    """A definition that uses a name declared only further down the module:
+    `user` is the DefNode charged with the early use, `used` the DefNode
+    declared later."""
 
-    user: object  # DefNode charged with the early use
-    used: object  # DefNode declared later
-    module: str
+    __slots__ = ("user", "used", "module")
 
     @property
     def message(self) -> str:
@@ -106,16 +106,9 @@ def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) 
     return found
 
 
-@dataclass
-class SortReport:
-    module_name: str
-    original_names: list
-    start_points: list
-    sorted_names: list
-    organised_names: list
-    forward_refs: list
-    removed_edges: list
-    sorted: bool
+class SortReport(Record):
+    __slots__ = ("module_name", "original_names", "start_points", "sorted_names",
+                 "organised_names", "forward_refs", "removed_edges", "sorted")
 
 
 def organised_definitions(fm: FlatModule, order: list, g: DepGraph):
@@ -133,14 +126,12 @@ def organised_definitions(fm: FlatModule, order: list, g: DepGraph):
     return names, [fm.source.definitions[i] for i in [*placed, *nameless]]
 
 
-@dataclass
-class Analysis:
-    """Everything the commands need to know about one module."""
+class Analysis(Record):
+    """Everything the commands need to know about one module: its `graph`
+    is from before any cycle is broken, and `text` is the rewritten module,
+    or None when no rewrite is needed."""
 
-    flat: FlatModule
-    graph: DepGraph  # before any cycle is broken
-    report: SortReport
-    text: str | None  # the rewritten module, or None when no rewrite is needed
+    __slots__ = ("flat", "graph", "report", "text")
 
 
 def analyse(m: N.SourceModule) -> Analysis:

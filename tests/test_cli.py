@@ -2,6 +2,7 @@
 
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -327,6 +328,17 @@ def test_write_atomic_removes_its_temp_file_on_failure(tmp_path):
     assert os.listdir(tmp_path) == ["M.vdmsl"]
 
 
+def test_a_written_file_gets_the_mode_open_would_give(tmp_path):
+    target = tmp_path / "out" / "M.vdmsl"
+    old = os.umask(0o027)
+    try:
+        _write_atomic(str(target), "module M\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+    assert os.listdir(tmp_path / "out") == ["M.vdmsl"]
+
+
 @pytest.mark.parametrize("argv, blocked, written", [
     (["sort", "--output", "out"], "out/M.vdmsl", ["out/mutrec.vdmsl"]),
     (["sort", "--output", "out", "--dot", "out"], "out/M.dot", ["out/MUTREC.dot", "out/mutrec.vdmsl"]),
@@ -397,6 +409,14 @@ def test_an_unknown_type_name_is_the_same_error_under_every_command(argv, tmp_pa
     (tmp_path / "u.vdmsl").write_text(_module("U", "types\n  T = Missing;"))
     assert run(argv + ["u.vdmsl"]) == 1
     assert capsys.readouterr().err == "u.vdmsl:4:7: unknown type name 'Missing'\n"
+
+
+@pytest.mark.parametrize("argv", [["sort"], ["check"], ["check", "--debug"]])
+def test_an_unknown_type_name_in_a_value_that_binds_no_name_is_an_error(argv, tmp_path, capsys):
+    (tmp_path / "v.vdmsl").write_text(_module("V", "values\n  - : Missing = 1;"))
+    assert run(argv + ["v.vdmsl"]) == 1
+    assert capsys.readouterr().err == "v.vdmsl:4:7: unknown type name 'Missing'\n"
+    assert not (tmp_path / ".generated").exists()
 
 
 # parentheses and plain calls are frames of the expression loop, not of the

@@ -226,6 +226,17 @@ def test_unknown_type_name_is_an_error_without_imports():
         )
 
 
+def test_unknown_type_name_is_an_error_in_a_value_that_binds_no_name():
+    # such a value has no node, but its declared type is read all the same
+    with pytest.raises(UnknownNameError) as err:
+        _flat(
+            "module U\nexports all\ndefinitions\nvalues\n"
+            "    - : Missing = 1;\n"
+            "end U\n"
+        )
+    assert (err.value.name, err.value.at.line, err.value.at.col) == ("Missing", 5, 9)
+
+
 def test_unknown_type_name_is_assumed_imported_when_imports_exist():
     fm = _flat(
         "module U\nexports all\nimports from LIB all\ndefinitions\ntypes\n"

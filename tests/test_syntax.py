@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import glob
 import os
 import signal
@@ -9,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from defsort import nodes as N
-from defsort.diag import Loc, ParseError
+from defsort.diag import Loc, ParseError, Record
 from defsort.syntax import Token, lex, parse_source, print_module
 from test_syntax_reference import ref_definition_exprs, ref_lex
 
@@ -290,19 +289,19 @@ def test_loc_compares_hashes_and_prints_by_value():
 
 def _located(m):
     """(node, location) for every definition, clause, bind, expression, type
-    and pattern of a module, walked through the dataclass fields."""
+    and pattern of a module, walked through the record slots."""
     found = [(m, m.name_loc)]
     stack = [*m.imports, *m.definitions]
     while stack:
         x = stack.pop()
         if isinstance(x, (tuple, list)):
             stack.extend(x)
-        elif dataclasses.is_dataclass(x):
-            for f in dataclasses.fields(x):
-                if f.name in ("loc", "name_loc"):
-                    found.append((x, getattr(x, f.name)))
-                elif f.name not in ("span", "doc_comments", "verbatim"):
-                    stack.append(getattr(x, f.name))
+        elif isinstance(x, Record):
+            for name in x.__slots__:
+                if name in ("loc", "name_loc"):
+                    found.append((x, getattr(x, name)))
+                elif name not in ("span", "doc_comments", "verbatim"):
+                    stack.append(getattr(x, name))
     return found
 
 

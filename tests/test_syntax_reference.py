@@ -12,14 +12,13 @@ diagnostics.
 
 import dataclasses
 import pathlib
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
-from defsort.diag import Diagnostic, DuplicateNameError, Loc, Location, ParseError
+from defsort.diag import Diagnostic, DuplicateNameError, Loc, Location, ParseError, Record
 from defsort.freevars import (
     UseSite,
     check_duplicate_binds,
@@ -152,8 +151,9 @@ class RefParser(_Parser):
         end_off = self.last().end
         span = self._make_span(leading[0] if leading else first, end_off)
         docs = tuple(c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc"))
-        return replace(core, doc_comments=docs, span=span,
-                       verbatim=self.text[span.start_off : span.end_off])
+        core.doc_comments, core.span = docs, span
+        core.verbatim = self.text[span.start_off : span.end_off]
+        return core
 
     def parse_expr(self):
         return self.parse_iff()
@@ -548,7 +548,9 @@ def ref_precondition_calls(m, fm):
 
 def dump(x):
     """A value's full structure, the fields equality ignores included."""
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Record):
+        return (type(x).__name__,) + tuple(dump(getattr(x, name)) for name in x.__slots__)
+    if dataclasses.is_dataclass(x):  # a module
         return (type(x).__name__,) + tuple(dump(getattr(x, f.name)) for f in dataclasses.fields(x))
     if isinstance(x, (tuple, list)):
         return tuple(dump(v) for v in x)
