@@ -11,12 +11,14 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 
 from .defcollect import collect
 from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, Record, UnknownNameError
 from .dotviz import emit_def_dot, emit_module_dot
 from .freevars import check_bodies, check_init_cycles
 from .modorder import build_module_graph, order_modules
+from .nodes import ImportRef, SourceModule
 from .reorder import analyse
 from .syntax import parse_source, print_module
 
@@ -44,10 +46,12 @@ _ERRORS = (ParseError, DuplicateNameError, UnknownNameError, CycleError, _Output
 def _report(exc: Exception, path: str) -> int:
     """Print the error line for an exception that stopped `path`; returns 1.
 
-    Any other exception is a fault of defsort's, reported as an internal
-    error so that the remaining files still run."""
+    An unreadable file gives its reason; any other exception is a fault of
+    defsort's, reported as an internal error so the remaining files still run."""
     if isinstance(exc, _ERRORS):
         print(str(exc), file=sys.stderr)
+    elif isinstance(exc, (OSError, UnicodeDecodeError)):
+        print(f"{path}: error: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
     else:
         print(f"{path}: error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 1
@@ -133,39 +137,47 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _write(path: str, text: str):
-    """_write_atomic, with a failure raised as an error line naming `path`."""
+def _write(path: str, text: str, written: dict, source: str):
+    """_write_atomic, with a failure raised as an error line naming `path`;
+    `written` maps each path the run wrote to its input, as none is written twice."""
+    key = os.path.abspath(path)
+    if key in written:
+        raise _OutputError(f"{path}: error: already written in this run, for {written[key]}")
     try:
         _write_atomic(path, text)
     except OSError as exc:
         raise _OutputError(f"{path}: error: {exc.strerror or exc}") from None
+    written[key] = source
 
 
-def _report_unreadable(path: str, exc: Exception):
-    print(f"{path}: error: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+def _run_file(path: str, handle) -> int:
+    """Parse one file and hand its modules to `handle(path, mods)`; returns its
+    error count.  All the file's text, trees and analyses are freed on return."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
+            mods = parse_source(f.read(), path)
+    except Exception as exc:
+        return _report(exc, path)
+    return handle(path, mods)
 
 
-def _parse_files(paths):
-    """-> (list of (path, modules), error count); errors are printed."""
-    parsed: list = []
-    errors = 0
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
-                text = f.read()
-            parsed.append((path, parse_source(text, path)))
-        except (OSError, UnicodeDecodeError) as exc:
-            _report_unreadable(path, exc)
-            errors += 1
-        except Exception as exc:
-            errors += _report(exc, path)
-    return parsed, errors
+def _run_files(paths, handle) -> int:
+    """1 when any of `paths`, handled in the order given, had an error, else 0."""
+    return 1 if sum(_run_file(path, handle) for path in paths) else 0
 
 
-def _emit_module_dot_file(cfg: ToolConfig, a) -> str:
+def _header(m) -> SourceModule:
+    """What `order` and `dot` keep of a module across files: its name, the
+    names it imports and its name location, as a `Loc` that holds no token."""
+    imports = tuple(ImportRef(imp.module, None) for imp in m.imports)
+    at = Loc(m.name_loc.line, m.name_loc.col, m.file)
+    return SourceModule(m.name, m.exports_all, imports, (), m.file, at, None, "")
+
+
+def _emit_module_dot_file(cfg: ToolConfig, a, written: dict, source: str) -> str:
     """Write one module's definition graph; returns the file path."""
     path = os.path.join(cfg.dot_dir, f"{a.flat.module_name}.dot")
-    _write(path, emit_def_dot(a.graph, a.report))
+    _write(path, emit_def_dot(a.graph, a.report), written, source)
     return path
 
 
@@ -192,25 +204,27 @@ def _trace_lines(report, dot_path=None) -> list:
     return lines
 
 
+def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
+    texts: list = []
+    any_sorted = False
+    try:
+        for m in mods:
+            a = analyse(m)
+            dot_path = _emit_module_dot_file(cfg, a, written, path) if cfg.dot_enabled else None
+            lines = _trace_lines(a.report, dot_path)  # the last line is the status
+            for line in lines if cfg.debug else lines[-1:]:
+                print(line)
+            any_sorted = any_sorted or a.report.sorted
+            texts.append(a.text or print_module(m))
+        if any_sorted and not cfg.check_only:
+            _write(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts), written, path)
+    except Exception as exc:
+        return _report(exc, path)
+    return 0
+
+
 def _cmd_sort(cfg: ToolConfig, paths) -> int:
-    parsed, errors = _parse_files(paths)
-    for path, mods in parsed:
-        texts: list = []
-        any_sorted = False
-        try:
-            for m in mods:
-                a = analyse(m)
-                dot_path = _emit_module_dot_file(cfg, a) if cfg.dot_enabled else None
-                lines = _trace_lines(a.report, dot_path)  # the last line is the status
-                for line in lines if cfg.debug else lines[-1:]:
-                    print(line)
-                any_sorted = any_sorted or a.report.sorted
-                texts.append(a.text or print_module(m))
-            if any_sorted and not cfg.check_only:
-                _write(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts))
-        except Exception as exc:
-            errors += _report(exc, path)
-    return 1 if errors else 0
+    return _run_files(paths, partial(_sort_file, cfg, {}))
 
 
 def _module_diagnostics(m, fm) -> list:
@@ -220,33 +234,41 @@ def _module_diagnostics(m, fm) -> list:
     return diags
 
 
+def _check_file(cfg: ToolConfig, path: str, mods) -> int:
+    errors = 0
+    for m in mods:
+        try:
+            if cfg.debug:
+                a = analyse(m)
+                fm, lines = a.flat, _trace_lines(a.report)
+            else:
+                fm, lines = collect(m), []
+            diags = _module_diagnostics(m, fm)
+        except Exception as exc:
+            errors += _report(exc, path)
+            continue
+        for line in lines + [str(d) for d in diags]:
+            print(line)
+        errors += sum(1 for d in diags if d.severity == "error")
+    return errors
+
+
 def _cmd_check(cfg: ToolConfig, paths) -> int:
-    parsed, errors = _parse_files(paths)
-    for path, mods in parsed:
-        for m in mods:
-            try:
-                if cfg.debug:
-                    a = analyse(m)
-                    fm, lines = a.flat, _trace_lines(a.report)
-                else:
-                    fm, lines = collect(m), []
-                diags = _module_diagnostics(m, fm)
-            except Exception as exc:
-                errors += _report(exc, path)
-                continue
-            for line in lines + [str(d) for d in diags]:
-                print(line)
-            errors += sum(1 for d in diags if d.severity == "error")
-    return 1 if errors else 0
+    return _run_files(paths, partial(_check_file, cfg))
+
+
+def _keep_headers(headers: list, path: str, mods) -> int:
+    """`order`'s file handler: keeps each module's header, and finds no error."""
+    headers += map(_header, mods)
+    return 0
 
 
 def _cmd_order(cfg: ToolConfig, paths) -> int:
-    parsed, errors = _parse_files(paths)
-    if errors:
+    headers: list = []
+    if _run_files(paths, partial(_keep_headers, headers)):
         return 1
-    mods = [m for _, file_mods in parsed for m in file_mods]
     try:
-        ordered, _, warnings = order_modules(mods)
+        ordered, _, warnings = order_modules(headers)
     except Exception as exc:  # no one file is at fault
         return _report(exc, "defsort")
     for w in warnings:
@@ -256,27 +278,33 @@ def _cmd_order(cfg: ToolConfig, paths) -> int:
     return 0
 
 
-def _cmd_dot(cfg: ToolConfig, paths) -> int:
-    parsed, errors = _parse_files(paths)
-    mods = [m for _, file_mods in parsed for m in file_mods]
+def _dot_file(cfg: ToolConfig, written: dict, headers: list, path: str, mods) -> int:
+    errors = _keep_headers(headers, path, mods)
     for m in mods:
         try:
-            path = _emit_module_dot_file(cfg, analyse(m))
+            dot_path = _emit_module_dot_file(cfg, analyse(m), written, path)
         except Exception as exc:
-            errors += _report(exc, m.file)
+            errors += _report(exc, path)
             continue
-        print(f"Printed dependencies for module {m.name}.dot at {path}")
-    if mods:
+        print(f"Printed dependencies for module {m.name}.dot at {dot_path}")
+    return errors
+
+
+def _cmd_dot(cfg: ToolConfig, paths) -> int:
+    written: dict = {}
+    headers: list = []
+    errors = _run_files(paths, partial(_dot_file, cfg, written, headers))
+    if headers:
         path = os.path.join(cfg.dot_dir, "modules.dot")
         try:
-            mg, warnings = build_module_graph(mods)
+            mg, warnings = build_module_graph(headers)
             for w in warnings:
                 print(str(w), file=sys.stderr)
-            _write(path, emit_module_dot(mg))
+            _write(path, emit_module_dot(mg), written, "the import graph")
         except Exception as exc:
             return _report(exc, path)
         print(f"Printed module imports at {path}")
-    return 1 if errors else 0
+    return errors
 
 
 # every command reads --debug and --properties; these are all the flags
@@ -327,7 +355,7 @@ def run(argv=None) -> int:
     try:
         cfg, warnings = resolve_config(args)
     except (OSError, UnicodeDecodeError) as exc:  # an unreadable properties file
-        _report_unreadable(args.properties or DEFAULT_PROPERTIES_FILE, exc)
+        _report(exc, args.properties or DEFAULT_PROPERTIES_FILE)
         return 2
     for w in warnings:
         print(str(w), file=sys.stderr)

@@ -64,17 +64,18 @@ class DefNode(Record):
     body may use without depending on them, `def_index` the index of its
     definition in the source module, `index` its collection order
     (synthesized nodes come after all user nodes) and `body` its
-    expression, or None.
+    expression, or None.  Its key is built once, so graphs share the tuple.
     """
 
     __slots__ = ("name", "namespace", "kind", "origin", "synthetic", "location", "bound",
-                 "def_index", "index", "body")
+                 "def_index", "index", "body", "_node_key")
+    _derived = {"_node_key": "(namespace, name)"}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     @property
     def key(self) -> NodeKey:
-        return (self.namespace, self.name)
+        return self._node_key
 
     @property
     def is_clause(self) -> bool:
@@ -211,5 +212,5 @@ def type_dependency_links(fm: FlatModule) -> list:
                 used = (Namespace.TYPE, ref.name)
                 # a recursive type does not order against itself
                 if used != node.key and used in fm._by_key:
-                    links.append(Edge(node.key, used, ref.loc))
+                    links.append(Edge(node.key, fm._by_key[used].key, ref.loc))
     return links

@@ -14,8 +14,8 @@ class Record:
     A subclass lists its fields once, in `__slots__`, and gets a constructor
     that takes them in that order, positionally or by keyword.  Equality,
     hash and repr read every field but the position fields above.  A slot
-    whose name starts with `_` is private state: the class sets it in its
-    own `__init__`, and it is not a field.
+    whose name starts with `_` is private state, not a field: the class's own
+    `__init__` sets it, or `_derived` maps it to an expression of the fields.
     """
 
     __slots__ = ()
@@ -28,6 +28,7 @@ class Record:
         if "__init__" not in cls.__dict__:
             src += f"def __init__(self, {', '.join(fields)}):\n"
             src += "".join(f"    self.{f} = {f}\n" for f in fields)
+            src += "".join(f"    self.{s} = {e}\n" for s, e in cls.__dict__.get("_derived", {}).items())
         code: dict = {}
         exec(compile(src, f"<record {cls.__qualname__}>", "exec"), {}, code)
         for name, fn in code.items():

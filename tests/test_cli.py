@@ -1,10 +1,12 @@
 """End-to-end command behaviour: trace output, config resolution, files."""
 
+import contextlib
 import os
 import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -677,3 +679,107 @@ def test_one_walk_equals_the_separate_checks_on_generated_modules(values, body, 
     except (ParseError, DuplicateNameError):
         return
     assert cli._module_diagnostics(m, fm) == _separate_checks(m, fm)
+
+
+# ── one file at a time ────────────────────────────────────────────────────
+
+
+def _write_file(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return str(path)
+
+
+def test_a_second_output_file_of_one_base_name_is_an_error(tmp_path, capsys):
+    first = _write_file(tmp_path / "x" / "M.vdmsl", (CORPUS / "M.vdmsl").read_text())
+    second = _write_file(tmp_path / "y" / "M.vdmsl",
+                         (CORPUS / "M.vdmsl").read_text().replace("M\n", "N\n"))
+    code = run(["sort", "--output", "out", first, second])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["Exu successfully sorted module M definitions",
+                                         "Exu successfully sorted module N definitions"]
+    out = os.path.join("out", "M.vdmsl")
+    assert captured.err == f"{out}: error: already written in this run, for {first}\n"
+    assert os.listdir(tmp_path / "out") == ["M.vdmsl"]
+    assert parse_source((tmp_path / out).read_text())[0].name == "M"
+
+
+def test_a_second_dot_file_of_one_module_name_is_an_error(tmp_path, capsys):
+    first = _write_file(tmp_path / "a.vdmsl", _module("S", "values\n  x = y;\n  y = 1;"))
+    second = _write_file(tmp_path / "b.vdmsl", _module("S", "values\n  p = 1;"))
+    code = run(["sort", "--check", "--dot", "dots", first, second])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "Exu successfully sorted module S definitions\n"
+    dot = os.path.join("dots", "S.dot")
+    assert captured.err == f"{dot}: error: already written in this run, for {first}\n"
+    assert os.listdir(tmp_path / "dots") == ["S.dot"]
+    assert '"x" -> "y";' in (tmp_path / dot).read_text()
+
+
+def test_the_import_graph_does_not_overwrite_a_module_named_modules(tmp_path, capsys):
+    source = _write_file(tmp_path / "m.vdmsl", _module("modules", "values\n  x = y;\n  y = 1;"))
+    code = run(["dot", "--dot", "graphs", source])
+    captured = capsys.readouterr()
+    assert code == 1
+    dot = os.path.join("graphs", "modules.dot")
+    assert captured.out == f"Printed dependencies for module modules.dot at {dot}\n"
+    assert captured.err == f"{dot}: error: already written in this run, for {source}\n"
+    assert '"x" -> "y";' in (tmp_path / dot).read_text()
+
+
+@pytest.mark.parametrize("argv", [["sort"], ["sort", "--dot", "dots"], ["check"],
+                                  ["check", "--debug"], ["dot", "--dot", "dots"]])
+def test_errors_are_reported_in_file_order(argv, tmp_path, capsys):
+    """A file whose analysis fails, then one that does not parse: the errors
+    come in that order, and only `dot` writes anything (the import graph)."""
+    unknown = _write_file(tmp_path / "u.vdmsl", _module("U", "types\n  T = Missing;"))
+    broken = _write_file(tmp_path / "bad.vdmsl", "module Broken\n")
+    with pytest.raises(ParseError) as parse_error:
+        parse_source("module Broken\n", broken)
+    assert run(argv + [unknown, broken]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{unknown}:4:7: unknown type name 'Missing'\n{parse_error.value}\n"
+    graph = os.path.join("dots", "modules.dot")
+    assert captured.out == (cli.BANNER + "\n") * ("--debug" in argv) + (
+        f"Printed module imports at {graph}\n" * (argv[0] == "dot"))
+    assert sorted(os.listdir(tmp_path)) == ["bad.vdmsl"] + ["dots"] * (argv[0] == "dot") + ["u.vdmsl"]
+
+
+def _copy(i, n=14):
+    """A module that sorts, checks and imports the copy before it."""
+    lines = [f"module COPY{i}"] + [f"imports from COPY{i - 1} all"] * (i > 0)
+    lines += ["definitions", "types"]
+    lines += [f"    T{k} = seq of T{k + 1} inv t == len t < {k + 3};" for k in range(n)]
+    lines += [f"    T{n} = nat;", "functions"]
+    for k in range(n):
+        lines += [f"    f{k}: T{k} -> nat",
+                  f"    f{k}(x) == if len x > {k} then f{k + 1}([]) + {k} else let y = {k} in y"
+                  " pre len x < 9;"]
+    lines += [f"    f{n}: T{n} -> nat", f"    f{n}(x) == x;", f"end COPY{i}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["sort", "--output", "out"],
+                                  ["sort", "--output", "out", "--dot", "dots"],
+                                  ["check"], ["order"], ["dot", "--dot", "dots"]])
+def test_memory_does_not_grow_with_the_number_of_files(argv, tmp_path):
+    """Each file is read, analysed and written before the next is read, so
+    eight distinct modules take no more memory than the largest of them."""
+    paths = [_write_file(tmp_path / f"copy{i}.vdmsl", _copy(i)) for i in range(8)]
+
+    def peak(files):
+        tracemalloc.start()
+        try:
+            run(argv + files)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # printed lines go straight to a file: captured or buffered output
+    # would grow with the number of files
+    with open(os.devnull, "w", buffering=1) as sink, contextlib.redirect_stdout(sink):
+        run(argv + paths)  # imports, caches and output directories come first
+        one, eight = peak(paths[:1]), peak(paths)
+    assert eight <= 1.2 * one, (one, eight)

@@ -246,3 +246,14 @@ def test_unknown_type_name_is_assumed_imported_when_imports_exist():
     pairs = [(l.user_name, l.used_name) for l in type_dependency_links(fm)]
     assert ("S", "Missing") not in pairs
     assert ("S", "inv_S") in pairs
+
+
+def test_a_node_builds_its_key_once_and_the_graph_shares_it():
+    from defsort.depgraph import build_graph
+
+    fm = collect(single_module("M.vdmsl"))
+    keys = {id(n.key): n for n in fm.nodes}
+    assert all(n.key is n.key and n.key == (n.namespace, n.name) for n in fm.nodes)
+    g = build_graph(fm)
+    assert g.edges and all(id(k) in keys for k in g.nodes)
+    assert all(id(e.user) in keys and id(e.used) in keys for e in g.edges)

@@ -94,7 +94,8 @@ def test_a_def_node_is_equal_only_to_itself():
 
 
 # `python -I -S`: no site packages and no environment, so nothing but the
-# CLI's own imports is loaded
+# CLI's own imports is loaded; `-B`, as `-I` ignores PYTHONDONTWRITEBYTECODE
+# and the run must leave no bytecode cache in the source tree
 FOOTPRINT = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -109,7 +110,7 @@ print(sorted(f"{c.__module__}.{c.__qualname__}"
 
 def test_importing_the_cli_loads_no_more_than_it_needs():
     src = os.path.dirname(defsort.__path__[0])
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", FOOTPRINT, src],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", FOOTPRINT, src],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["[]", "['defsort.nodes.SourceModule']"]
