@@ -171,7 +171,7 @@ def _header(m) -> SourceModule:
     names it imports and its name location, as a `Loc` that holds no token."""
     imports = tuple(ImportRef(imp.module, None) for imp in m.imports)
     at = Loc(m.name_loc.line, m.name_loc.col, m.file)
-    return SourceModule(m.name, m.exports_all, imports, (), m.file, at, None, "")
+    return SourceModule(m.name, m.exports_all, imports, (), m.file, at)
 
 
 def _emit_module_dot_file(cfg: ToolConfig, a, written: dict, source: str) -> str:

@@ -1,9 +1,10 @@
 """Flattening of module definitions into sortable, namespace-separated nodes.
 
 Every type clause (invariant, equality, order) and every function clause
-(pre, post, measure) becomes its own node, named after its origin
-(``inv_T``, ``pre_f`` and so on).  Types without a user invariant receive a
-synthetic, trivially-true invariant node so that invariant totality holds.
+(pre, post, measure) becomes its own node, named after its definition
+(``inv_T``, ``pre_f`` and so on) and linked to that definition's node, its
+`owner`.  Types without a user invariant receive a synthetic, trivially-true
+invariant node so that invariant totality holds.
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ class DefKind(Enum):
     __hash__ = object.__hash__  # as for Namespace
 
 
-PRIMARY_KINDS = frozenset({DefKind.TYPE_DEF, DefKind.VALUE_DEF, DefKind.FUNCTION_DEF})
-CLAUSE_KINDS = frozenset(set(DefKind) - PRIMARY_KINDS)
+# each definition class's clauses, as (attribute, node kind), in node order;
+# a type's clause is an InvClause, EqClause or OrdClause, a function's is the
+# clause expression itself
+CLAUSES = {
+    N.RecordTypeDef: (("inv", DefKind.INVARIANT_FN),),
+    N.NamedTypeDef: (("inv", DefKind.INVARIANT_FN), ("eq", DefKind.EQ_FN), ("ord", DefKind.ORD_FN)),
+    N.ValueDef: (),
+    N.FuncDef: (("pre", DefKind.PRE_FN), ("post", DefKind.POST_FN), ("measure", DefKind.MEASURE_FN)),
+}
 
 # (namespace, name): names are unique per namespace, not per module
 NodeKey = tuple
@@ -59,15 +67,17 @@ class Edge(Record):
 class DefNode(Record):
     """One flattened node; two nodes are equal only when they are one.
 
-    `origin` is the user definition the node was flattened from, `location`
-    its declaration `Loc` (for ordering and labels), `bound` the names its
-    body may use without depending on them, `def_index` the index of its
-    definition in the source module, `index` its collection order
+    `owner` is the type or function node a clause node was flattened from,
+    None for a primary (type, value or function) node, `location` its
+    declaration `Loc` (for ordering and labels), `bound` the names its body
+    may use without depending on them, `def_index` the index of its
+    definition in the source module (equal for the nodes of one definition),
+    `index` its collection order
     (synthesized nodes come after all user nodes) and `body` its
     expression, or None.  Its key is built once, so graphs share the tuple.
     """
 
-    __slots__ = ("name", "namespace", "kind", "origin", "synthetic", "location", "bound",
+    __slots__ = ("name", "namespace", "kind", "owner", "synthetic", "location", "bound",
                  "def_index", "index", "body", "_node_key")
     _derived = {"_node_key": "(namespace, name)"}
     __eq__ = object.__eq__
@@ -77,23 +87,13 @@ class DefNode(Record):
     def key(self) -> NodeKey:
         return self._node_key
 
-    @property
-    def is_clause(self) -> bool:
-        return self.kind in CLAUSE_KINDS
-
     def __repr__(self):
         return f"<DefNode {self.name} {self.kind.value}@{self.location.line}>"
 
 
 class FlatModule(Record):
     __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key")
-
-    def __init__(self, module_name: str, nodes: list, original_names: list, source):
-        self.module_name = module_name
-        self.nodes = nodes
-        self.original_names = original_names
-        self.source = source
-        self._by_key = {n.key: n for n in nodes}
+    _derived = {"_by_key": "{n.key: n for n in nodes}"}
 
     def get(self, namespace: Namespace, name: str):
         return self._by_key.get((namespace, name))
@@ -129,54 +129,45 @@ def collect(m: N.SourceModule) -> FlatModule:
     nodes: list = []
     seen: dict = {}
 
-    def add(node: DefNode):
+    def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
+        loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
+        node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, len(nodes), body)
         if node.key in seen:
-            raise DuplicateNameError(node.name, node.namespace.value, node.location)
+            raise DuplicateNameError(name, ns.value, loc)
         seen[node.key] = node
         nodes.append(node)
-
-    def mk(name, ns, kind, origin, synthetic, loc, bound, di, body):
-        loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
-        return DefNode(name, ns, kind, origin, synthetic, loc, frozenset(bound), di, len(nodes), body)
+        return node
 
     for di, d in enumerate(m.definitions):
-        if isinstance(d, (N.RecordTypeDef, N.NamedTypeDef)):
-            add(mk(d.name, Namespace.TYPE, DefKind.TYPE_DEF, d.name, False, d.name_loc, (), di, None))
-            if d.inv is not None:
-                add(mk(f"inv_{d.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, d.name,
-                       False, d.inv.loc, pattern_names(d.inv.pattern), di, d.inv.expr))
-            if isinstance(d, N.NamedTypeDef):
-                if d.eq is not None:
-                    bound = pattern_names(d.eq.left) + pattern_names(d.eq.right)
-                    add(mk(f"eq_{d.name}", Namespace.FUNCTION, DefKind.EQ_FN, d.name,
-                           False, d.eq.loc, bound, di, d.eq.expr))
-                if d.ord is not None:
-                    bound = pattern_names(d.ord.left) + pattern_names(d.ord.right)
-                    add(mk(f"ord_{d.name}", Namespace.FUNCTION, DefKind.ORD_FN, d.name,
-                           False, d.ord.loc, bound, di, d.ord.expr))
-        elif isinstance(d, N.ValueDef):
+        if isinstance(d, N.ValueDef):
             for name in pattern_names(d.pattern):
-                add(mk(name, Namespace.FUNCTION, DefKind.VALUE_DEF, name,
-                       False, d.name_loc, (), di, d.init))
-        elif isinstance(d, N.FuncDef):
+                add(name, Namespace.FUNCTION, DefKind.VALUE_DEF, None, d.name_loc, (), di, d.init)
+            continue
+        is_function = isinstance(d, N.FuncDef)
+        if is_function:
             params = _param_names(d)
-            add(mk(d.name, Namespace.FUNCTION, DefKind.FUNCTION_DEF, d.name,
-                   False, d.name_loc, params, di, d.body))
-            if d.pre is not None:
-                add(mk(f"pre_{d.name}", Namespace.FUNCTION, DefKind.PRE_FN, d.name,
-                       False, d.name_loc, params, di, d.pre))
-            if d.post is not None:
-                add(mk(f"post_{d.name}", Namespace.FUNCTION, DefKind.POST_FN, d.name,
-                       False, d.name_loc, params | {"RESULT"}, di, d.post))
-            if d.measure is not None:
-                add(mk(f"measure_{d.name}", Namespace.FUNCTION, DefKind.MEASURE_FN, d.name,
-                       False, d.name_loc, params, di, d.measure))
+            owner = add(d.name, Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, d.name_loc,
+                        params, di, d.body)
+        else:
+            owner = add(d.name, Namespace.TYPE, DefKind.TYPE_DEF, None, d.name_loc, (), di, None)
+        for attr, kind in CLAUSES[type(d)]:
+            c = getattr(d, attr)
+            if c is None:
+                continue
+            name = f"{attr}_{d.name}"
+            if is_function:  # sees the parameters, and a post also RESULT
+                bound = params | {"RESULT"} if kind is DefKind.POST_FN else params
+                add(name, Namespace.FUNCTION, kind, owner, d.name_loc, bound, di, c)
+            else:  # binds its own patterns
+                pats = (c.pattern,) if kind is DefKind.INVARIANT_FN else (c.left, c.right)
+                bound = [n for p in pats for n in pattern_names(p)]
+                add(name, Namespace.FUNCTION, kind, owner, c.loc, bound, di, c.expr)
 
     # second stage: every type gets an invariant node, synthesized when absent
     for node in list(nodes):
         if node.kind is DefKind.TYPE_DEF and not (Namespace.FUNCTION, f"inv_{node.name}") in seen:
-            add(mk(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node.name,
-                   True, node.location, (), node.def_index, TRUE_LIT))
+            add(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node,
+                node.location, (), node.def_index, TRUE_LIT, synthetic=True)
 
     if not m.imports:
         for d in m.definitions:
@@ -185,7 +176,7 @@ def collect(m: N.SourceModule) -> FlatModule:
                     if (Namespace.TYPE, ref.name) not in seen:
                         raise UnknownNameError(ref.name, ref.loc)
 
-    original = list(dict.fromkeys(node.origin for node in nodes if not node.synthetic))
+    original = [node.name for node in nodes if node.owner is None]
     return FlatModule(m.name, nodes, original, m)
 
 

@@ -59,11 +59,14 @@ class DepGraph:
 
 
 def build_graph(fm: FlatModule) -> DepGraph:
-    """Graph of every flattened node with signature and body dependencies."""
+    """Graph of every flattened node with signature and body dependencies;
+    a use of another definition's clause is also a use of its owner."""
     g = DepGraph({n.key: n for n in fm.nodes}, type_dependency_links(fm))
     for node in fm.nodes:
         for use, target in def_use_sites(node, fm):
             g.add_edge(Edge(node.key, target.key, use.at))
+            if target.owner is not None and target.def_index != node.def_index:
+                g.add_edge(Edge(node.key, target.owner.key, use.at))
     return g
 
 

@@ -14,8 +14,9 @@ class Record:
     A subclass lists its fields once, in `__slots__`, and gets a constructor
     that takes them in that order, positionally or by keyword.  Equality,
     hash and repr read every field but the position fields above.  A slot
-    whose name starts with `_` is private state, not a field: the class's own
-    `__init__` sets it, or `_derived` maps it to an expression of the fields.
+    whose name starts with `_` is private state, not a field: the class's
+    `_derived` maps it to an expression of the fields, which the constructor
+    evaluates after setting them.
     """
 
     __slots__ = ()
@@ -25,10 +26,9 @@ class Record:
         cls._compared = tuple(f for f in fields if f not in POSITION_FIELDS)
         # generated code, so a constructor costs what a hand-written one does
         src = "def _key(self):\n    return (" + "".join(f"self.{f}, " for f in cls._compared) + ")\n"
-        if "__init__" not in cls.__dict__:
-            src += f"def __init__(self, {', '.join(fields)}):\n"
-            src += "".join(f"    self.{f} = {f}\n" for f in fields)
-            src += "".join(f"    self.{s} = {e}\n" for s, e in cls.__dict__.get("_derived", {}).items())
+        src += f"def __init__(self, {', '.join(fields)}):\n"
+        src += "".join(f"    self.{f} = {f}\n" for f in fields)
+        src += "".join(f"    self.{s} = {e}\n" for s, e in cls.__dict__.get("_derived", {}).items())
         code: dict = {}
         exec(compile(src, f"<record {cls.__qualname__}>", "exec"), {}, code)
         for name, fn in code.items():

@@ -11,7 +11,7 @@ initialization-cycle errors.
 from __future__ import annotations
 
 from . import nodes as N
-from .defcollect import DefKind, FlatModule, Namespace
+from .defcollect import CLAUSES, DefKind, FlatModule, Namespace
 from .diag import Diagnostic, Record
 
 
@@ -105,7 +105,7 @@ def def_use_sites(node, fm: FlatModule) -> list:
         target = fm.get(use.space, use.name)
         if target is None or target.key == node.key:
             continue
-        if node.kind is DefKind.MEASURE_FN and use.name == node.origin:
+        if node.kind is DefKind.MEASURE_FN and target is node.owner:
             continue
         resolved.append((use, target))
     return resolved
@@ -125,20 +125,15 @@ def init_dependencies(node, fm: FlatModule) -> set:
 # ── diagnostics ───────────────────────────────────────────────────────────
 
 
-def _definition_exprs(d):
-    if isinstance(d, N.RecordTypeDef):
-        if d.inv is not None:
-            yield d.inv.expr
-    elif isinstance(d, N.NamedTypeDef):
-        for clause in (d.inv, d.eq, d.ord):
-            if clause is not None:
-                yield clause.expr
-    elif isinstance(d, N.ValueDef):
-        yield d.init
-    elif isinstance(d, N.FuncDef):
-        for e in (d.body, d.pre, d.post, d.measure):
-            if e is not None:
-                yield e
+def _definition_exprs(d) -> list:
+    """A definition's expressions, in source order: a value's initializer, a
+    function's body and clauses, a type's clause bodies."""
+    if isinstance(d, N.ValueDef):
+        return [d.init]
+    clauses = [getattr(d, attr) for attr, _ in CLAUSES[type(d)]]
+    if isinstance(d, N.FuncDef):
+        return [e for e in (d.body, *clauses) if e is not None]
+    return [c.expr for c in clauses if c is not None]
 
 
 _COMPREHENSIONS = (N.SetComp, N.SeqComp, N.MapComp)

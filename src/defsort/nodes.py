@@ -7,14 +7,16 @@ compares equal to the result of printing and reparsing it.
 
 Records are not frozen.  The parser sets a definition's comments, span and
 text on the object it built, so a definition is built once; no later stage
-assigns to them.  Only modules stay frozen dataclasses.
+assigns to them.  Only modules stay frozen dataclasses, because the
+benchmark's re-enactment (`perfbench/reenact.py`) copies a module with
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diag import Location, Record, Span
+from .diag import Location, Record
 
 # ── patterns ──────────────────────────────────────────────────────────────
 
@@ -230,8 +232,6 @@ class SourceModule:
     definitions: tuple
     file: str = _pos()
     name_loc: Location = _pos()
-    span: Span = _pos()
-    text: str = _pos()  # exact source slice of the whole module
 
 
 

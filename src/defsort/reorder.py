@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import nodes as N
-from .defcollect import PRIMARY_KINDS, DefKind, FlatModule, Namespace, collect
+from .defcollect import FlatModule, Namespace, collect
 from .depgraph import DepGraph, build_graph, kahn_sort, scc_labels, search, start_points
 from .diag import Record
 from .syntax import parse_source, print_module
@@ -35,12 +35,6 @@ class ForwardRef(Record):
 def _declared_after(later, earlier) -> bool:
     a, b = later.location, earlier.location
     return (a.line, a.col) > (b.line, b.col)
-
-
-def _origin_node(fm: FlatModule, node):
-    if node.kind in (DefKind.INVARIANT_FN, DefKind.EQ_FN, DefKind.ORD_FN):
-        return fm.get(Namespace.TYPE, node.origin)
-    return fm.get(Namespace.FUNCTION, node.origin)
 
 
 def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) -> list:
@@ -68,10 +62,9 @@ def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) 
 
     def emit_with_attribution(node, used):
         emit(node, used)
-        if node.is_clause:
-            origin = _origin_node(fm, node)
-            if origin is not None and used.origin != origin.origin and _declared_after(used, origin):
-                emit(origin, used)
+        owner = node.owner
+        if owner is not None and _declared_after(used, owner):
+            emit(owner, used)
 
     for node in fm.nodes:
         forward_fns: list = []
@@ -80,7 +73,7 @@ def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) 
             if labels[used_key] == label:
                 continue
             used = g.nodes[used_key]
-            if used.origin == node.origin:
+            if used.def_index == node.def_index:
                 continue
             if not _declared_after(used, node):
                 continue
@@ -97,7 +90,7 @@ def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) 
             0 if ref.used.namespace is Namespace.TYPE else 1,
             ref.user.location.line,
             ref.user.location.col,
-            0 if ref.user.kind in PRIMARY_KINDS else 1,
+            ref.user.owner is not None,
             -ref.used.location.line,
             -ref.used.location.col,
         )
@@ -119,7 +112,7 @@ def organised_definitions(fm: FlatModule, order: list, g: DepGraph):
     that bind no name (`- = e`) have no node; they follow the sorted ones in
     source order, after everything they can use.
     """
-    nodes = [g.nodes[k] for k in order if g.nodes[k].kind in PRIMARY_KINDS]
+    nodes = [g.nodes[k] for k in order if g.nodes[k].owner is None]
     names = [n.name for n in nodes]
     placed = dict.fromkeys(n.def_index for n in nodes)
     nameless = [i for i in range(len(fm.source.definitions)) if i not in placed]

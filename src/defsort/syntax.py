@@ -220,7 +220,7 @@ class _Parser:
         return mods
 
     def parse_module(self) -> N.SourceModule:
-        mod_tok = self.expect("kw", "module")
+        self.expect("kw", "module")
         name_tok = self.expect_name("module name")
         exports_all = False
         if self.accept("kw", "exports"):
@@ -252,7 +252,6 @@ class _Parser:
                 end_tok,
             )
         _check_toplevel_names(defs, name_tok.text)
-        span = self._make_span(mod_tok, end_tok.end)
         return N.SourceModule(
             name=name_tok.text,
             exports_all=exports_all,
@@ -260,8 +259,6 @@ class _Parser:
             definitions=tuple(defs),
             file=self.file,
             name_loc=name_tok,
-            span=span,
-            text=self.text[span.start_off : span.end_off],
         )
 
     def _make_span(self, start: Token, end_off: int) -> Span:

@@ -179,7 +179,7 @@ def test_criterion_03_name_conservation_on_random_modules():
 def _spec_graph(n, edges):
     nodes = {}
     for i in range(n):
-        node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, f"n{i}",
+        node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None,
                        False, Loc(i + 1, 1), frozenset(), i, i, None)
         nodes[node.key] = node
     g = DepGraph(nodes)

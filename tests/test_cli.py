@@ -74,6 +74,34 @@ def test_sort_debug_prints_the_full_trace(capsys, tmp_path):
     assert out == GOLDEN_TRACE
 
 
+def test_a_use_of_a_clause_is_a_use_of_its_definition(capsys):
+    # f uses inv_T, so T moves before f; in SAMENAME the function T uses the
+    # invariant of the type T, a different definition of the same name
+    assert run(["sort", "--debug", _corpus("clauseuse.vdmsl")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Calling Exu VDM analyser...",
+        "Calculating declaration dependencies for module `CLAUSEUSE`...",
+        "CLAUSEUSE`T declared after f",
+        "inv_T declared after f",
+        "g declared after h",
+        "Found 3 definition use before declaration. Topological sorted required.",
+        "Original names : f, h, g, T",
+        "Start points   : f, h",
+        "Sorted names   : g, pre_g, h, inv_T, T, f",
+        "Organised names: g, h, T, f",
+        "Exu successfully sorted module CLAUSEUSE definitions",
+        "Calculating declaration dependencies for module `SAMENAME`...",
+        "SAMENAME`T declared after T",
+        "inv_T declared after T",
+        "Found 2 definition use before declaration. Topological sorted required.",
+        "Original names : T, T",
+        "Start points   : T",
+        "Sorted names   : inv_T, T, T",
+        "Organised names: T, T",
+        "Exu successfully sorted module SAMENAME definitions",
+    ]
+
+
 def test_sort_writes_a_verified_module(tmp_path, capsys):
     assert run(["sort", _corpus("M.vdmsl")]) == 0
     written = tmp_path / ".generated" / "sorted" / "M.vdmsl"

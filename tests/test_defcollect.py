@@ -103,7 +103,8 @@ def test_collect_function_clause_nodes():
     }
     assert fm.get(Namespace.FUNCTION, "post_f").bound == frozenset({"x", "RESULT"})
     assert fm.get(Namespace.FUNCTION, "pre_f").bound == frozenset({"x"})
-    assert all(n.origin == "f" for n in fm.nodes)
+    f = fm.get(Namespace.FUNCTION, "f")
+    assert f.owner is None and all(n.owner is f for n in fm.nodes if n is not f)
 
 
 def test_collect_eq_and_ord_clause_nodes():
@@ -126,7 +127,7 @@ def test_collect_splits_pattern_values_into_one_node_per_name():
     fm = collect(single_module("patvals.vdmsl"))
     value_nodes = [n for n in fm.nodes if n.kind is DefKind.VALUE_DEF]
     by_name = {n.name: n for n in value_nodes}
-    assert all(n.origin == n.name for n in value_nodes)
+    assert all(n.owner is None for n in value_nodes)
     sibling_groups = {}
     for n in value_nodes:
         sibling_groups.setdefault(n.def_index, []).append(n.name)

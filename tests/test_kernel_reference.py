@@ -127,7 +127,7 @@ def graphs(draw):
 def kernel_graph(n, edges):
     nodes = {}
     for i in range(n):
-        node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, f"n{i}", False,
+        node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, False,
                        Loc(i + 1, 1), frozenset(), i, i, None)
         nodes[node.key] = node
     return DepGraph(nodes, [Edge(_key(u), _key(v), Loc(line, 1)) for u, v, line in edges])
