@@ -1,10 +1,10 @@
-"""Free-variable analysis over definition bodies.
+"""Free-variable analysis over definition bodies, by one expression walk.
 
-Use sites are collected by one stack walk whose every entry carries the
-names bound at that point (parameters, let bindings, quantifier and
-comprehension bindings), and are marked conditional when they sit under an
-if/elseif branch or a quantifier body.  Initialization dependencies keep only
-unconditional uses of other values, which is the conservative rule for
+`walk` keeps an explicit stack whose every entry carries the names bound at
+that point (parameters, let bindings, quantifier and comprehension
+bindings).  It marks a use conditional when it sits under an if/elseif
+branch or a quantifier body.  Initialization dependencies keep only
+unconditional uses of values, which is the conservative rule for
 initialization-cycle errors.
 """
 
@@ -20,50 +20,76 @@ class UseSite(Record):
 
 
 _SCOPED = (N.Let, N.Quant, N.SetComp, N.SeqComp, N.MapComp)
+_COMPREHENSIONS = (N.SetComp, N.SeqComp, N.MapComp)
 
 
-def free_uses(body, bound=frozenset(), conditional: bool = False) -> list:
-    """Every identifier used by `body` that is not in `bound`.
+def walk(body, bound=frozenset(), conditional: bool = False) -> tuple:
+    """One pass over an expression: (uses, calls, names, dups).
 
-    The walk keeps an explicit stack of (item, conditional, bound) entries,
-    where an item is an expression or a named type (a use in the type
-    namespace) and `bound` holds the names bound at that point, so a scope
-    ends with the node that opened it.
+    `uses` are the UseSites of the identifiers not in `bound` and of the
+    named types, in source order; `calls` the Apply nodes in pre-order;
+    `names` every name mentioned, called or not, bound or not; `dups` the
+    comprehensions' dup-bind findings in pre-order.  A stack entry is (an
+    expression or a named type, conditional, bound), so a scope ends with
+    the node that opened it.  Kinds without a branch here read
+    `nodes.children`.
     """
     uses: list = []
+    calls: list = []
+    names: set = set()
+    dups: list = []
     stack = [(body, conditional, bound)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        e, cond, bound = stack.pop()
+        e, cond, bound = pop()
         kind = type(e)
+        if kind is N.Lit:
+            continue
         if kind is N.Name:
+            names.add(e.name)
             if e.name not in bound:
                 uses.append(UseSite(e.name, Namespace.FUNCTION, e.loc, cond))
-            continue
-        if kind in _SCOPED:
-            stack.extend(reversed(_scoped_steps(e, cond, bound)))
-            continue
-        if kind is N.If:
-            stack.append((e.els, True, bound))
+        elif kind is N.Binary:
+            stack += ((e.right, cond, bound), (e.left, cond, bound))
+        elif kind is N.Apply:
+            calls.append(e)
+            names.add(e.callee)
+            if e.callee not in bound:
+                uses.append(UseSite(e.callee, Namespace.FUNCTION, e.loc, cond))
+            for a in reversed(e.args):
+                push((a, cond, bound))
+        elif kind is N.BuiltinApp:
+            for a in reversed(e.args):
+                push((a, cond, bound))
+        elif kind is N.If:
+            push((e.els, True, bound))
             for c, branch in reversed(e.elifs):
                 stack += ((branch, True, bound), (c, cond, bound))
             stack += ((e.then, True, bound), (e.cond, cond, bound))
-            continue
-        if kind is N.TNamed:
+        elif kind in _SCOPED:
+            if kind in _COMPREHENSIONS:
+                dups += _duplicate_binds(e)
+            stack.extend(reversed(_scoped_steps(e, cond, bound)))
+        elif kind is N.TNamed:
             uses.append(UseSite(e.name, Namespace.TYPE, e.loc, cond))
-            continue
-        if kind is N.Apply:
-            if e.callee not in bound:
-                uses.append(UseSite(e.callee, Namespace.FUNCTION, e.loc, cond))
-        elif kind is N.MkCtor:
-            uses.append(UseSite(e.type_name, Namespace.TYPE, e.loc, cond))
-        elif kind is N.Is:
-            stack.extend((t, cond, bound) for t in reversed(N.named_types(e.type)))
-        stack.extend((c, cond, bound) for c in reversed(N.children(e)))
-    return uses
+        else:
+            if kind is N.MkCtor:
+                uses.append(UseSite(e.type_name, Namespace.TYPE, e.loc, cond))
+            elif kind is N.Is:
+                stack.extend((t, cond, bound) for t in reversed(N.named_types(e.type)))
+            for c in reversed(N.children(e)):
+                push((c, cond, bound))
+    return uses, calls, names, dups
+
+
+def free_uses(body, bound=frozenset(), conditional: bool = False) -> list:
+    """Every identifier used by `body` that is not in `bound`: walk's uses."""
+    return walk(body, bound, conditional)[0]
 
 
 def _scoped_steps(e, cond, bound) -> list:
-    """free_uses entries for a node that binds names, first entry first.
+    """walk entries for a node that binds names, first entry first.
 
     Binds are sequential: each one's expressions see the names bound before
     it, and the entries after it see its own names too.  Quantifier bodies
@@ -91,6 +117,19 @@ def _scoped_steps(e, cond, bound) -> list:
     return steps
 
 
+def _duplicate_binds(e) -> list:
+    """A comprehension's binds of a name it has bound already."""
+    dups: list = []
+    seen: set = set()
+    for b in e.binds:
+        for name in N.pattern_names(b.pattern):
+            if name in seen:
+                dups.append(Diagnostic(
+                    "error", "dup-bind", f"comprehension binds {name!r} more than once", b.loc))
+            seen.add(name)
+    return dups
+
+
 def def_use_sites(node, fm: FlatModule) -> list:
     """Resolved (UseSite, DefNode) pairs for a flattened node's body.
 
@@ -112,12 +151,14 @@ def def_use_sites(node, fm: FlatModule) -> list:
 
 
 def init_dependencies(node, fm: FlatModule) -> set:
-    """Names whose values are read before this value can initialize."""
+    """Names whose values are read before this value can initialize, its
+    own name included when it reads itself unconditionally."""
     if node.kind is not DefKind.VALUE_DEF:
         return set()
     deps = set()
-    for use, target in def_use_sites(node, fm):
-        if not use.conditional and target.kind is DefKind.VALUE_DEF:
+    for use in free_uses(node.body, node.bound):
+        target = fm.get(use.space, use.name)
+        if not use.conditional and target is not None and target.kind is DefKind.VALUE_DEF:
             deps.add(target.name)
     return deps
 
@@ -136,52 +177,13 @@ def _definition_exprs(d) -> list:
     return [c.expr for c in clauses if c is not None]
 
 
-_COMPREHENSIONS = (N.SetComp, N.SeqComp, N.MapComp)
-
-
-def _walk(root) -> tuple:
-    """One pass over a definition expression: its dup-bind findings, its
-    calls, and every name it mentions, called or not, in pre-order."""
-    dups: list = []
-    applies: list = []
-    referenced: set = set()
-    for e in N.subexpressions(root):
-        kind = type(e)
-        if kind is N.Name:
-            referenced.add(e.name)
-        elif kind is N.Apply:
-            applies.append(e)
-            referenced.add(e.callee)
-        elif kind in _COMPREHENSIONS:
-            seen: set = set()
-            for b in e.binds:
-                for name in N.pattern_names(b.pattern):
-                    if name in seen:
-                        dups.append(Diagnostic(
-                            "error", "dup-bind",
-                            f"comprehension binds {name!r} more than once",
-                            b.loc,
-                        ))
-                    else:
-                        seen.add(name)
-    return dups, applies, referenced
-
-
-def _walks(m: N.SourceModule):
-    """_walk of every definition expression, in source order.  A value
-    that binds several names, or none, is still one expression."""
-    for d in m.definitions:
-        for root in _definition_exprs(d):
-            yield _walk(root)
-
-
 def check_duplicate_binds(m: N.SourceModule) -> list:
     """A comprehension must not bind the same name twice.
 
     VDM treats repeated binds as an implicit union of ranges, which silently
     changes meaning; the second bind is reported as an error.
     """
-    return [diag for dups, _, _ in _walks(m) for diag in dups]
+    return [diag for d in m.definitions for root in _definition_exprs(d) for diag in walk(root)[3]]
 
 
 def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
@@ -193,44 +195,39 @@ def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
 
 def check_bodies(m: N.SourceModule, fm: FlatModule) -> tuple:
     """(check_duplicate_binds(m), check_precondition_calls(m, fm)), with
-    each definition expression walked once for both."""
+    each definition expression walked once for both.  A value that binds
+    several names, or none, is still one expression."""
     dups: list = []
     calls: list = []
-    for found, applies, referenced in _walks(m):
-        dups += found
-        for call in applies:
-            target = fm.get(Namespace.FUNCTION, call.callee)
-            pre = fm.get(Namespace.FUNCTION, f"pre_{call.callee}")
-            if (
-                target is not None
-                and target.kind is DefKind.FUNCTION_DEF
-                and pre is not None
-                and pre.kind is DefKind.PRE_FN
-                and pre.name not in referenced
-            ):
-                calls.append(Diagnostic(
-                    "warning", "pre-call",
-                    f"call to {call.callee} is not guarded by {pre.name}",
-                    call.loc,
-                ))
+    for d in m.definitions:
+        for root in _definition_exprs(d):
+            _, applies, referenced, found = walk(root)
+            dups += found
+            for call in applies:
+                # a pre_f node is always the clause of the function f
+                pre = fm.get(Namespace.FUNCTION, f"pre_{call.callee}")
+                if pre is not None and pre.kind is DefKind.PRE_FN and pre.name not in referenced:
+                    calls.append(Diagnostic(
+                        "warning", "pre-call", f"call to {call.callee} is not guarded by {pre.name}",
+                        call.loc))
     return dups, calls
 
 
 def check_init_cycles(fm: FlatModule) -> list:
-    """Unconditional value-initialization cycles are errors."""
+    """Unconditional value-initialization cycles are errors, a value that
+    reads itself included."""
     from .depgraph import DepGraph, Edge, find_cycles
 
     values = [n for n in fm.nodes if n.kind is DefKind.VALUE_DEF]
     g = DepGraph({n.key: n for n in values}, [])
+    cycles: list = []
     for n in values:
-        for dep in sorted(init_dependencies(n, fm)):
+        deps = init_dependencies(n, fm)
+        if n.name in deps:  # find_cycles reports cycles of two or more
+            deps.remove(n.name)
+            cycles.append([n.name, n.name])
+        for dep in sorted(deps):
             g.add_edge(Edge(n.key, (Namespace.FUNCTION, dep), n.location))
-    diags: list = []
-    for cycle in find_cycles(g):
-        first = fm.get(Namespace.FUNCTION, cycle.members[0])
-        diags.append(Diagnostic(
-            "error", "init-cycle",
-            "value initialization cycle: " + " -> ".join(cycle.members),
-            first.location,
-        ))
-    return diags
+    cycles += [cycle.members for cycle in find_cycles(g)]
+    return [Diagnostic("error", "init-cycle", "value initialization cycle: " + " -> ".join(members),
+                       fm.get(Namespace.FUNCTION, members[0]).location) for members in cycles]

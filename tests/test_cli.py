@@ -158,6 +158,14 @@ def test_check_reports_errors_and_fails(capsys):
     ]
 
 
+def test_check_reports_a_value_that_reads_itself(capsys):
+    code = run(["check", _corpus("valself.vdmsl")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{_corpus('valself.vdmsl')}:5:5: error: value initialization cycle: v -> v [init-cycle]",
+    ]
+
+
 def test_check_warnings_do_not_fail(capsys):
     code = run(["check", _corpus("precall.vdmsl")])
     out = capsys.readouterr().out

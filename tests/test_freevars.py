@@ -1,8 +1,11 @@
 """Free-variable collection, conditional marking, and body diagnostics."""
 
+import pytest
 from conftest import single_module
 
+from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
+from defsort.diag import Record
 from defsort.freevars import (
     check_duplicate_binds,
     check_init_cycles,
@@ -191,6 +194,16 @@ def test_conditional_use_breaks_init_cycle():
     assert check_init_cycles(fm) == []
 
 
+def test_value_that_reads_itself_unconditionally_is_an_init_cycle():
+    fm = collect(single_module("valself.vdmsl"))
+    deps = {name: init_dependencies(fm.get(Namespace.FUNCTION, name), fm) for name in "vwu"}
+    assert deps == {"v": {"v"}, "w": {"c"}, "u": set()}
+    diags = check_init_cycles(fm)
+    assert [(d.code, d.message, d.at.line, d.at.col) for d in diags] == [
+        ("init-cycle", "value initialization cycle: v -> v", 5, 5),
+    ]
+
+
 def test_unguarded_precondition_call_warns():
     m = single_module("precall.vdmsl")
     diags = check_precondition_calls(m, collect(m))
@@ -237,3 +250,16 @@ def test_precondition_call_in_a_nameless_value_is_reported():
     assert [str(d) for d in diags if d.at.line == 8] == [
         "<string>:8:9: warning: call to g is not guarded by pre_g [pre-call]",
     ]
+
+
+def test_an_unknown_node_is_the_same_type_error_as_for_children():
+    class Odd(Record):
+        __slots__ = ("loc",)
+
+    odd = Odd(None)
+    with pytest.raises(TypeError) as from_children:
+        N.children(odd)
+    for body in (odd, N.Binary("+", N.Lit("nat", 1, None), odd, None)):
+        with pytest.raises(TypeError) as from_walk:
+            free_uses(body)
+        assert str(from_walk.value) == str(from_children.value) == "unexpected expression node Odd"

@@ -782,6 +782,22 @@ def test_walkers_match_the_recursive_references(body, pre, conditional):
     assert check_precondition_calls(m, fm) == ref_precondition_calls(m, fm)
 
 
+def test_walkers_match_the_recursive_references_on_the_corpus():
+    kinds = set()
+    for text in CORPUS:
+        for m in parse_source(text, "M.vdmsl"):
+            fm = collect(m)
+            for node in fm.nodes:
+                if node.body is not None:
+                    assert free_uses(node.body, node.bound) == ref_free_uses(node.body, BoundContext([node.bound]))
+            assert check_duplicate_binds(m) == ref_duplicate_binds(m)
+            assert check_precondition_calls(m, fm) == ref_precondition_calls(m, fm)
+            kinds.update(type(e) for d in m.definitions for root in ref_definition_exprs(d)
+                         for e in ref_iter_exprs(root))
+    # every kind of expression, so every branch of the walk, is compared
+    assert kinds == set(N._CHILDREN)
+
+
 @st.composite
 def operator_runs(draw, depth=1):
     """Operands with runs of prefix operators before them and binary
