@@ -221,13 +221,16 @@ def check_init_cycles(fm: FlatModule) -> list:
     values = [n for n in fm.nodes if n.kind is DefKind.VALUE_DEF]
     g = DepGraph({n.key: n for n in values}, [])
     cycles: list = []
+    reads: dict = {}  # def_index -> init_dependencies, one walk for all the names it binds
     for n in values:
-        deps = init_dependencies(n, fm)
+        if n.def_index not in reads:
+            reads[n.def_index] = init_dependencies(n, fm)
+        deps = reads[n.def_index]
         if n.name in deps:  # find_cycles reports cycles of two or more
-            deps.remove(n.name)
             cycles.append([n.name, n.name])
         for dep in sorted(deps):
-            g.add_edge(Edge(n.key, (Namespace.FUNCTION, dep), n.location))
+            if dep != n.name:
+                g.add_edge(Edge(n.key, (Namespace.FUNCTION, dep), n.location))
     cycles += [cycle.members for cycle in find_cycles(g)]
     return [Diagnostic("error", "init-cycle", "value initialization cycle: " + " -> ".join(members),
                        fm.get(Namespace.FUNCTION, members[0]).location) for members in cycles]

@@ -317,12 +317,3 @@ def children(e) -> tuple:
         return _CHILDREN[type(e)](e)
     except KeyError:
         raise TypeError(f"unexpected expression node {type(e).__name__}") from None
-
-
-def subexpressions(e):
-    """`e` and every expression nested in it, in pre-order."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        stack.extend(reversed(children(e)))

@@ -1,7 +1,10 @@
 """Lexer, parser and printer for the VDM-SL module subset.
 
-The parser is a recursive descent over a pre-lexed token list, except
-that an expression is read by one operator-precedence loop.  Every
+The lexer scans a whole file in a few passes into parallel lists of token
+texts, tags and offsets, and the parser reads those lists by index,
+building a `Token` only for a location the tree keeps.  The parser is a
+recursive descent, except that an expression is read by one
+operator-precedence loop.  Every
 definition records the exact source span it came from (leading comments
 included), so later stages can move definitions around without touching
 their text.
@@ -11,6 +14,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import accumulate, compress, count, repeat
+from operator import itemgetter
 
 from . import nodes as N
 from .diag import Loc, Location, ParseError, Span
@@ -96,54 +101,83 @@ class Token(Location):
         return f"{self.kind} '{self.text}'"
 
 
-# One match per token: leading white space and line breaks, then one group
-# per token class, tried in order, so `lastindex` names the class: word,
-# comment, quote, punctuation (one-character marks in one class), real,
-# nat, character literal, any other character, end of input.  The last two
-# make the pattern match everywhere, so no match backtracks through space.
+# A scan tags every token: a keyword or punctuation mark with its spelling,
+# any other token with the label of its kind, which no spelling equals, so
+# one compare of a tag tells both kind and spelling.
+NAME, NAT, REAL, CHAR, QUOTE, EOF, BAD = "#name", "#nat", "#real", "#char", "#quote", "#eof", "#bad"
+_TAG = {w: w for w in (*KEYWORDS, *_PUNCT)}  # a spelling's tag is the one string of it
+_TAG["'"] = BAD  # a quote mark that opens no character literal
+# the tag of any other token, by its first character
+_FIRST = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", NAME),
+          **dict.fromkeys("0123456789", NAT), "'": CHAR, "<": QUOTE}
+_KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_PUNCT, "punct"),
+         **{label: label[1:] for label in (NAME, NAT, REAL, CHAR, QUOTE, EOF, BAD)}}
+
+# Comments first: `--` starts one wherever it stands outside a comment, as
+# no other token holds two dashes in a row, and a `-` just before a `-`
+# starts a comment itself.  Then one match per token, with the white space
+# before it: word, quote, punctuation (one-character marks in one class),
+# number, character literal, any other character.  The last makes the
+# pattern match after any white space, so no match backtracks through it.
+_COMMENT = re.compile(r"(--[^\n]*)")
+_SPACE = " \t\r\n"
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:([A-Za-z][A-Za-z0-9_]*)|(--[^\n]*)|(<[A-Za-z][A-Za-z0-9_]*>)|("
+    r"[ \t\r\n]*(?:[A-Za-z][A-Za-z0-9_]*|<[A-Za-z][A-Za-z0-9_]*>|"
     + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
     + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1)
-    + r"])|([0-9]+\.[0-9]+)|([0-9]+)|('[^'\n]')|(.)|(\Z))"
+    + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'|[^ \t\r\n])"
 )
 _BREAK = re.compile(r"\n")
-# one text string per keyword and punctuation spelling, shared by its tokens
-_SPELLING = {w: w for w in (*KEYWORDS, *_PUNCT)}
+_REAL = re.compile(r"\.(?<=[0-9]\.)[0-9]")  # led by the dot, so a search skips from dot to dot
+
+
+def _scan(text: str, file: str):
+    """Lex `text` in whole-text passes: no Python code runs per token, except
+    to tell reals from nats in a file that has a real.
+
+    Returns (texts, tags, ends, comments, src): the source text, tag and
+    end offset of every significant token, end of input last; the comment
+    tokens; and the line-break index the tokens share.  Raises the
+    ParseError of the first character that begins no token.
+    """
+    src = (file, list(map(re.Match.start, _BREAK.finditer(text))), len(text))
+    parts = _COMMENT.split(text)  # code, comment, code, ..., code
+    comment_texts = parts[1::2]
+    comments = []
+    if comment_texts:
+        starts = list(accumulate(map(len, parts)))[0:-1:2]
+        comments = [Token("comment", c.rstrip("\r"), off, src) for c, off in zip(comment_texts, starts)]
+        # blanked to as many spaces, so the tokens keep their offsets
+        parts[1::2] = map(" ".__mul__, map(len, comment_texts))
+        text = "".join(parts)
+    del parts  # a small file's memory peaks in its scan, so each pass frees what the next does not read
+    # one match per token and the white space before it, up to the last
+    # token, so no match is tried on white space alone, which would
+    # backtrack through it
+    matched = _TOKEN.findall(text, 0, len(text.rstrip(_SPACE)))
+    ends = list(accumulate(map(len, matched)))
+    texts = list(map(str.lstrip, matched, repeat(_SPACE)))
+    del matched
+    tags = list(map(_TAG.get, texts, map(_FIRST.get, map(itemgetter(0), texts), repeat(BAD))))
+    if _REAL.search(text):  # rare, so told from the nats one at a time
+        for i in compress(count(), map(NAT.__eq__, tags)):
+            if "." in texts[i]:
+                tags[i] = REAL
+    if BAD in tags:
+        i = tags.index(BAD)
+        word = texts[i]
+        message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
+        raise ParseError(message, Token("bad", word, ends[i] - len(word), src))
+    texts.append("")
+    tags.append(EOF)
+    ends.append(len(text))
+    return texts, tags, ends, comments, src
 
 
 def lex(text: str, file: str = "<string>"):
     """Split text into (significant tokens, comment tokens)."""
-    src = (file, [m.start() for m in _BREAK.finditer(text)], len(text))
-    toks: list[Token] = []
-    comments: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        g = m.lastindex
-        word = m[g]
-        off = m.start(g)
-        # a Token call in each branch lexes about 4% faster than one shared append
-        if g == 1:
-            if word in KEYWORDS:
-                toks.append(Token("kw", _SPELLING[word], off, src))
-            else:
-                toks.append(Token("name", word, off, src))
-        elif g == 4:
-            toks.append(Token("punct", _SPELLING[word], off, src))
-        elif g == 6:
-            toks.append(Token("nat", word, off, src))
-        elif g == 2:
-            comments.append(Token("comment", word.rstrip("\r"), off, src))
-        elif g == 5:
-            toks.append(Token("real", word, off, src))
-        elif g == 3 or g == 7:
-            toks.append(Token("quote" if g == 3 else "char", word[1:-1], off, src))
-        elif g == 9:
-            toks.append(Token("eof", word, off, src))
-            break
-        else:
-            message = "malformed character literal" if word == "'" else f"unexpected character {word!r}"
-            raise ParseError(message, Token("bad", word, off, src))
-    return toks, comments
+    p = _Parser(text, file)
+    return list(map(p.tok, range(len(p.tags)))), p.comments
 
 
 def pattern_names_distinct(patterns, where: str):
@@ -159,97 +193,138 @@ def pattern_names_distinct(patterns, where: str):
 # ── parser ────────────────────────────────────────────────────────────────
 
 
+_SECTION_ENDS = (*SECTION_KEYWORDS, "end", EOF)
+_COLLECTION_TYPES = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}
+# `in set` and `not in set` are told by the text alone of the tokens after
+# `in` or `not`, and a quote drops its brackets from its text, so `<set>`
+# and `<in>` read as the keywords there
+_READS_SET = ("set", "<set>")
+_READS_IN = ("in", "<in>")
+
+
 class _Parser:
+    """Reads the scan by index, one tag compare per test, and builds a
+    `Token` only for a location that a node, a span or an error keeps.
+
+    `cur` to `expect` build the Tokens they test or return, for subclasses;
+    the parser itself tests tags with `_skip`, `_need` and `_name`."""
+
     def __init__(self, text: str, file: str):
         self.text = text
         self.file = file
-        self.toks, self.comments = lex(text, file)
+        self.texts, self.tags, self.ends, self.comments, self.src = _scan(text, file)
         self.comment_offs = [c.off for c in self.comments]
         self.i = 0
 
     # token plumbing
 
+    def tok(self, i: int) -> Token:
+        """The token at index `i`, built now, as the scan keeps none."""
+        tag = self.tags[i]
+        kind = _KIND[tag]
+        if kind == "kw" or kind == "punct":
+            text = tag  # the one string of its spelling
+        elif kind == "char" or kind == "quote":
+            text = self.texts[i][1:-1]
+        else:
+            text = self.texts[i]
+        return Token(kind, text, self.ends[i] - len(self.texts[i]), self.src)
+
     def cur(self) -> Token:
-        return self.toks[self.i]
+        return self.tok(self.i)
 
     def peek(self, k: int = 1) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+        return self.tok(min(self.i + k, len(self.tags) - 1))
 
     def last(self) -> Token:
-        return self.toks[self.i - 1]
+        return self.tok(self.i - 1)
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.toks[self.i]
+        t = self.cur()
         return t.kind == kind and (text is None or t.text == text)
 
     def at_kw(self, *words: str) -> bool:
-        t = self.toks[self.i]
-        return t.kind == "kw" and t.text in words
+        return self.tags[self.i] in words
 
     def advance(self) -> Token:
         self.i += 1
-        return self.toks[self.i - 1]
+        return self.tok(self.i - 1)
 
     def accept(self, kind: str, text: str | None = None):
-        t = self.toks[self.i]
-        if t.kind == kind and (text is None or t.text == text):
-            self.i += 1
-            return t
-        return None
+        return self.advance() if self.at(kind, text) else None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.toks[self.i]
-        if t.kind == kind and (text is None or t.text == text):
-            self.i += 1
-            return t
+        if self.at(kind, text):
+            return self.advance()
         want = f"'{text}'" if text else kind
-        raise ParseError(f"expected {want}, found {t.describe()}", t)
+        raise ParseError(f"expected {want}, found {self.cur().describe()}", self.cur())
 
     def expect_name(self, what: str = "identifier") -> Token:
-        if self.at("name"):
-            return self.advance()
-        raise ParseError(f"expected {what}, found {self.cur().describe()}", self.cur())
+        return self.tok(self._name(what))
+
+    def _skip(self, tag: str) -> bool:
+        """Step over the current token if it is the keyword or mark `tag`."""
+        if self.tags[self.i] == tag:
+            self.i += 1
+            return True
+        return False
+
+    def _need(self, tag: str) -> int:
+        """Step over the current token, which must be the keyword or mark
+        `tag`; its index."""
+        i = self.i
+        if self.tags[i] != tag:
+            raise ParseError(f"expected '{tag}', found {self.cur().describe()}", self.cur())
+        self.i = i + 1
+        return i
+
+    def _name(self, what: str) -> int:
+        """Step over the current token, which must be a name; its index."""
+        i = self.i
+        if self.tags[i] != NAME:
+            raise ParseError(f"expected {what}, found {self.cur().describe()}", self.cur())
+        self.i = i + 1
+        return i
 
     # file / module level
 
     def parse_file(self):
         mods = []
-        while not self.at("eof"):
+        while self.tags[self.i] != EOF:
             mods.append(self.parse_module())
         return mods
 
     def parse_module(self) -> N.SourceModule:
-        self.expect("kw", "module")
+        self._need("module")
         name_tok = self.expect_name("module name")
-        exports_all = False
-        if self.accept("kw", "exports"):
-            self.expect("kw", "all")
-            exports_all = True
+        exports_all = self._skip("exports")
+        if exports_all:
+            self._need("all")
         imports = []
-        while self.at_kw("imports"):
-            self.advance()
-            self.expect("kw", "from")
+        while self._skip("imports"):
+            self._need("from")
             imp = self.expect_name("module name")
-            self.expect("kw", "all")
+            self._need("all")
             imports.append(N.ImportRef(imp.text, imp))
-        self.expect("kw", "definitions")
+        self._need("definitions")
         defs: list = []
-        while self.at_kw(*SECTION_KEYWORDS):
-            sec_tok = self.advance()
-            sec_end = boundary = sec_tok.end
-            while not (self.at_kw(*SECTION_KEYWORDS) or self.at_kw("end") or self.at("eof")):
-                d = self.parse_definition(sec_tok.text, boundary)
+        tags = self.tags
+        while tags[self.i] in SECTION_KEYWORDS:
+            section = tags[self.i]
+            sec_end = boundary = self.ends[self.i]
+            self.i += 1
+            while tags[self.i] not in _SECTION_ENDS:
+                d = self.parse_definition(section, boundary)
                 defs.append(d)
                 boundary = d.span.end_off
             if boundary > sec_end:  # the section has a definition
                 defs[-1] = self._with_trailing_comments(defs[-1])
-        self.expect("kw", "end")
-        end_tok = self.expect_name("module name")
-        if end_tok.text != name_tok.text:
+        self._need("end")
+        end = self._name("module name")
+        if self.texts[end] != name_tok.text:
             raise ParseError(
-                f"module ends with 'end {end_tok.text}' but is named {name_tok.text!r}",
-                end_tok,
+                f"module ends with 'end {self.texts[end]}' but is named {name_tok.text!r}",
+                self.tok(end),
             )
         _check_toplevel_names(defs, name_tok.text)
         return N.SourceModule(
@@ -294,9 +369,9 @@ class _Parser:
             core = self.parse_valuedef()
         else:
             core = self.parse_fundef()
-        self.accept("punct", ";")
+        self._skip(";")
         start = leading[0] if leading else first
-        span = self._make_span(start, self.last().end)
+        span = self._make_span(start, self.ends[self.i - 1])
         core.doc_comments = tuple(
             c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc")
         )
@@ -306,96 +381,96 @@ class _Parser:
 
     def parse_typedef(self):
         name = self.expect_name("type name")
-        if self.accept("punct", "::"):
+        if self._skip("::"):
             fields = []
-            while self.at("name") and self.peek().kind == "punct" and self.peek().text == ":":
-                fname = self.advance()
-                self.expect("punct", ":")
+            tags = self.tags
+            while tags[self.i] == NAME and tags[self.i + 1] == ":":
+                fname = self.tok(self.i)
+                self.i += 2
                 fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
                 raise ParseError("record type needs at least one field", self.cur())
             inv = self._parse_inv_clause()
             return N.RecordTypeDef(name.text, tuple(fields), inv, (), name, None, "")
-        self.expect("punct", "=")
+        self._need("=")
         rhs = self.parse_type()
         inv = self._parse_inv_clause()
         eq = None
-        if self.at_kw("eq"):
+        if self.tags[self.i] == "eq":
             loc = self.advance()
             left = self.parse_pattern()
-            self.expect("punct", "=")
+            self._need("=")
             right = self.parse_pattern()
             pattern_names_distinct([left, right], "eq clause")
-            self.expect("punct", "==")
+            self._need("==")
             eq = N.EqClause(left, right, self.parse_expr(), loc)
         order = None
-        if self.at_kw("ord"):
+        if self.tags[self.i] == "ord":
             loc = self.advance()
             left = self.parse_pattern()
-            self.expect("punct", "<")
+            self._need("<")
             right = self.parse_pattern()
             pattern_names_distinct([left, right], "ord clause")
-            self.expect("punct", "==")
+            self._need("==")
             order = N.OrdClause(left, right, self.parse_expr(), loc)
         return N.NamedTypeDef(name.text, rhs, inv, eq, order, (), name, None, "")
 
     def _parse_inv_clause(self):
-        if not self.at_kw("inv"):
+        if self.tags[self.i] != "inv":
             return None
         loc = self.advance()
         pat = self.parse_pattern()
         pattern_names_distinct([pat], "inv clause")
-        self.expect("punct", "==")
+        self._need("==")
         return N.InvClause(pat, self.parse_expr(), loc)
 
     def parse_valuedef(self):
         pat = self.parse_pattern()
         pattern_names_distinct([pat], "value pattern")
         decl_type = None
-        if self.accept("punct", ":"):
+        if self._skip(":"):
             decl_type = self.parse_type()
-        self.expect("punct", "=")
+        self._need("=")
         init = self.parse_expr()
         return N.ValueDef(pat, decl_type, init, (), pat.loc, None, "")
 
     def parse_fundef(self):
         name = self.expect_name("function name")
-        self.expect("punct", ":")
+        self._need(":")
         param_types: list = []
-        if self.at("punct", "(") and self.peek().kind == "punct" and self.peek().text == ")":
-            self.advance()
-            self.advance()
+        if self.tags[self.i] == "(" and self.tags[self.i + 1] == ")":
+            self.i += 2
         else:
             param_types.append(self.parse_type())
-            while self.accept("punct", "*"):
+            while self._skip("*"):
                 param_types.append(self.parse_type())
-        self.expect("punct", "->")
+        self._need("->")
         ret = self.parse_type()
-        body_name = self.expect_name("function name")
-        if body_name.text != name.text:
+        body_name = self._name("function name")
+        if self.texts[body_name] != name.text:
             raise ParseError(
-                f"body is named {body_name.text!r} but the signature says {name.text!r}",
-                body_name,
+                f"body is named {self.texts[body_name]!r} but the signature says {name.text!r}",
+                self.tok(body_name),
             )
-        self.expect("punct", "(")
+        self._need("(")
         params = []
-        if not self.at("punct", ")"):
+        if self.tags[self.i] != ")":
             params.append(self.parse_pattern())
-            while self.accept("punct", ","):
+            while self._skip(","):
                 params.append(self.parse_pattern())
-        self.expect("punct", ")")
+        self._need(")")
         if len(params) != len(param_types):
             raise ParseError(
                 f"{name.text} takes {len(param_types)} parameters "
                 f"but {len(params)} patterns are given",
-                body_name,
+                self.tok(body_name),
             )
         pattern_names_distinct(params, "parameter list")
-        self.expect("punct", "==")
+        self._need("==")
         body = self.parse_expr()
-        pre = self.parse_expr() if self.accept("kw", "pre") else None
-        post = self.parse_expr() if self.accept("kw", "post") else None
-        measure = self.parse_expr() if self.accept("kw", "measure") else None
+        pre = self.parse_expr() if self._skip("pre") else None
+        post = self.parse_expr() if self._skip("post") else None
+        measure = self.parse_expr() if self._skip("measure") else None
         return N.FuncDef(
             name.text, tuple(param_types), ret, tuple(params),
             body, pre, post, measure, (), name, None, "",
@@ -404,44 +479,42 @@ class _Parser:
     # patterns
 
     def parse_pattern(self):
-        t = self.cur()
-        if t.kind == "punct" and t.text == "-":
-            self.advance()
-            return N.PatIgnore(t)
-        if t.kind == "name":
-            if t.text.startswith("mk_") and self.peek().kind == "punct" and self.peek().text == "(":
-                self.advance()
+        tag = self.tags[self.i]
+        if tag == "-":
+            return N.PatIgnore(self.advance())
+        if tag == NAME:
+            t = self.advance()
+            if t.text.startswith("mk_") and self.tags[self.i] == "(":
                 ctor = t.text[3:]
                 if not ctor:
                     raise ParseError("constructor pattern needs a type name", t)
-                self.expect("punct", "(")
+                self.i += 1
                 items = [self.parse_pattern()]
-                while self.accept("punct", ","):
+                while self._skip(","):
                     items.append(self.parse_pattern())
-                self.expect("punct", ")")
+                self._need(")")
                 return N.PatCtor(ctor, tuple(items), t)
-            self.advance()
             return N.PatName(t.text, t)
-        if t.kind == "punct" and t.text in ("[", "{"):
-            self.advance()
-            close = "]" if t.text == "[" else "}"
+        if tag == "[" or tag == "{":
+            t = self.advance()
+            close = "]" if tag == "[" else "}"
             items = []
-            if not self.at("punct", close):
+            if self.tags[self.i] != close:
                 items.append(self.parse_pattern())
-                while self.accept("punct", ","):
+                while self._skip(","):
                     items.append(self.parse_pattern())
-            self.expect("punct", close)
+            self._need(close)
             return (N.PatSeq if close == "]" else N.PatSet)(tuple(items), t)
-        raise ParseError(f"expected a pattern, found {t.describe()}", t)
+        raise ParseError(f"expected a pattern, found {self.cur().describe()}", self.cur())
 
     # types
 
     def parse_type(self):
         first = self.parse_type_atom()
-        if not self.at("punct", "|"):
+        if self.tags[self.i] != "|":
             return first
         members = [first]
-        while self.accept("punct", "|"):
+        while self._skip("|"):
             members.append(self.parse_type_atom())
         flat: list = []
         for m in members:
@@ -449,38 +522,35 @@ class _Parser:
         return N.TUnion(tuple(flat), first.loc)
 
     def parse_type_atom(self):
-        t = self.cur()
-        if t.kind == "kw" and t.text in BASIC_TYPES:
-            self.advance()
-            return N.TBasic(t.text, t)
-        if t.kind == "kw" and t.text in ("seq", "seq1", "set"):
-            self.advance()
-            self.expect("kw", "of")
-            elem = self.parse_type_atom()
-            ctor = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}[t.text]
-            return ctor(elem, t)
-        if t.kind == "kw" and t.text == "map":
-            self.advance()
+        tag = self.tags[self.i]
+        if tag in BASIC_TYPES:
+            return N.TBasic(tag, self.advance())
+        if tag in _COLLECTION_TYPES:
+            t = self.advance()
+            self._need("of")
+            return _COLLECTION_TYPES[tag](self.parse_type_atom(), t)
+        if tag == "map":
+            t = self.advance()
             key = self.parse_type_atom()
-            self.expect("kw", "to")
+            self._need("to")
             return N.TMap(key, self.parse_type_atom(), t)
-        if t.kind == "punct" and t.text == "[":
-            self.advance()
+        if tag == "[":
+            t = self.advance()
             inner = self.parse_type()
-            self.expect("punct", "]")
+            self._need("]")
             return N.TOptional(inner, t)
-        if t.kind == "punct" and t.text == "(":
-            self.advance()
+        if tag == "(":
+            self.i += 1
             inner = self.parse_type()
-            self.expect("punct", ")")
+            self._need(")")
             return inner
-        if t.kind == "quote":
-            self.advance()
+        if tag == QUOTE:
+            t = self.advance()
             return N.TQuote(t.text, t)
-        if t.kind == "name":
-            self.advance()
+        if tag == NAME:
+            t = self.advance()
             return N.TNamed(t.text, t)
-        raise ParseError(f"expected a type, found {t.describe()}", t)
+        raise ParseError(f"expected a type, found {self.cur().describe()}", self.cur())
 
     # expressions: one loop over BINARY_LEVELS
 
@@ -493,35 +563,35 @@ class _Parser:
         So operator runs, parentheses and plain calls do not nest the
         parser; any other operand is read by `parse_primary`, which recurses.
         """
-        toks = self.toks
+        tags = self.tags
+        texts = self.texts
+        tok = self.tok
         i = self.i
-        ops = [(-1, None, None, None)]  # (level, token, left operand or a group's items, operator)
+        ops = [(-1, None, None, None)]  # (level, token index, left operand or a group's items, operator)
         nots = True  # this operand may start with a run of `not`s
         while True:
-            t = toks[i]
-            while (nots and t.kind == "kw" and t.text == "not"
-                   and not (toks[i + 1].kind == "kw" and toks[i + 1].text == "in")):
-                ops.append((NOT_LEVEL, t, None, "not"))
+            tag = tags[i]
+            while nots and tag == "not" and tags[i + 1] != "in":
+                ops.append((NOT_LEVEL, i, None, "not"))
                 i += 1
-                t = toks[i]
-            while (t.kind == "punct" and t.text == "-") or (t.kind == "kw" and t.text in BUILTIN_OPS):
-                ops.append((PREFIX_LEVEL, t, None, t.text))
+                tag = tags[i]
+            while tag == "-" or tag in BUILTIN_OPS:
+                ops.append((PREFIX_LEVEL, i, None, tag))
                 i += 1
-                t = toks[i]
-            if t.kind == "name" and not (toks[i + 1].kind == "punct" and toks[i + 1].text == "("):
-                e = N.Name(t.text, t)
+                tag = tags[i]
+            if tag == NAME and tags[i + 1] != "(":
+                e = N.Name(texts[i], tok(i))
                 i += 1
-            elif t.kind == "nat":
-                e = N.Lit("nat", int(t.text), t)
+            elif tag == NAT:
+                e = N.Lit("nat", int(texts[i]), tok(i))
                 i += 1
-            elif (t.kind == "punct" and t.text == "(") or (
-                    t.kind == "name" and not t.text.startswith(("mk_", "is_"))):
-                i += 1 if t.kind == "punct" else 2
-                if t.kind == "name" and toks[i].kind == "punct" and toks[i].text == ")":
-                    e = N.Apply(t.text, (), t)
-                    i += 1
+            elif tag == "(" or (tag == NAME and not texts[i].startswith(("mk_", "is_"))):
+                if tag == NAME and tags[i + 2] == ")":
+                    e = N.Apply(texts[i], (), tok(i))
+                    i += 3
                 else:  # parentheses, or a call with its arguments
-                    ops.append((0, t, [], None))
+                    ops.append((0, i, [], None))
+                    i += 1 if tag == "(" else 2
                     nots = True
                     continue
             else:
@@ -529,31 +599,31 @@ class _Parser:
                 e = self.parse_primary()
                 i = self.i
             while True:  # e is an operand: its field selections, then what follows it
-                t = toks[i]
-                while t.kind == "punct" and t.text == ".":
+                tag = tags[i]
+                while tag == ".":
                     self.i = i + 1
-                    e = N.FieldSel(e, self.expect_name("field name").text, t)
+                    e = N.FieldSel(e, texts[self._name("field name")], tok(i))
                     i = self.i
-                    t = toks[i]
-                op = t.text if t.kind == "punct" or t.kind == "kw" else None
+                    tag = tags[i]
+                op = tag
                 width = 1
-                if op == "in" and toks[i + 1].text == "set":
+                if op == "in" and texts[i + 1] in _READS_SET:
                     op, width = "in set", 2
-                elif op == "not" and toks[i + 1].text == "in" and toks[i + 2].text == "set":
+                elif op == "not" and texts[i + 1] in _READS_IN and texts[i + 2] in _READS_SET:
                     op, width = "not in set", 3
                 level = BINARY_LEVELS.get(op, 0)
                 # pop what binds at least as tightly; "=>" associates to the right
                 bound = (3 if op == "=>" else level) if level else 1
                 while ops[-1][0] >= bound:
-                    lv, ot, left, oop = ops.pop()
+                    lv, at, left, oop = ops.pop()
                     if left is not None:
-                        e = N.Binary(oop, left, e, ot)
+                        e = N.Binary(oop, left, e, tok(at))
                     elif lv == PREFIX_LEVEL and oop != "-":
-                        e = N.BuiltinApp(oop, (e,), ot)
+                        e = N.BuiltinApp(oop, (e,), tok(at))
                     else:
-                        e = N.Unary(oop, e, ot)
+                        e = N.Unary(oop, e, tok(at))
                 if level:
-                    ops.append((level, t, e, op))
+                    ops.append((level, i, e, op))
                     i += width
                     nots = level < NOT_LEVEL
                     break
@@ -562,60 +632,55 @@ class _Parser:
                     self.i = i
                     return e
                 items.append(e)
-                if start.kind == "name" and t.kind == "punct" and t.text == ",":
+                call = tags[start] == NAME
+                if call and tag == ",":
                     i += 1
                     nots = True
                     break
-                if not (t.kind == "punct" and t.text == ")"):
+                if tag != ")":
                     self.i = i
-                    self.expect("punct", ")")
+                    self._need(")")
                 i += 1
                 ops.pop()
-                if start.kind == "name":
-                    e = N.Apply(start.text, tuple(items), start)
+                if call:
+                    e = N.Apply(texts[start], tuple(items), tok(start))
 
     def _parse_args(self):
-        self.expect("punct", "(")
+        self._need("(")
         args = []
-        if not self.at("punct", ")"):
+        if self.tags[self.i] != ")":
             args.append(self.parse_expr())
-            while self.accept("punct", ","):
+            while self._skip(","):
                 args.append(self.parse_expr())
-        self.expect("punct", ")")
+        self._need(")")
         return tuple(args)
 
     def parse_primary(self):
         """An operand that parse_expr does not read itself."""
-        t = self.toks[self.i]
-        if t.kind == "real":
-            self.advance()
+        tag = self.tags[self.i]
+        if tag == REAL:
+            t = self.advance()
             return N.Lit("real", float(t.text), t)
-        if t.kind == "char":
-            self.advance()
-            return N.Lit("char", t.text, t)
-        if t.kind == "quote":
-            self.advance()
-            return N.Lit("quote", t.text, t)
-        if t.kind == "kw":
-            if t.text in ("true", "false"):
-                self.advance()
-                return N.Lit("bool", t.text == "true", t)
-            if t.text == "nil":
-                self.advance()
-                return N.Lit("nil", None, t)
-            if t.text == "if":
-                return self.parse_if()
-            if t.text == "let":
-                return self.parse_let()
-            if t.text in ("forall", "exists"):
-                return self.parse_quantifier()
-        if t.kind == "name":
+        if tag == CHAR or tag == QUOTE:
+            t = self.advance()
+            return N.Lit(t.kind, t.text, t)
+        if tag == "true" or tag == "false":
+            return N.Lit("bool", tag == "true", self.advance())
+        if tag == "nil":
+            return N.Lit("nil", None, self.advance())
+        if tag == "if":
+            return self.parse_if()
+        if tag == "let":
+            return self.parse_let()
+        if tag == "forall" or tag == "exists":
+            return self.parse_quantifier()
+        if tag == NAME:
             return self.parse_mk_or_is()
-        if t.kind == "punct" and t.text == "{":
+        if tag == "{":
             return self.parse_braced()
-        if t.kind == "punct" and t.text == "[":
+        if tag == "[":
             return self.parse_bracketed()
-        raise ParseError(f"expected an expression, found {t.describe()}", t)
+        raise ParseError(f"expected an expression, found {self.cur().describe()}", self.cur())
 
     def parse_mk_or_is(self):
         """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
@@ -625,48 +690,48 @@ class _Parser:
             if t.text == "mk_":
                 raise ParseError("record constructor needs a type name", t)
             return N.MkCtor(t.text[3:], self._parse_args(), t)
-        self.expect("punct", "(")
+        self._need("(")
         e = self.parse_expr()
         if t.text == "is_":
-            self.expect("punct", ",")
+            self._need(",")
             ty = self.parse_type()
         else:
             name = t.text[3:]
             ty = N.TBasic(name, t) if name in BASIC_TYPES else N.TNamed(name, t)
-        self.expect("punct", ")")
+        self._need(")")
         return N.Is(e, ty, t)
 
     def parse_if(self):
-        loc = self.expect("kw", "if")
+        loc = self.tok(self._need("if"))
         cond = self.parse_expr()
-        self.expect("kw", "then")
+        self._need("then")
         then = self.parse_expr()
         elifs = []
-        while self.accept("kw", "elseif"):
+        while self._skip("elseif"):
             c = self.parse_expr()
-            self.expect("kw", "then")
+            self._need("then")
             elifs.append((c, self.parse_expr()))
-        self.expect("kw", "else")
+        self._need("else")
         return N.If(cond, then, tuple(elifs), self.parse_expr(), loc)
 
     def parse_let(self):
-        loc = self.expect("kw", "let")
+        loc = self.tok(self._need("let"))
         binds = []
         while True:
             pat = self.parse_pattern()
             pattern_names_distinct([pat], "let binding")
-            decl_type = self.parse_type() if self.accept("punct", ":") else None
-            self.expect("punct", "=")
+            decl_type = self.parse_type() if self._skip(":") else None
+            self._need("=")
             binds.append(N.LetBind(pat, decl_type, self.parse_expr(), pat.loc))
-            if not self.accept("punct", ","):
+            if not self._skip(","):
                 break
-        self.expect("kw", "in")
+        self._need("in")
         return N.Let(tuple(binds), self.parse_expr(), loc)
 
     def parse_quantifier(self):
         t = self.advance()
         binds = self.parse_binds()
-        self.expect("punct", "&")
+        self._need("&")
         return N.Quant(t.text, binds, self.parse_expr(), t)
 
     def parse_binds(self):
@@ -674,70 +739,68 @@ class _Parser:
         while True:
             pat = self.parse_pattern()
             pattern_names_distinct([pat], "binding pattern")
-            if self.at_kw("in") and self.peek().text == "set":
-                self.advance()
-                self.advance()
+            if self.tags[self.i] == "in" and self.texts[self.i + 1] in _READS_SET:
+                self.i += 2
                 binds.append(N.Bind(pat, self.parse_expr(), None, pat.loc))
-            elif self.accept("punct", ":"):
+            elif self._skip(":"):
                 binds.append(N.Bind(pat, None, self.parse_type(), pat.loc))
             else:
                 raise ParseError(
                     f"expected 'in set' or ':' in binding, found {self.cur().describe()}",
                     self.cur(),
                 )
-            if not self.accept("punct", ","):
+            if not self._skip(","):
                 return tuple(binds)
 
     def _parse_comp_tail(self):
         binds = self.parse_binds()
-        pred = self.parse_expr() if self.accept("punct", "&") else None
+        pred = self.parse_expr() if self._skip("&") else None
         return binds, pred
 
     def parse_braced(self):
-        loc = self.expect("punct", "{")
-        if self.accept("punct", "}"):
+        loc = self.tok(self._need("{"))
+        if self._skip("}"):
             return N.SetEnum((), loc)
-        if self.at("punct", "|->"):
-            self.advance()
-            self.expect("punct", "}")
+        if self._skip("|->"):
+            self._need("}")
             return N.MapEnum((), loc)
         first = self.parse_expr()
-        if self.accept("punct", "|->"):
+        if self._skip("|->"):
             val = self.parse_expr()
-            if self.accept("punct", "|"):
+            if self._skip("|"):
                 binds, pred = self._parse_comp_tail()
-                self.expect("punct", "}")
+                self._need("}")
                 return N.MapComp(first, val, binds, pred, loc)
             maplets = [(first, val)]
-            while self.accept("punct", ","):
+            while self._skip(","):
                 k = self.parse_expr()
-                self.expect("punct", "|->")
+                self._need("|->")
                 maplets.append((k, self.parse_expr()))
-            self.expect("punct", "}")
+            self._need("}")
             return N.MapEnum(tuple(maplets), loc)
-        if self.accept("punct", "|"):
+        if self._skip("|"):
             binds, pred = self._parse_comp_tail()
-            self.expect("punct", "}")
+            self._need("}")
             return N.SetComp(first, binds, pred, loc)
         items = [first]
-        while self.accept("punct", ","):
+        while self._skip(","):
             items.append(self.parse_expr())
-        self.expect("punct", "}")
+        self._need("}")
         return N.SetEnum(tuple(items), loc)
 
     def parse_bracketed(self):
-        loc = self.expect("punct", "[")
-        if self.accept("punct", "]"):
+        loc = self.tok(self._need("["))
+        if self._skip("]"):
             return N.SeqEnum((), loc)
         first = self.parse_expr()
-        if self.accept("punct", "|"):
+        if self._skip("|"):
             binds, pred = self._parse_comp_tail()
-            self.expect("punct", "]")
+            self._need("]")
             return N.SeqComp(first, binds, pred, loc)
         items = [first]
-        while self.accept("punct", ","):
+        while self._skip(","):
             items.append(self.parse_expr())
-        self.expect("punct", "]")
+        self._need("]")
         return N.SeqEnum(tuple(items), loc)
 
 

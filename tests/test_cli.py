@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, parse_corpus
+from exprwalk import subexpressions
 from test_syntax_reference import exprs
 
 import defsort
 from defsort import cli
-from defsort import nodes as N
 from defsort.cli import (
     DEFAULTS,
     _write_atomic,
@@ -481,7 +481,7 @@ def test_deep_parentheses_and_calls_parse_at_any_stack_depth(shape, tmp_path, ca
         captured = capsys.readouterr()
         [m] = _frames_down(frames, lambda: parse_source(deep.read_text(), str(deep)))
         body = m.definitions[-1].body if shape == "calls" else m.definitions[-1].init
-        nodes = [(type(e).__name__, str(e.loc)) for e in N.subexpressions(body)]
+        nodes = [(type(e).__name__, str(e.loc)) for e in subexpressions(body)]
         seen.append((code, captured.out, captured.err, nodes))
     assert seen[1] == seen[0]
     code, out, err, nodes = seen[0]

@@ -10,6 +10,7 @@ import pytest
 from defsort import nodes as N
 from defsort.diag import Loc, ParseError, Record
 from defsort.syntax import Token, lex, parse_source, print_module
+from exprwalk import subexpressions
 from test_syntax_reference import ref_definition_exprs, ref_lex
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -313,7 +314,7 @@ def test_every_syntax_node_keeps_the_token_it_starts_at():
         for m in parse_source(text, path):
             located = _located(m)
             exprs = {id(e) for d in m.definitions for root in ref_definition_exprs(d)
-                     for e in N.subexpressions(root)}
+                     for e in subexpressions(root)}
             assert exprs <= {id(node) for node, _ in located}
             for node, loc in located:
                 assert type(loc) is Token, (path, node)

@@ -16,6 +16,8 @@ import pathlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exprwalk import subexpressions
+
 from defsort import nodes as N
 from defsort.defcollect import DefKind, Namespace, collect
 from defsort.diag import Diagnostic, DuplicateNameError, Loc, Location, ParseError, Record
@@ -777,7 +779,7 @@ def test_walkers_match_the_recursive_references(body, pre, conditional):
             continue
         uses = free_uses(node.body, node.bound, conditional)
         assert uses == ref_free_uses(node.body, BoundContext([node.bound]), conditional)
-        assert [id(e) for e in N.subexpressions(node.body)] == [id(e) for e in ref_iter_exprs(node.body)]
+        assert [id(e) for e in subexpressions(node.body)] == [id(e) for e in ref_iter_exprs(node.body)]
     assert check_duplicate_binds(m) == ref_duplicate_binds(m)
     assert check_precondition_calls(m, fm) == ref_precondition_calls(m, fm)
 
