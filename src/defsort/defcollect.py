@@ -4,7 +4,8 @@ Every type clause (invariant, equality, order) and every function clause
 (pre, post, measure) becomes its own node, named after its definition
 (``inv_T``, ``pre_f`` and so on) and linked to that definition's node, its
 `owner`.  Types without a user invariant receive a synthetic, trivially-true
-invariant node so that invariant totality holds.
+invariant node so that invariant totality holds; a user definition named
+like that implicit `inv_T` is a duplicate name.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ CLAUSES = {
     N.ValueDef: (),
     N.FuncDef: (("pre", DefKind.PRE_FN), ("post", DefKind.POST_FN), ("measure", DefKind.MEASURE_FN)),
 }
+
+# a type's clause kinds, in the order a type links to its clause nodes
+TYPE_CLAUSES = tuple(kind for _, kind in CLAUSES[N.NamedTypeDef])
 
 # (namespace, name): names are unique per namespace, not per module
 NodeKey = tuple
@@ -133,6 +137,9 @@ def collect(m: N.SourceModule) -> FlatModule:
         loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
         node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, len(nodes), body)
         if node.key in seen:
+            if synthetic:  # added after every user node: the user's definition takes its name
+                raise DuplicateNameError(name, ns.value, seen[node.key].location,
+                                         f"invariant of type {owner.name}")
             raise DuplicateNameError(name, ns.value, loc)
         seen[node.key] = node
         nodes.append(node)
@@ -163,9 +170,10 @@ def collect(m: N.SourceModule) -> FlatModule:
                 bound = [n for p in pats for n in pattern_names(p)]
                 add(name, Namespace.FUNCTION, kind, owner, c.loc, bound, di, c.expr)
 
-    # second stage: every type gets an invariant node, synthesized when absent
+    # second stage: every type gets an invariant node, synthesized when it
+    # owns none, which is when its definition has no inv clause
     for node in list(nodes):
-        if node.kind is DefKind.TYPE_DEF and not (Namespace.FUNCTION, f"inv_{node.name}") in seen:
+        if node.kind is DefKind.TYPE_DEF and m.definitions[node.def_index].inv is None:
             add(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node,
                 node.location, (), node.def_index, TRUE_LIT, synthetic=True)
 
@@ -188,15 +196,19 @@ def type_dependency_links(fm: FlatModule) -> list:
     Type names that resolve to no definition are skipped: `collect` has
     rejected them unless the module imports them.
     """
+    owned: dict = {}  # a type node -> its clause nodes by kind
+    for node in fm.nodes:
+        if node.kind in TYPE_CLAUSES:
+            owned.setdefault(node.owner, {})[node.kind] = node
     links: list = []
     for node in fm.nodes:
         d = fm.source.definitions[node.def_index]
         if node.kind is DefKind.TYPE_DEF:
-            for clause in ("inv", "eq", "ord"):
-                other = fm.get(Namespace.FUNCTION, f"{clause}_{node.name}")
-                if other is not None:
-                    links.append(Edge(node.key, other.key, node.location))
-        elif node.kind in (DefKind.INVARIANT_FN, DefKind.EQ_FN, DefKind.ORD_FN):
+            clauses = owned[node]  # it owns an invariant node at least
+            for kind in TYPE_CLAUSES:
+                if kind in clauses:
+                    links.append(Edge(node.key, clauses[kind].key, node.location))
+        elif node.kind in TYPE_CLAUSES:
             continue
         for t in _signature_types(d):
             for ref in N.named_types(t):

@@ -1,11 +1,11 @@
-"""Source locations, spans, diagnostics and the `Record` base of every value class."""
+"""Source locations, diagnostics and the `Record` base of every value class."""
 
 from __future__ import annotations
 
 from functools import total_ordering
 
 # where a value sits in its source: never part of equality, hash or repr
-POSITION_FIELDS = frozenset({"loc", "name_loc", "span", "verbatim"})
+POSITION_FIELDS = frozenset({"loc", "name_loc", "verbatim"})
 
 
 class Record:
@@ -88,12 +88,6 @@ class Loc(Location):
         self.file = file
 
 
-class Span(Record):
-    """Half-open byte range [start_off, end_off) plus its endpoint locations."""
-
-    __slots__ = ("start", "end", "start_off", "end_off")
-
-
 class Diagnostic(Record):
     __slots__ = ("severity", "code", "message", "at")  # severity: "error" | "warning"
 
@@ -109,10 +103,12 @@ class ParseError(Exception):
 
 
 class DuplicateNameError(Exception):
-    """Two definitions claim the same name inside one namespace of a module."""
+    """Two definitions claim the same name inside one namespace of a module,
+    or one takes the name of an implicit definition, the `implicit` one."""
 
-    def __init__(self, name: str, namespace: str, at: Location):
-        super().__init__(f"{at}: duplicate {namespace} name {name!r}")
+    def __init__(self, name: str, namespace: str, at: Location, implicit: str = ""):
+        also = f", the implicit {implicit}" if implicit else ""
+        super().__init__(f"{at}: duplicate {namespace} name {name!r}{also}")
         self.name = name
         self.namespace = namespace
         self.at = at

@@ -2,12 +2,12 @@
 
 Every syntax class is a `diag.Record`: a plain slotted class whose fields
 are its `__slots__`, with a generated constructor.  Structural equality,
-hash and repr ignore locations, spans and verbatim text, so a module
-compares equal to the result of printing and reparsing it.
+hash and repr ignore locations and verbatim text, so a module compares
+equal to the result of printing and reparsing it.
 
-Records are not frozen.  The parser sets a definition's comments, span and
-text on the object it built, so a definition is built once; no later stage
-assigns to them.  Only modules stay frozen dataclasses, because the
+Records are not frozen.  The parser sets a definition's source text
+(`verbatim`, its comments included) on the object it built, so a
+definition is built once; no later stage assigns to it.  Only modules stay frozen dataclasses, because the
 benchmark's re-enactment (`perfbench/reenact.py`) copies a module with
 `dataclasses.replace`.
 """
@@ -190,19 +190,19 @@ class RecordField(Record):
 
 
 class RecordTypeDef(Record):
-    __slots__ = ("name", "fields", "inv", "doc_comments", "name_loc", "span", "verbatim")
+    __slots__ = ("name", "fields", "inv", "name_loc", "verbatim")
 
     section = "types"
 
 
 class NamedTypeDef(Record):
-    __slots__ = ("name", "rhs", "inv", "eq", "ord", "doc_comments", "name_loc", "span", "verbatim")
+    __slots__ = ("name", "rhs", "inv", "eq", "ord", "name_loc", "verbatim")
 
     section = "types"
 
 
 class ValueDef(Record):
-    __slots__ = ("pattern", "decl_type", "init", "doc_comments", "name_loc", "span", "verbatim")
+    __slots__ = ("pattern", "decl_type", "init", "name_loc", "verbatim")
 
     section = "values"
 
@@ -210,7 +210,7 @@ class ValueDef(Record):
 class FuncDef(Record):
     # params: one pattern per domain component
     __slots__ = ("name", "param_types", "ret_type", "params", "body", "pre", "post", "measure",
-                 "doc_comments", "name_loc", "span", "verbatim")
+                 "name_loc", "verbatim")
 
     section = "functions"
 

@@ -4,10 +4,9 @@ The lexer scans a whole file in a few passes into parallel lists of token
 texts, tags and offsets, and the parser reads those lists by index,
 building a `Token` only for a location the tree keeps.  The parser is a
 recursive descent, except that an expression is read by one
-operator-precedence loop.  Every
-definition records the exact source span it came from (leading comments
-included), so later stages can move definitions around without touching
-their text.
+operator-precedence loop.  Every definition keeps the exact source text it
+came from (`verbatim`, leading comments included), so later stages can
+move definitions around without touching their text.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 
 from . import nodes as N
-from .diag import Loc, Location, ParseError, Span
+from .diag import Location, ParseError
 
 KEYWORDS = frozenset(
     """
@@ -195,19 +194,11 @@ def pattern_names_distinct(patterns, where: str):
 
 _SECTION_ENDS = (*SECTION_KEYWORDS, "end", EOF)
 _COLLECTION_TYPES = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}
-# `in set` and `not in set` are told by the text alone of the tokens after
-# `in` or `not`, and a quote drops its brackets from its text, so `<set>`
-# and `<in>` read as the keywords there
-_READS_SET = ("set", "<set>")
-_READS_IN = ("in", "<in>")
 
 
 class _Parser:
     """Reads the scan by index, one tag compare per test, and builds a
-    `Token` only for a location that a node, a span or an error keeps.
-
-    `cur` to `expect` build the Tokens they test or return, for subclasses;
-    the parser itself tests tags with `_skip`, `_need` and `_name`."""
+    `Token` only for a location that a node or an error keeps."""
 
     def __init__(self, text: str, file: str):
         self.text = text
@@ -217,6 +208,10 @@ class _Parser:
         self.i = 0
 
     # token plumbing
+
+    def _off(self, i: int) -> int:
+        """The offset of the token at index `i`."""
+        return self.ends[i] - len(self.texts[i])
 
     def tok(self, i: int) -> Token:
         """The token at index `i`, built now, as the scan keeps none."""
@@ -228,39 +223,17 @@ class _Parser:
             text = self.texts[i][1:-1]
         else:
             text = self.texts[i]
-        return Token(kind, text, self.ends[i] - len(self.texts[i]), self.src)
+        return Token(kind, text, self._off(i), self.src)
 
-    def cur(self) -> Token:
-        return self.tok(self.i)
-
-    def peek(self, k: int = 1) -> Token:
-        return self.tok(min(self.i + k, len(self.tags) - 1))
-
-    def last(self) -> Token:
-        return self.tok(self.i - 1)
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur()
-        return t.kind == kind and (text is None or t.text == text)
-
-    def at_kw(self, *words: str) -> bool:
-        return self.tags[self.i] in words
-
-    def advance(self) -> Token:
+    def _take(self) -> Token:
+        """Step over the current token; the token."""
         self.i += 1
         return self.tok(self.i - 1)
 
-    def accept(self, kind: str, text: str | None = None):
-        return self.advance() if self.at(kind, text) else None
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        want = f"'{text}'" if text else kind
-        raise ParseError(f"expected {want}, found {self.cur().describe()}", self.cur())
-
-    def expect_name(self, what: str = "identifier") -> Token:
-        return self.tok(self._name(what))
+    def _expected(self, what: str) -> ParseError:
+        """The error of finding the current token where `what` should be."""
+        t = self.tok(self.i)
+        return ParseError(f"expected {what}, found {t.describe()}", t)
 
     def _skip(self, tag: str) -> bool:
         """Step over the current token if it is the keyword or mark `tag`."""
@@ -274,7 +247,7 @@ class _Parser:
         `tag`; its index."""
         i = self.i
         if self.tags[i] != tag:
-            raise ParseError(f"expected '{tag}', found {self.cur().describe()}", self.cur())
+            raise self._expected(f"'{tag}'")
         self.i = i + 1
         return i
 
@@ -282,7 +255,7 @@ class _Parser:
         """Step over the current token, which must be a name; its index."""
         i = self.i
         if self.tags[i] != NAME:
-            raise ParseError(f"expected {what}, found {self.cur().describe()}", self.cur())
+            raise self._expected(what)
         self.i = i + 1
         return i
 
@@ -296,14 +269,14 @@ class _Parser:
 
     def parse_module(self) -> N.SourceModule:
         self._need("module")
-        name_tok = self.expect_name("module name")
+        name_tok = self.tok(self._name("module name"))
         exports_all = self._skip("exports")
         if exports_all:
             self._need("all")
         imports = []
         while self._skip("imports"):
             self._need("from")
-            imp = self.expect_name("module name")
+            imp = self.tok(self._name("module name"))
             self._need("all")
             imports.append(N.ImportRef(imp.text, imp))
         self._need("definitions")
@@ -311,14 +284,21 @@ class _Parser:
         tags = self.tags
         while tags[self.i] in SECTION_KEYWORDS:
             section = tags[self.i]
-            sec_end = boundary = self.ends[self.i]
+            boundary = self.ends[self.i]  # the end of the text before the next definition
             self.i += 1
+            d = None
             while tags[self.i] not in _SECTION_ENDS:
                 d = self.parse_definition(section, boundary)
                 defs.append(d)
-                boundary = d.span.end_off
-            if boundary > sec_end:  # the section has a definition
-                defs[-1] = self._with_trailing_comments(defs[-1])
+                boundary = self.ends[self.i - 1]
+            if d is not None:
+                # the comments before the next section keyword or `end` move
+                # with the section's last definition
+                offs = self.comment_offs
+                lo = bisect_left(offs, boundary)
+                hi = bisect_left(offs, self._off(self.i), lo)
+                if hi > lo:
+                    d.verbatim += self.text[boundary : self.comments[hi - 1].end]
         self._need("end")
         end = self._name("module name")
         if self.texts[end] != name_tok.text:
@@ -336,33 +316,16 @@ class _Parser:
             name_loc=name_tok,
         )
 
-    def _make_span(self, start: Token, end_off: int) -> Span:
-        """From `start`, or from the start of its line when only white space
-        precedes it, to `end_off`, which ends the last token consumed."""
-        line_start = start.off - (start.col - 1)
-        if self.text[line_start : start.off].strip() == "":
-            return Span(Loc(start.line, 1, start.file), self.last(), line_start, end_off)
-        return Span(start, self.last(), start.off, end_off)
-
     # definitions
 
-    def _with_trailing_comments(self, d):
-        """Extend a section's last definition over the comments between it
-        and the next section keyword or `end`, so they move with it."""
-        lo = bisect_left(self.comment_offs, d.span.end_off)
-        trailing = self.comments[lo : bisect_left(self.comment_offs, self.cur().off, lo)]
-        if not trailing:
-            return d
-        last = trailing[-1]
-        end_off = last.end
-        d.span = Span(d.span.start, last, d.span.start_off, end_off)
-        d.verbatim = self.text[d.span.start_off : end_off]
-        return d
-
     def parse_definition(self, section: str, boundary: int):
-        first = self.cur()
+        """A definition and its `verbatim` text: from its first comment after
+        `boundary`, or else its first token, to its last token.  The text
+        starts at the start of its line when only white space precedes it."""
+        start = self._off(self.i)
         lo = bisect_left(self.comment_offs, boundary)
-        leading = self.comments[lo : bisect_left(self.comment_offs, first.off, lo)]
+        if lo < len(self.comment_offs) and self.comment_offs[lo] < start:
+            start = self.comment_offs[lo]
         if section == "types":
             core = self.parse_typedef()
         elif section == "values":
@@ -370,17 +333,14 @@ class _Parser:
         else:
             core = self.parse_fundef()
         self._skip(";")
-        start = leading[0] if leading else first
-        span = self._make_span(start, self.ends[self.i - 1])
-        core.doc_comments = tuple(
-            c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc")
-        )
-        core.span = span
-        core.verbatim = self.text[span.start_off : span.end_off]
+        line_start = self.text.rfind("\n", 0, start) + 1
+        if not self.text[line_start:start].strip():
+            start = line_start
+        core.verbatim = self.text[start : self.ends[self.i - 1]]
         return core
 
     def parse_typedef(self):
-        name = self.expect_name("type name")
+        name = self.tok(self._name("type name"))
         if self._skip("::"):
             fields = []
             tags = self.tags
@@ -389,15 +349,15 @@ class _Parser:
                 self.i += 2
                 fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
-                raise ParseError("record type needs at least one field", self.cur())
+                raise ParseError("record type needs at least one field", self.tok(self.i))
             inv = self._parse_inv_clause()
-            return N.RecordTypeDef(name.text, tuple(fields), inv, (), name, None, "")
+            return N.RecordTypeDef(name.text, tuple(fields), inv, name, "")
         self._need("=")
         rhs = self.parse_type()
         inv = self._parse_inv_clause()
         eq = None
         if self.tags[self.i] == "eq":
-            loc = self.advance()
+            loc = self._take()
             left = self.parse_pattern()
             self._need("=")
             right = self.parse_pattern()
@@ -406,19 +366,19 @@ class _Parser:
             eq = N.EqClause(left, right, self.parse_expr(), loc)
         order = None
         if self.tags[self.i] == "ord":
-            loc = self.advance()
+            loc = self._take()
             left = self.parse_pattern()
             self._need("<")
             right = self.parse_pattern()
             pattern_names_distinct([left, right], "ord clause")
             self._need("==")
             order = N.OrdClause(left, right, self.parse_expr(), loc)
-        return N.NamedTypeDef(name.text, rhs, inv, eq, order, (), name, None, "")
+        return N.NamedTypeDef(name.text, rhs, inv, eq, order, name, "")
 
     def _parse_inv_clause(self):
         if self.tags[self.i] != "inv":
             return None
-        loc = self.advance()
+        loc = self._take()
         pat = self.parse_pattern()
         pattern_names_distinct([pat], "inv clause")
         self._need("==")
@@ -432,10 +392,10 @@ class _Parser:
             decl_type = self.parse_type()
         self._need("=")
         init = self.parse_expr()
-        return N.ValueDef(pat, decl_type, init, (), pat.loc, None, "")
+        return N.ValueDef(pat, decl_type, init, pat.loc, "")
 
     def parse_fundef(self):
-        name = self.expect_name("function name")
+        name = self.tok(self._name("function name"))
         self._need(":")
         param_types: list = []
         if self.tags[self.i] == "(" and self.tags[self.i + 1] == ")":
@@ -473,7 +433,7 @@ class _Parser:
         measure = self.parse_expr() if self._skip("measure") else None
         return N.FuncDef(
             name.text, tuple(param_types), ret, tuple(params),
-            body, pre, post, measure, (), name, None, "",
+            body, pre, post, measure, name, "",
         )
 
     # patterns
@@ -481,9 +441,9 @@ class _Parser:
     def parse_pattern(self):
         tag = self.tags[self.i]
         if tag == "-":
-            return N.PatIgnore(self.advance())
+            return N.PatIgnore(self._take())
         if tag == NAME:
-            t = self.advance()
+            t = self._take()
             if t.text.startswith("mk_") and self.tags[self.i] == "(":
                 ctor = t.text[3:]
                 if not ctor:
@@ -496,7 +456,7 @@ class _Parser:
                 return N.PatCtor(ctor, tuple(items), t)
             return N.PatName(t.text, t)
         if tag == "[" or tag == "{":
-            t = self.advance()
+            t = self._take()
             close = "]" if tag == "[" else "}"
             items = []
             if self.tags[self.i] != close:
@@ -505,7 +465,7 @@ class _Parser:
                     items.append(self.parse_pattern())
             self._need(close)
             return (N.PatSeq if close == "]" else N.PatSet)(tuple(items), t)
-        raise ParseError(f"expected a pattern, found {self.cur().describe()}", self.cur())
+        raise self._expected("a pattern")
 
     # types
 
@@ -524,18 +484,18 @@ class _Parser:
     def parse_type_atom(self):
         tag = self.tags[self.i]
         if tag in BASIC_TYPES:
-            return N.TBasic(tag, self.advance())
+            return N.TBasic(tag, self._take())
         if tag in _COLLECTION_TYPES:
-            t = self.advance()
+            t = self._take()
             self._need("of")
             return _COLLECTION_TYPES[tag](self.parse_type_atom(), t)
         if tag == "map":
-            t = self.advance()
+            t = self._take()
             key = self.parse_type_atom()
             self._need("to")
             return N.TMap(key, self.parse_type_atom(), t)
         if tag == "[":
-            t = self.advance()
+            t = self._take()
             inner = self.parse_type()
             self._need("]")
             return N.TOptional(inner, t)
@@ -545,12 +505,12 @@ class _Parser:
             self._need(")")
             return inner
         if tag == QUOTE:
-            t = self.advance()
+            t = self._take()
             return N.TQuote(t.text, t)
         if tag == NAME:
-            t = self.advance()
+            t = self._take()
             return N.TNamed(t.text, t)
-        raise ParseError(f"expected a type, found {self.cur().describe()}", self.cur())
+        raise self._expected("a type")
 
     # expressions: one loop over BINARY_LEVELS
 
@@ -607,9 +567,9 @@ class _Parser:
                     tag = tags[i]
                 op = tag
                 width = 1
-                if op == "in" and texts[i + 1] in _READS_SET:
+                if op == "in" and tags[i + 1] == "set":
                     op, width = "in set", 2
-                elif op == "not" and texts[i + 1] in _READS_IN and texts[i + 2] in _READS_SET:
+                elif op == "not" and tags[i + 1] == "in" and tags[i + 2] == "set":
                     op, width = "not in set", 3
                 level = BINARY_LEVELS.get(op, 0)
                 # pop what binds at least as tightly; "=>" associates to the right
@@ -659,15 +619,15 @@ class _Parser:
         """An operand that parse_expr does not read itself."""
         tag = self.tags[self.i]
         if tag == REAL:
-            t = self.advance()
+            t = self._take()
             return N.Lit("real", float(t.text), t)
         if tag == CHAR or tag == QUOTE:
-            t = self.advance()
+            t = self._take()
             return N.Lit(t.kind, t.text, t)
         if tag == "true" or tag == "false":
-            return N.Lit("bool", tag == "true", self.advance())
+            return N.Lit("bool", tag == "true", self._take())
         if tag == "nil":
-            return N.Lit("nil", None, self.advance())
+            return N.Lit("nil", None, self._take())
         if tag == "if":
             return self.parse_if()
         if tag == "let":
@@ -680,12 +640,12 @@ class _Parser:
             return self.parse_braced()
         if tag == "[":
             return self.parse_bracketed()
-        raise ParseError(f"expected an expression, found {self.cur().describe()}", self.cur())
+        raise self._expected("an expression")
 
     def parse_mk_or_is(self):
         """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
         or `is_`, with its argument list next."""
-        t = self.advance()
+        t = self._take()
         if t.text.startswith("mk_"):
             if t.text == "mk_":
                 raise ParseError("record constructor needs a type name", t)
@@ -729,7 +689,7 @@ class _Parser:
         return N.Let(tuple(binds), self.parse_expr(), loc)
 
     def parse_quantifier(self):
-        t = self.advance()
+        t = self._take()
         binds = self.parse_binds()
         self._need("&")
         return N.Quant(t.text, binds, self.parse_expr(), t)
@@ -739,16 +699,13 @@ class _Parser:
         while True:
             pat = self.parse_pattern()
             pattern_names_distinct([pat], "binding pattern")
-            if self.tags[self.i] == "in" and self.texts[self.i + 1] in _READS_SET:
+            if self.tags[self.i] == "in" and self.tags[self.i + 1] == "set":
                 self.i += 2
                 binds.append(N.Bind(pat, self.parse_expr(), None, pat.loc))
             elif self._skip(":"):
                 binds.append(N.Bind(pat, None, self.parse_type(), pat.loc))
             else:
-                raise ParseError(
-                    f"expected 'in set' or ':' in binding, found {self.cur().describe()}",
-                    self.cur(),
-                )
+                raise self._expected("'in set' or ':' in binding")
             if not self._skip(","):
                 return tuple(binds)
 
@@ -844,7 +801,7 @@ def parse_source(text: str, file: str = "<string>"):
     try:
         return parser.parse_file()
     except RecursionError:
-        raise ParseError("nesting too deep", parser.cur()) from None
+        raise ParseError("nesting too deep", parser.tok(parser.i)) from None
 
 
 def print_module(m: N.SourceModule) -> str:

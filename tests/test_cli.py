@@ -102,6 +102,29 @@ def test_a_use_of_a_clause_is_a_use_of_its_definition(capsys):
     ]
 
 
+def test_a_function_named_like_a_clause_its_type_lacks_is_no_clause(capsys):
+    # R is a record type, which has no eq clause: eq_R is a plain function
+    # that R does not depend on, so the module is already sorted
+    assert run(["sort", "--debug", _corpus("clausename.vdmsl")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Calling Exu VDM analyser...",
+        "Calculating declaration dependencies for module `CLAUSENAME`...",
+        "Found 0 definition use before declaration. Topological sort not required.",
+        "Exu module CLAUSENAME definitions already sorted",
+    ]
+
+
+@pytest.mark.parametrize("argv", [["check"], ["sort"], ["dot"]])
+def test_a_function_named_like_an_implicit_invariant_is_a_duplicate(argv, tmp_path, capsys):
+    # a type without an inv clause has the implicit invariant inv_T
+    (tmp_path / "d.vdmsl").write_text(_module(
+        "D", "types\n  T = nat;\nfunctions\n  inv_T : nat -> bool\n  inv_T(x) == x > 0;"))
+    assert run(argv + ["d.vdmsl"]) == 1
+    assert capsys.readouterr().err == (
+        "d.vdmsl:6:3: duplicate function name 'inv_T', the implicit invariant of type T\n")
+    assert not (tmp_path / ".generated").exists()
+
+
 def test_sort_writes_a_verified_module(tmp_path, capsys):
     assert run(["sort", _corpus("M.vdmsl")]) == 0
     written = tmp_path / ".generated" / "sorted" / "M.vdmsl"
@@ -455,6 +478,18 @@ def test_an_unknown_type_name_in_a_value_that_binds_no_name_is_an_error(argv, tm
     assert run(argv + ["v.vdmsl"]) == 1
     assert capsys.readouterr().err == "v.vdmsl:4:7: unknown type name 'Missing'\n"
     assert not (tmp_path / ".generated").exists()
+
+
+# a quote is no keyword, so `in <set>` and `not <in> set` are no operators:
+# the value ends before them, and no definition starts with them
+@pytest.mark.parametrize("line, err", [
+    ("v = 1 in <set> s;", "q.vdmsl:5:9: expected a pattern, found 'in'"),
+    ("w = 1 not <in> set s;", "q.vdmsl:5:9: expected a pattern, found 'not'"),
+])
+def test_a_quote_named_like_a_keyword_is_a_located_parse_error(line, err, tmp_path, capsys):
+    (tmp_path / "q.vdmsl").write_text(_module("Q", f"values\n  s = {{1}};\n  {line}"))
+    assert run(["check", "q.vdmsl"]) == 1
+    assert capsys.readouterr().err == err + "\n"
 
 
 # parentheses and plain calls are frames of the expression loop, not of the

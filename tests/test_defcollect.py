@@ -148,18 +148,20 @@ def test_collect_rejects_function_colliding_with_invariant_clause():
     assert err.value.name == "inv_T"
 
 
-def test_collect_user_function_preempts_synthetic_invariant():
-    # a user-written inv_T wins over the synthesized one for a bare type T
-    fm = _flat(
-        "module D\nexports all\ndefinitions\ntypes\n"
-        "    T = nat;\n"
-        "functions\n"
-        "    inv_T: nat -> bool\n"
-        "    inv_T(x) == x > 0;\n"
-        "end D\n"
-    )
-    node = fm.get(Namespace.FUNCTION, "inv_T")
-    assert node.kind is DefKind.FUNCTION_DEF and not node.synthetic
+def test_collect_rejects_function_colliding_with_synthetic_invariant():
+    # a bare type T owns an implicit inv_T, so a user inv_T is a duplicate,
+    # reported at the user's definition
+    with pytest.raises(DuplicateNameError) as err:
+        _flat(
+            "module D\nexports all\ndefinitions\ntypes\n"
+            "    T = nat;\n"
+            "functions\n"
+            "    inv_T: nat -> bool\n"
+            "    inv_T(x) == x > 0;\n"
+            "end D\n"
+        )
+    assert (err.value.name, err.value.at.line, err.value.at.col) == ("inv_T", 7, 5)
+    assert str(err.value).endswith("duplicate function name 'inv_T', the implicit invariant of type T")
 
 
 def test_type_links_for_golden_module():

@@ -64,8 +64,8 @@ def test_lexer_matches_the_character_loop_reference_on_boundary_cases(text):
     assert new == ref
 
 
-# the loop parser tells `in set` and `not in set` by token text, as the
-# reference does, and a quote's text drops its brackets
+# the loop parser tells `in set` and `not in set` by token tags, and the
+# reference by token kinds, so a quote named like a keyword is no keyword
 QUOTES_NAMED_LIKE_KEYWORDS = [
     "a in <set> b",
     "a not in <set> b",

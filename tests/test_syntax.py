@@ -71,18 +71,27 @@ def test_definition_name_locations_match_listing():
 
 
 def test_verbatim_is_exact_substring_of_input():
-    text = _corpus("M.vdmsl")
-    m = _module(text)
-    for d in m.definitions:
-        assert text[d.span.start_off:d.span.end_off] == d.verbatim
+    # each definition's text occurs in its input, in source order without
+    # overlap, and starts at its first leading comment, or at its first token
+    # when it has none; at the start of the line when only white space
+    # comes before that
+    for path, text in _corpus_files():
+        toks, comments = lex(text, path)
+        index = {t.off: k for k, t in enumerate(toks)}
+        end = 0
+        for m in parse_source(text, path):
+            for d in m.definitions:
+                first = d.name_loc.off
+                before = toks[index[first] - 1].end
+                leading = [c.off for c in comments if before <= c.off < first]
+                start = leading[0] if leading else first
+                line_start = text.rfind("\n", 0, start) + 1
+                if text[line_start:start].strip() == "":
+                    start = line_start
+                assert start >= end and text.startswith(d.verbatim, start), (path, d.verbatim)
+                end = start + len(d.verbatim)
+    m = _module(_corpus("M.vdmsl"))
     assert "--@doc uses types S and T" in m.definitions[0].verbatim
-
-
-def test_definitions_ordered_by_start_location():
-    text = _corpus("records.vdmsl")
-    m = _module(text)
-    starts = [(d.span.start.line, d.span.start.col) for d in m.definitions]
-    assert starts == sorted(starts)
 
 
 def test_pattern_value_parses_to_seq_pattern():

@@ -138,7 +138,24 @@ def ref_lex(text, file="<string>"):
 
 
 class RefParser(_Parser):
-    """One method per precedence level, loosest first; comments scanned."""
+    """One method per precedence level, loosest first; comments scanned.
+
+    It reads the tokens it tests, through the Token cursor below."""
+
+    def cur(self):
+        return self.tok(self.i)
+
+    def peek(self, k=1):
+        return self.tok(min(self.i + k, len(self.tags) - 1))
+
+    def at(self, kind, text=None):
+        t = self.cur()
+        return t.kind == kind and (text is None or t.text == text)
+
+    def at_kw(self, word, k=0):
+        """Whether the token `k` ahead is the keyword `word`."""
+        t = self.peek(k)
+        return t.kind == "kw" and t.text == word
 
     def parse_definition(self, section, boundary):
         first = self.cur()
@@ -149,12 +166,12 @@ class RefParser(_Parser):
             core = self.parse_valuedef()
         else:
             core = self.parse_fundef()
-        self.accept("punct", ";")
-        end_off = self.last().end
-        span = self._make_span(leading[0] if leading else first, end_off)
-        docs = tuple(c.text[len("--@doc"):].strip() for c in leading if c.text.startswith("--@doc"))
-        core.doc_comments, core.span = docs, span
-        core.verbatim = self.text[span.start_off : span.end_off]
+        self._skip(";")
+        start = leading[0] if leading else first
+        start_off = start.off
+        if self.text[start.off - (start.col - 1) : start.off].strip() == "":
+            start_off -= start.col - 1
+        core.verbatim = self.text[start_off : self.tok(self.i - 1).end]
         return core
 
     def parse_expr(self):
@@ -163,34 +180,34 @@ class RefParser(_Parser):
     def parse_iff(self):
         e = self.parse_implies()
         while self.at("punct", "<=>"):
-            loc = stored_loc(self.advance())
+            loc = stored_loc(self._take())
             e = N.Binary("<=>", e, self.parse_implies(), loc)
         return e
 
     def parse_implies(self):
         e = self.parse_or()
         if self.at("punct", "=>"):
-            loc = stored_loc(self.advance())
+            loc = stored_loc(self._take())
             return N.Binary("=>", e, self.parse_implies(), loc)
         return e
 
     def parse_or(self):
         e = self.parse_and()
         while self.at_kw("or"):
-            loc = stored_loc(self.advance())
+            loc = stored_loc(self._take())
             e = N.Binary("or", e, self.parse_and(), loc)
         return e
 
     def parse_and(self):
         e = self.parse_not()
         while self.at_kw("and"):
-            loc = stored_loc(self.advance())
+            loc = stored_loc(self._take())
             e = N.Binary("and", e, self.parse_not(), loc)
         return e
 
     def parse_not(self):
-        if self.at_kw("not") and not (self.peek().kind == "kw" and self.peek().text == "in"):
-            loc = stored_loc(self.advance())
+        if self.at_kw("not") and not self.at_kw("in", 1):
+            loc = stored_loc(self._take())
             return N.Unary("not", self.parse_not(), loc)
         return self.parse_rel()
 
@@ -199,24 +216,19 @@ class RefParser(_Parser):
         while True:
             t = self.cur()
             if t.kind == "punct" and t.text in ("=", "<>", "<=", ">=", "<", ">"):
-                self.advance()
+                self._take()
                 e = N.Binary(t.text, e, self.parse_add(), stored_loc(t))
             elif t.kind == "kw" and t.text in ("subset", "psubset"):
-                self.advance()
+                self._take()
                 e = N.Binary(t.text, e, self.parse_add(), stored_loc(t))
-            elif t.kind == "kw" and t.text == "in" and self.peek().text == "set":
-                self.advance()
-                self.advance()
+            elif self.at_kw("in") and self.at_kw("set", 1):
+                self._take()
+                self._take()
                 e = N.Binary("in set", e, self.parse_add(), stored_loc(t))
-            elif (
-                t.kind == "kw"
-                and t.text == "not"
-                and self.peek().text == "in"
-                and self.peek(2).text == "set"
-            ):
-                self.advance()
-                self.advance()
-                self.advance()
+            elif self.at_kw("not") and self.at_kw("in", 1) and self.at_kw("set", 2):
+                self._take()
+                self._take()
+                self._take()
                 e = N.Binary("not in set", e, self.parse_add(), stored_loc(t))
             else:
                 return e
@@ -228,7 +240,7 @@ class RefParser(_Parser):
             if (t.kind == "punct" and t.text in ("+", "-", "\\", "^")) or (
                 t.kind == "kw" and t.text == "union"
             ):
-                self.advance()
+                self._take()
                 e = N.Binary(t.text, e, self.parse_mul(), stored_loc(t))
             else:
                 return e
@@ -240,7 +252,7 @@ class RefParser(_Parser):
             if (t.kind == "punct" and t.text in ("*", "/")) or (
                 t.kind == "kw" and t.text in ("div", "mod", "inter")
             ):
-                self.advance()
+                self._take()
                 e = N.Binary(t.text, e, self.parse_prefix(), stored_loc(t))
             else:
                 return e
@@ -249,27 +261,27 @@ class RefParser(_Parser):
         """The operands `parse_expr` reads itself, then the rest."""
         t = self.cur()
         if t.kind == "nat":
-            self.advance()
+            self._take()
             return N.Lit("nat", int(t.text), t)
         if t.kind == "punct" and t.text == "(":
-            self.advance()
+            self._take()
             e = self.parse_expr()
-            self.expect("punct", ")")
+            self._need(")")
             return e
         applies = self.peek().kind == "punct" and self.peek().text == "("
         if t.kind == "name" and not (applies and t.text.startswith(("mk_", "is_"))):
-            self.advance()
+            self._take()
             return N.Apply(t.text, self._parse_args(), t) if applies else N.Name(t.text, t)
         return super().parse_primary()
 
     def parse_prefix(self):
         ops = []
         while self.at("punct", "-") or (self.cur().kind == "kw" and self.cur().text in BUILTIN_OPS):
-            ops.append(self.advance())
+            ops.append(self._take())
         e = self.parse_primary()  # then its field selections, then the prefix run
         while self.at("punct", "."):
-            dot = self.advance()
-            e = N.FieldSel(e, self.expect_name("field name").text, dot)
+            dot = self._take()
+            e = N.FieldSel(e, self.texts[self._name("field name")], dot)
         for t in reversed(ops):
             e = N.Unary("-", e, t) if t.text == "-" else N.BuiltinApp(t.text, (e,), t)
         return e
@@ -833,18 +845,18 @@ class RecursivePrefixParser(RefParser):
     def parse_prefix(self):
         t = self.cur()
         if t.kind == "punct" and t.text == "-":
-            self.advance()
+            self._take()
             return N.Unary("-", self.parse_prefix(), stored_loc(t))
         if t.kind == "kw" and t.text in BUILTIN_OPS:
-            self.advance()
+            self._take()
             return N.BuiltinApp(t.text, (self.parse_prefix(),), stored_loc(t))
         return self.parse_postfix()
 
     def parse_postfix(self):
         e = self.parse_primary()
         while self.at("punct", "."):
-            loc = stored_loc(self.advance())
-            e = N.FieldSel(e, self.expect_name("field name").text, loc)
+            loc = stored_loc(self._take())
+            e = N.FieldSel(e, self.texts[self._name("field name")], loc)
         return e
 
 
