@@ -70,6 +70,13 @@ def test_definition_name_locations_match_listing():
     assert lines == [6, 9, 12, 15, 18]
 
 
+def test_definitions_ordered_by_start_location():
+    text = _corpus("records.vdmsl")
+    m = _module(text)
+    starts = [(d.name_loc.line, d.name_loc.col) for d in m.definitions]
+    assert len(starts) > 1 and starts == sorted(starts)
+
+
 def test_verbatim_is_exact_substring_of_input():
     # each definition's text occurs in its input, in source order without
     # overlap, and starts at its first leading comment, or at its first token
