@@ -181,6 +181,12 @@ def _emit_module_dot_file(cfg: ToolConfig, a, written: dict, source: str) -> str
     return path
 
 
+def _status_line(report) -> str:
+    if report.sorted:
+        return f"Exu successfully sorted module {report.module_name} definitions"
+    return f"Exu module {report.module_name} definitions already sorted"
+
+
 def _trace_lines(report, dot_path=None) -> list:
     lines = [f"Calculating declaration dependencies for module `{report.module_name}`..."]
     if dot_path is not None:
@@ -197,11 +203,17 @@ def _trace_lines(report, dot_path=None) -> list:
             ("Organised names", report.organised_names),
         ):
             lines.append(f"{label:<15}: {', '.join(names)}")
-        lines.append(f"Exu successfully sorted module {report.module_name} definitions")
     else:
         lines.append(f"Found {n} definition use before declaration. Topological sort not required.")
-        lines.append(f"Exu module {report.module_name} definitions already sorted")
+    lines.append(_status_line(report))
     return lines
+
+
+def _cut_warnings(report) -> list:
+    """One warning per definition edge the sort cut, at its use."""
+    return [str(Diagnostic("warning", "cycle-cut", "definition cycle broken: "
+                           f"ignoring use of {e.used_name} by {e.user_name}", e.at))
+            for e in report.removed_edges]
 
 
 def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
@@ -211,9 +223,10 @@ def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
         for m in mods:
             a = analyse(m)
             dot_path = _emit_module_dot_file(cfg, a, written, path) if cfg.dot_enabled else None
-            lines = _trace_lines(a.report, dot_path)  # the last line is the status
-            for line in lines if cfg.debug else lines[-1:]:
-                print(line)
+            if a.report.removed_edges:
+                print("\n".join(_cut_warnings(a.report)), file=sys.stderr)
+            lines = _trace_lines(a.report, dot_path) if cfg.debug else [_status_line(a.report)]
+            print("\n".join(lines))
             any_sorted = any_sorted or a.report.sorted
             texts.append(a.text or print_module(m))
         if any_sorted and not cfg.check_only:

@@ -96,11 +96,19 @@ class DefNode(Record):
 
 
 class FlatModule(Record):
-    __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key")
-    _derived = {"_by_key": "{n.key: n for n in nodes}"}
+    __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key", "_type_refs")
+    _derived = {"_by_key": "{n.key: n for n in nodes}", "_type_refs": "None"}
 
     def get(self, namespace: Namespace, name: str):
         return self._by_key.get((namespace, name))
+
+    def type_refs(self) -> list:
+        """Per definition index, the type names its signature uses, as
+        `TNamed` nodes in source order; walked once, on first use."""
+        if self._type_refs is None:
+            self._type_refs = [[ref for t in _signature_types(d) for ref in N.named_types(t)]
+                               for d in self.source.definitions]
+        return self._type_refs
 
 
 def _param_names(d: N.FuncDef) -> frozenset:
@@ -136,12 +144,13 @@ def collect(m: N.SourceModule) -> FlatModule:
     def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
         loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
         node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, len(nodes), body)
-        if node.key in seen:
+        key = node.key
+        if key in seen:
             if synthetic:  # added after every user node: the user's definition takes its name
-                raise DuplicateNameError(name, ns.value, seen[node.key].location,
+                raise DuplicateNameError(name, ns.value, seen[key].location,
                                          f"invariant of type {owner.name}")
             raise DuplicateNameError(name, ns.value, loc)
-        seen[node.key] = node
+        seen[key] = node
         nodes.append(node)
         return node
 
@@ -177,15 +186,14 @@ def collect(m: N.SourceModule) -> FlatModule:
             add(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node,
                 node.location, (), node.def_index, TRUE_LIT, synthetic=True)
 
-    if not m.imports:
-        for d in m.definitions:
-            for t in _signature_types(d):
-                for ref in N.named_types(t):
-                    if (Namespace.TYPE, ref.name) not in seen:
-                        raise UnknownNameError(ref.name, ref.loc)
-
     original = [node.name for node in nodes if node.owner is None]
-    return FlatModule(m.name, nodes, original, m)
+    fm = FlatModule(m.name, nodes, original, m)
+    if not m.imports:
+        for refs in fm.type_refs():
+            for ref in refs:
+                if (Namespace.TYPE, ref.name) not in seen:
+                    raise UnknownNameError(ref.name, ref.loc)
+    return fm
 
 
 def type_dependency_links(fm: FlatModule) -> list:
@@ -201,8 +209,8 @@ def type_dependency_links(fm: FlatModule) -> list:
         if node.kind in TYPE_CLAUSES:
             owned.setdefault(node.owner, {})[node.kind] = node
     links: list = []
+    type_refs = fm.type_refs()
     for node in fm.nodes:
-        d = fm.source.definitions[node.def_index]
         if node.kind is DefKind.TYPE_DEF:
             clauses = owned[node]  # it owns an invariant node at least
             for kind in TYPE_CLAUSES:
@@ -210,10 +218,9 @@ def type_dependency_links(fm: FlatModule) -> list:
                     links.append(Edge(node.key, clauses[kind].key, node.location))
         elif node.kind in TYPE_CLAUSES:
             continue
-        for t in _signature_types(d):
-            for ref in N.named_types(t):
-                used = (Namespace.TYPE, ref.name)
-                # a recursive type does not order against itself
-                if used != node.key and used in fm._by_key:
-                    links.append(Edge(node.key, fm._by_key[used].key, ref.loc))
+        for ref in type_refs[node.def_index]:
+            used = fm.get(Namespace.TYPE, ref.name)
+            # a recursive type does not order against itself
+            if used is not None and used is not node:
+                links.append(Edge(node.key, used.key, ref.loc))
     return links

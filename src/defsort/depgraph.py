@@ -9,7 +9,9 @@ for a given input.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from bisect import insort
+from collections import Counter, deque
+from itertools import chain, count
 
 from .defcollect import Edge, FlatModule, NodeKey, type_dependency_links
 from .diag import CycleError, Record
@@ -17,45 +19,65 @@ from .freevars import def_use_sites
 
 
 class DepGraph:
-    """Nodes in collection order, which is their insertion order, and for
-    each node a map from every node it uses to the edge witnessing that use.
+    """Nodes in collection order, which is their insertion order, numbered by
+    that order: a node's position is its index in `keys` (`pos` maps a key
+    back).  `deps` holds, per position, the positions that node uses, in
+    ascending order, kept current by `add_edge` and `remove_edge`; each such
+    pair keeps the edge of its earliest use as its witness.  The traversals
+    read positions; `out`, `edge` and `in_degree` translate to keys.
     """
 
     def __init__(self, nodes: dict, edges=()):
         self.nodes = dict(nodes)  # key -> DefNode or module, collection order
-        self._pos = {k: i for i, k in enumerate(self.nodes)}
-        self._out: dict = {k: {} for k in self.nodes}  # user -> {used: Edge}
+        self.keys = list(self.nodes)
+        self.pos = {k: i for i, k in enumerate(self.keys)}
+        self.deps: list = [[] for _ in self.keys]  # position -> used positions, ascending
+        self._witness: dict = {}  # (user position, used position) -> Edge
+        self._places = None
         for e in edges:
             self.add_edge(e)
 
     @property
     def edges(self) -> list:
-        return [e for adj in self._out.values() for e in adj.values()]
+        """Each pair's edge, in the order the pairs were first added."""
+        return list(self._witness.values())
 
     def add_edge(self, e: Edge):
-        if e.user not in self.nodes or e.used not in self.nodes:
+        i, j = self.pos.get(e.user), self.pos.get(e.used)
+        if i is None or j is None:
             raise KeyError(f"edge endpoints must be graph nodes: {e}")
-        adj = self._out[e.user]
-        old = adj.get(e.used)
-        if old is None or (e.at.line, e.at.col) < (old.at.line, old.at.col):
-            adj[e.used] = e
+        old = self._witness.get((i, j))
+        if old is None:
+            self._witness[i, j] = e
+            insort(self.deps[i], j)
+        elif (e.at.line, e.at.col) < (old.at.line, old.at.col):
+            self._witness[i, j] = e
 
     def edge(self, user: NodeKey, used: NodeKey) -> Edge:
-        return self._out[user][used]
+        return self._witness[self.pos[user], self.pos[used]]
 
     def remove_edge(self, user: NodeKey, used: NodeKey):
-        del self._out[user][used]
+        i, j = self.pos[user], self.pos[used]
+        del self._witness[i, j]
+        self.deps[i].remove(j)
 
     def out(self, key: NodeKey) -> list:
         """Dependencies of `key`, in collection order of the target."""
-        return sorted(self._out[key], key=self._pos.__getitem__)
+        keys = self.keys
+        return [keys[j] for j in self.deps[self.pos[key]]]
 
     def in_degree(self) -> dict:
-        deg = {k: 0 for k in self.nodes}
-        for adj in self._out.values():
-            for used in adj:
-                deg[used] += 1
-        return deg
+        deg = Counter(chain.from_iterable(self.deps))
+        return {k: deg[i] for i, k in enumerate(self.keys)}
+
+    def places(self) -> list:
+        """Per position, where the node is declared, as one int that orders
+        and compares like its `location`'s (line, column), as columns stay
+        below 2**32.  Worked out on first use and kept, as the nodes never
+        change; definition graphs only, as a module node has no location."""
+        if self._places is None:
+            self._places = [n.location.line << 32 | n.location.col for n in self.nodes.values()]
+        return self._places
 
 
 def build_graph(fm: FlatModule) -> DepGraph:
@@ -84,84 +106,83 @@ class Cycle(Record):
 def search(g: DepGraph) -> tuple:
     """Tarjan's algorithm (Tarjan 1972), iteratively, in collection order.
 
-    Returns the strongly connected components in the order they complete,
-    and the back edges, the edges to a node on the current search path
-    (self-loops included), in the order the search meets them.  Removing
-    the back edges leaves the graph acyclic.
+    Returns each position's component number, the components numbered in
+    the order they complete, so two nodes share one exactly when each
+    reaches the other; and the back edges, the edges to a node on the
+    current search path (self-loops included), in the order the search
+    meets them.  Removing the back edges leaves the graph acyclic.
     """
-    index_of: dict = {}
-    low: dict = {}
-    on_stack: set = set()  # visited, component not yet complete
-    on_path: set = set()  # the nodes of `work`
-    stack: list = []
-    sccs: list = []
+    deps, witness = g.deps, g._witness
+    n = len(deps)
+    index = [-1] * n  # visit order, -1 before the visit
+    low = [0] * n
+    label = [-1] * n  # component number, -1 until the component completes
+    on_path = [False] * n  # a node of `work`
+    stack: list = []  # visited, component not yet complete
     back: list = []
     work: list = []  # (node, iterator over its remaining dependencies)
+    visits = count()
+    components = 0
 
     def visit(v):
-        index_of[v] = low[v] = len(index_of)
+        index[v] = low[v] = next(visits)
         stack.append(v)
-        on_stack.add(v)
-        on_path.add(v)
-        work.append((v, iter(g.out(v))))
+        on_path[v] = True
+        work.append((v, iter(deps[v])))
 
-    for root in g.nodes:
-        if root in index_of:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         visit(root)
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index_of:
+                if index[w] < 0:
                     visit(w)
                     break
-                if w in on_stack:
-                    if w in on_path:
-                        back.append(g.edge(v, w))
-                    x = index_of[w]
-                    if x < low[v]:
-                        low[v] = x
+                if label[w] < 0:  # on the stack
+                    if on_path[w]:
+                        back.append(witness[v, w])
+                    if index[w] < low[v]:
+                        low[v] = index[w]
             else:
                 work.pop()
-                on_path.discard(v)
+                on_path[v] = False
                 if work:
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-                if low[v] == index_of[v]:
-                    comp = []
+                if low[v] == index[v]:
                     while True:
                         w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
+                        label[w] = components
                         if w == v:
                             break
-                    sccs.append(comp)
-    return sccs, back
-
-
-def scc_labels(sccs: list) -> dict:
-    """Each node's component number: two nodes share one exactly when each
-    reaches the other."""
-    return {k: i for i, comp in enumerate(sccs) for k in comp}
+                    components += 1
+    return label, back
 
 
 def find_cycles(g: DepGraph) -> list:
-    """One closed-walk witness per strongly connected component of size > 1."""
+    """One closed-walk witness per strongly connected component of size > 1,
+    by the collection order of the component's first node."""
+    labels = search(g)[0]
+    members: dict = {}  # component -> its positions, ascending
+    for i, c in enumerate(labels):
+        members.setdefault(c, []).append(i)
     cycles: list = []
-    for comp in search(g)[0]:
+    for comp in members.values():
         if len(comp) < 2:
             continue
-        members = set(comp)
-        start = min(comp, key=g._pos.__getitem__)
+        start = comp[0]
+        label = labels[start]
         # breadth-first parents give the shortest closed walk through start
         parents = {start: None}
         queue = deque([start])
         walk = None
         while queue and walk is None:
             u = queue.popleft()
-            for v in g.out(u):
-                if v not in members:
+            for v in g.deps[u]:
+                if labels[v] != label:
                     continue
                 if v == start:
                     path = [u]
@@ -173,9 +194,8 @@ def find_cycles(g: DepGraph) -> list:
                 if v not in parents:
                     parents[v] = u
                     queue.append(v)
-        keys = tuple(walk)
+        keys = tuple(g.keys[i] for i in walk)
         cycles.append(Cycle(keys, tuple(g.nodes[k].name for k in keys)))
-    cycles.sort(key=lambda c: g._pos[c.keys[0]])
     return cycles
 
 
@@ -195,10 +215,9 @@ def break_cycles(g: DepGraph) -> list:
 
 def start_points(g: DepGraph) -> list:
     """Nodes no other definition depends on, by declaration location."""
-    deg = g.in_degree()
-    starts = [g.nodes[k] for k, d in deg.items() if d == 0]
-    starts.sort(key=lambda n: (n.location.line, n.location.col))
-    return starts
+    place, used = g.places(), set(chain.from_iterable(g.deps))
+    starts = sorted((i for i in range(len(g.keys)) if i not in used), key=place.__getitem__)
+    return [g.nodes[g.keys[i]] for i in starts]
 
 
 def kahn_sort(g: DepGraph) -> list:
@@ -208,23 +227,23 @@ def kahn_sort(g: DepGraph) -> list:
     the earliest-declared user definition is emitted first and synthetic
     invariants drain last.
     """
-    keys = list(g.nodes)
-    remaining = [len(g._out[k]) for k in keys]
-    users_of: list = [[] for _ in keys]
-    for user, adj in g._out.items():
-        for used in adj:
-            users_of[g._pos[used]].append(g._pos[user])
-    heap = [i for i, r in enumerate(remaining) if r == 0]
-    heapq.heapify(heap)
+    deps = g.deps
+    remaining = list(map(len, deps))
+    users_of: list = [[] for _ in deps]
+    for i, used in enumerate(deps):
+        for j in used:
+            users_of[j].append(i)
+    heap = [i for i, r in enumerate(remaining) if not r]  # ascending, so a heap
     emitted: list = []
     while heap:
         i = heapq.heappop(heap)
-        emitted.append(keys[i])
+        emitted.append(i)
         for user in users_of[i]:
             remaining[user] -= 1
-            if remaining[user] == 0:
+            if not remaining[user]:
                 heapq.heappush(heap, user)
+    keys = g.keys
     if len(emitted) != len(keys):
         stuck = [g.nodes[k].name for k, r in zip(keys, remaining) if r]
         raise CycleError(f"cycle prevents sorting: {', '.join(stuck)}")
-    return emitted
+    return [keys[i] for i in emitted]

@@ -8,51 +8,47 @@ then synthetic invariant, then terminal, then plain ellipse.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .depgraph import DepGraph, start_points
 from .reorder import SortReport
 
 
-def _node_style(node, starts: set, has_out: set) -> str:
-    if node.key in starts:
+def _node_style(node, start: bool, has_out: bool) -> str:
+    if start:
         return "shape=invtriangle, color=red"
     if node.synthetic:
         return "shape=doublecircle"
-    if node.key not in has_out:
+    if not has_out:
         return "shape=triangle"
     return "shape=ellipse"
 
 
-def _node_ids(g: DepGraph) -> dict:
-    """Node ids are bare names; a name claimed by both namespaces gets a
-    namespace suffix so node statements stay unique."""
-    count: dict = {}
-    for node in g.nodes.values():
-        count[node.name] = count.get(node.name, 0) + 1
-    return {
-        key: node.name if count[node.name] == 1 else f"{node.name}.{node.namespace.value}"
-        for key, node in g.nodes.items()
-    }
+def _node_ids(nodes: list) -> list:
+    """Node ids by position are bare names; a name claimed by both
+    namespaces gets a namespace suffix so node statements stay unique."""
+    count = Counter(node.name for node in nodes)
+    return [node.name if count[node.name] == 1 else f"{node.name}.{node.namespace.value}"
+            for node in nodes]
 
 
 def emit_def_dot(g: DepGraph, report: SortReport) -> str:
-    """Definition dependency graph for one module, pre-break view."""
+    """Definition dependency graph for one module, pre-break view: nodes and
+    each node's edges by declaration location, then collection order."""
+    nodes = list(g.nodes.values())
+    place = g.places().__getitem__
     starts = {n.key for n in start_points(g)}
-    has_out = {e.user for e in g.edges}
-    ids = _node_ids(g)
+    ids = _node_ids(nodes)
+    order = sorted(range(len(nodes)), key=place)
     lines = [f"digraph {report.module_name} {{"]
-    order = sorted(g.nodes.values(),
-                   key=lambda n: (n.location.line, n.location.col, n.index))
-    for node in order:
-        style = _node_style(node, starts, has_out)
+    for i in order:
+        node = nodes[i]
+        style = _node_style(node, node.key in starts, bool(g.deps[i]))
         lines.append(
-            f'    "{ids[node.key]}" [label="{node.name}\\n(line {node.location.line})", {style}];'
+            f'    "{ids[i]}" [label="{node.name}\\n(line {node.location.line})", {style}];'
         )
-    def edge_key(e):
-        u, v = g.nodes[e.user], g.nodes[e.used]
-        return (u.location.line, u.location.col, u.index,
-                v.location.line, v.location.col, v.index)
-    for e in sorted(g.edges, key=edge_key):
-        lines.append(f'    "{ids[e.user]}" -> "{ids[e.used]}";')
+    for i in order:
+        lines += [f'    "{ids[i]}" -> "{ids[j]}";' for j in sorted(g.deps[i], key=place)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

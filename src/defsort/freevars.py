@@ -142,7 +142,7 @@ def def_use_sites(node, fm: FlatModule) -> list:
     resolved: list = []
     for use in free_uses(node.body, node.bound):
         target = fm.get(use.space, use.name)
-        if target is None or target.key == node.key:
+        if target is None or target is node:
             continue
         if node.kind is DefKind.MEASURE_FN and target is node.owner:
             continue

@@ -10,10 +10,11 @@ idempotent: a sorted module reports nothing and is returned untouched.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import itemgetter
 
 from . import nodes as N
 from .defcollect import FlatModule, Namespace, collect
-from .depgraph import DepGraph, build_graph, kahn_sort, scc_labels, search, start_points
+from .depgraph import DepGraph, build_graph, kahn_sort, search, start_points
 from .diag import Record
 from .syntax import parse_source, print_module
 
@@ -32,12 +33,7 @@ class ForwardRef(Record):
         return f"{self.used.name} declared after {self.user.name}"
 
 
-def _declared_after(later, earlier) -> bool:
-    a, b = later.location, earlier.location
-    return (a.line, a.col) > (b.line, b.col)
-
-
-def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) -> list:
+def forward_references(fm: FlatModule, g: DepGraph, labels: list | None = None) -> list:
     """Every reportable use of a name declared later in the module.
 
     All forward type uses of a node are reported; of its forward function
@@ -46,57 +42,45 @@ def forward_references(fm: FlatModule, g: DepGraph, labels: dict | None = None) 
     charged to the definition it belongs to.  Findings are deduplicated by
     (charged name, used definition) and returned in presentation order:
     type-space findings first, then by the charged definition's position.
-    `labels` are `g`'s component numbers (`scc_labels`), found when omitted.
+    `labels` are `g`'s component numbers by position (`search`), found when
+    omitted.
     """
     if labels is None:
-        labels = scc_labels(search(g)[0])
+        labels = search(g)[0]
+    nodes = list(g.nodes.values())
+    place = g.places()
     seen: set = set()
-    found: list = []
+    found: list = []  # (presentation order, ForwardRef)
 
-    def emit(user, used):
-        key = (user.name, used.key)
-        if key in seen:
+    def emit(i, j):
+        user, used = nodes[i], nodes[j]
+        charge = (user.name, j)
+        if charge in seen:
             return
-        seen.add(key)
-        found.append(ForwardRef(user, used, fm.module_name))
+        seen.add(charge)
+        order = (used.namespace is not Namespace.TYPE, place[i], user.owner is not None, -place[j])
+        found.append((order, ForwardRef(user, used, fm.module_name)))
 
-    def emit_with_attribution(node, used):
-        emit(node, used)
-        owner = node.owner
-        if owner is not None and _declared_after(used, owner):
-            emit(owner, used)
+    def emit_with_attribution(i, j):
+        emit(i, j)
+        owner = nodes[i].owner
+        if owner is not None and place[j] > place[g.pos[owner.key]]:
+            emit(g.pos[owner.key], j)
 
-    for node in fm.nodes:
-        forward_fns: list = []
-        label = labels[node.key]
-        for used_key in g.out(node.key):
-            if labels[used_key] == label:
+    for i, node in enumerate(nodes):
+        label, at, def_index = labels[i], place[i], node.def_index
+        first = None  # the earliest-declared forward function use
+        for j in g.deps[i]:
+            if labels[j] == label or place[j] <= at or nodes[j].def_index == def_index:
                 continue
-            used = g.nodes[used_key]
-            if used.def_index == node.def_index:
-                continue
-            if not _declared_after(used, node):
-                continue
-            if used.namespace is Namespace.TYPE:
-                emit_with_attribution(node, used)
-            else:
-                forward_fns.append(used)
-        if forward_fns:
-            first = min(forward_fns, key=lambda n: (n.location.line, n.location.col))
-            emit_with_attribution(node, first)
-
-    def order(ref: ForwardRef):
-        return (
-            0 if ref.used.namespace is Namespace.TYPE else 1,
-            ref.user.location.line,
-            ref.user.location.col,
-            ref.user.owner is not None,
-            -ref.used.location.line,
-            -ref.used.location.col,
-        )
-
-    found.sort(key=order)
-    return found
+            if nodes[j].namespace is Namespace.TYPE:
+                emit_with_attribution(i, j)
+            elif first is None or place[j] < place[first]:
+                first = j
+        if first is not None:
+            emit_with_attribution(i, first)
+    found.sort(key=itemgetter(0))
+    return [ref for _, ref in found]
 
 
 class SortReport(Record):
@@ -133,23 +117,24 @@ def analyse(m: N.SourceModule) -> Analysis:
     One search of the graph gives both its components, which exempt
     cyclic uses from the forward references, and its back edges.  Without
     forward references there is nothing to rewrite.  Otherwise the back
-    edges are cut and the nodes sorted on a copy of the graph, and the
+    edges are cut, the nodes sorted and the cut edges put back, and the
     definitions are printed in the new order.
     """
     fm = collect(m)
     g = build_graph(fm)
-    sccs, back = search(g)
-    refs = forward_references(fm, g, scc_labels(sccs))
+    labels, back = search(g)
+    refs = forward_references(fm, g, labels)
     starts = [n.name for n in start_points(g)]
     removed, sorted_names, organised, text = [], [], [], None
     if refs:
-        cut = DepGraph(g.nodes, g.edges)
         for e in back:
-            cut.remove_edge(e.user, e.used)
+            g.remove_edge(e.user, e.used)
+        order = kahn_sort(g)
+        for e in back:  # the analysis keeps the graph from before the cuts
+            g.add_edge(e)
         removed = back
-        order = kahn_sort(cut)
         sorted_names = [g.nodes[k].name for k in order]
-        organised, defs = organised_definitions(fm, order, cut)
+        organised, defs = organised_definitions(fm, order, g)
         text = print_module(replace(m, definitions=tuple(defs)))
     report = SortReport(fm.module_name, list(fm.original_names), starts,
                         sorted_names, organised, refs, removed, bool(refs))

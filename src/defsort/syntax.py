@@ -193,6 +193,8 @@ def pattern_names_distinct(patterns, where: str):
 
 
 _SECTION_ENDS = (*SECTION_KEYWORDS, "end", EOF)
+# the tags a definition of each section can start with
+_DEFINITION_STARTS = {"types": (NAME,), "values": (NAME, "-", "[", "{"), "functions": (NAME,)}
 _COLLECTION_TYPES = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}
 
 
@@ -332,7 +334,9 @@ class _Parser:
             core = self.parse_valuedef()
         else:
             core = self.parse_fundef()
-        self._skip(";")
+        tag = self.tags[self.i]
+        if not self._skip(";") and tag not in _SECTION_ENDS and tag not in _DEFINITION_STARTS[section]:
+            raise self._expected("';' or a new definition")
         line_start = self.text.rfind("\n", 0, start) + 1
         if not self.text[line_start:start].strip():
             start = line_start

@@ -62,6 +62,15 @@ def _corpus(name):
     return str(CORPUS / name)
 
 
+def _mutrec_cut(command):
+    """What `command` on the corpus file mutrec.vdmsl prints to stderr:
+    `sort` warns of the one definition-cycle edge it cuts."""
+    if command != "sort":
+        return ""
+    return (f"{_corpus('mutrec.vdmsl')}:11:34: warning: definition cycle broken: "
+            "ignoring use of f by g [cycle-cut]\n")
+
+
 def _output(command, out="out"):
     """`--output out` for `sort`, the one command that reads it."""
     return ["--output", out] if command == "sort" else []
@@ -252,6 +261,27 @@ def test_dot_files_show_the_edges_that_cycle_breaking_cuts(command, tmp_path):
     assert '"f" -> "g";' in dot and '"g" -> "f";' in dot
 
 
+@pytest.mark.parametrize("argv", [["sort"], ["sort", "--debug"], ["check"], ["check", "--debug"]])
+def test_sort_warns_of_each_definition_cycle_cut(argv, tmp_path, capsys):
+    assert run(argv + _output(argv[0]) + [_corpus("mutrec.vdmsl")]) == 0
+    assert capsys.readouterr().err == _mutrec_cut(argv[0])
+
+
+def test_a_sort_with_several_cuts_warns_of_each_at_its_use(tmp_path, capsys):
+    cycles = tmp_path / "cycles.vdmsl"
+    cycles.write_text(_module("C", "functions\n  u : nat -> nat\n  u(x) == p(x) + r(x);\n"
+                               + "".join(f"  {a} : nat -> nat\n  {a}(x) == {b}(x);\n"
+                                         f"  {b} : nat -> nat\n  {b}(x) == {a}(x);\n"
+                                         for a, b in (("p", "q"), ("r", "s")))))
+    assert run(["sort", "--output", "out", str(cycles)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "Exu successfully sorted module C definitions\n"
+    assert captured.err.splitlines() == [
+        f"{cycles}:9:11: warning: definition cycle broken: ignoring use of p by q [cycle-cut]",
+        f"{cycles}:13:11: warning: definition cycle broken: ignoring use of r by s [cycle-cut]",
+    ]
+
+
 def test_parse_errors_exit_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.vdmsl"
     bad.write_text("module Broken\n")
@@ -410,7 +440,8 @@ def test_an_output_path_that_is_a_directory_is_an_error(argv, blocked, written, 
     code = run(argv + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"{os.path.join(*blocked.split('/'))}: error: Is a directory\n"
+    assert captured.err == (f"{os.path.join(*blocked.split('/'))}: error: Is a directory\n"
+                            + _mutrec_cut(argv[0]))
     assert sorted(os.listdir(tmp_path / "out")) == sorted(
         os.path.basename(p) for p in [blocked, *written])
     assert os.listdir(tmp_path / blocked) == []
@@ -483,8 +514,8 @@ def test_an_unknown_type_name_in_a_value_that_binds_no_name_is_an_error(argv, tm
 # a quote is no keyword, so `in <set>` and `not <in> set` are no operators:
 # the value ends before them, and no definition starts with them
 @pytest.mark.parametrize("line, err", [
-    ("v = 1 in <set> s;", "q.vdmsl:5:9: expected a pattern, found 'in'"),
-    ("w = 1 not <in> set s;", "q.vdmsl:5:9: expected a pattern, found 'not'"),
+    ("v = 1 in <set> s;", "q.vdmsl:5:9: expected ';' or a new definition, found 'in'"),
+    ("w = 1 not <in> set s;", "q.vdmsl:5:9: expected ';' or a new definition, found 'not'"),
 ])
 def test_a_quote_named_like_a_keyword_is_a_located_parse_error(line, err, tmp_path, capsys):
     (tmp_path / "q.vdmsl").write_text(_module("Q", f"values\n  s = {{1}};\n  {line}"))
@@ -580,7 +611,8 @@ def test_a_fault_while_parsing_one_file_is_an_error_line(argv, tmp_path, monkeyp
     code = run(argv + _output(argv[0]) + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+    assert captured.err == (f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+                            + _mutrec_cut(argv[0]))
     if argv[0] == "order":  # ordering needs every file
         assert captured.out == ""
     else:
@@ -594,7 +626,8 @@ def test_a_fault_while_analysing_one_module_is_an_error_line(argv, tmp_path, mon
     code = run(argv + _output(argv[0]) + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+    assert captured.err == (f"{_corpus('M.vdmsl')}: error: internal error: ValueError: planted fault\n"
+                            + _mutrec_cut(argv[0]))
     assert "MUTREC" in captured.out
     if argv[0] == "sort":
         assert os.listdir(tmp_path / "out") == ["mutrec.vdmsl"]

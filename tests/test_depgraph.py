@@ -12,7 +12,6 @@ from defsort.depgraph import (
     build_graph,
     find_cycles,
     kahn_sort,
-    scc_labels,
     search,
     start_points,
 )
@@ -101,8 +100,9 @@ def test_find_cycles_empty_on_acyclic_graph():
 
 def test_intra_scc_pairs_cover_both_directions():
     g = build_graph(collect(single_module("mutrec.vdmsl")))
-    labels = scc_labels(search(g)[0])
-    pairs = {(u[1], v[1]) for u in g.nodes for v in g.out(u) if labels[u] == labels[v]}
+    labels = search(g)[0]
+    pairs = {(g.keys[u][1], g.keys[v][1]) for u, used in enumerate(g.deps) for v in used
+             if labels[u] == labels[v]}
     assert pairs == {("f", "g"), ("g", "f")}
 
 

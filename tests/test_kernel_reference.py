@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defsort.defcollect import DefKind, DefNode, Namespace
-from defsort.depgraph import DepGraph, Edge, break_cycles, find_cycles, kahn_sort, scc_labels, search
+from defsort.depgraph import (DepGraph, Edge, break_cycles, find_cycles, kahn_sort, search,
+                              start_points)
 from defsort.diag import CycleError, Loc
 from defsort.modorder import build_module_graph, order_modules
 from defsort.syntax import parse_source
@@ -172,10 +173,65 @@ def test_find_cycles_and_kahn_on_unbroken_graphs_match_the_reference(graph):
 @settings(max_examples=200, deadline=None)
 @given(graphs())
 def test_nodes_share_a_component_label_exactly_when_each_reaches_the_other(graph):
-    labels = scc_labels(search(kernel_graph(*graph))[0])
+    labels = search(kernel_graph(*graph))[0]
     order, deps, _ = reference_graph(*graph)
-    same = {(u, v) for u in order for v in order if labels[u] == labels[v]}
+    same = {(u, v) for i, u in enumerate(order) for j, v in enumerate(order) if labels[i] == labels[j]}
     assert same == ref_mutually_reachable(order, deps)
+
+
+@st.composite
+def edit_runs(draw):
+    """(node lines, [(add?, user, used, witness line, pick)]): nodes declared
+    on a few lines, ties included, and a run of edge additions and removals;
+    a removal takes the present edge numbered `pick`, modulo their count."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    lines = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    edits = draw(st.lists(st.tuples(st.integers(0, 2).map(bool), node, node,
+                                    st.integers(1, 30), st.integers(0, 99)), max_size=25))
+    return lines, edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit_runs())
+def test_every_view_of_the_graph_follows_each_edit(run):
+    """After every add_edge or remove_edge, the kernel's dependency lists and
+    everything read from them match dicts of lists rebuilt from scratch."""
+    lines, edits = run
+    nodes = {}
+    for i, line in enumerate(lines):
+        node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, False,
+                       Loc(line, 1), frozenset(), i, i, None)
+        nodes[node.key] = node
+    g = DepGraph(nodes)
+    order = list(nodes)
+    witness: dict = {}  # (user, used) -> earliest witness line
+    for add, u, v, at, pick in edits:
+        if add:
+            g.add_edge(Edge(_key(u), _key(v), Loc(at, 1)))
+            pair = (_key(u), _key(v))
+            witness[pair] = min(at, witness.get(pair, at))
+        elif witness:
+            pair = list(witness)[pick % len(witness)]
+            g.remove_edge(*pair)
+            del witness[pair]
+        deps = {k: [v for v in order if (k, v) in witness] for k in order}
+        assert {k: g.out(k) for k in order} == deps
+        assert {(e.user, e.used): e.at for e in g.edges} == {p: Loc(at, 1) for p, at in witness.items()}
+        assert g.in_degree() == {k: sum(k in deps[u] for u in order) for k in order}
+        labels, back = search(g)
+        same = {(u, v) for i, u in enumerate(order) for j, v in enumerate(order) if labels[i] == labels[j]}
+        assert same == ref_mutually_reachable(order, deps)
+        cuts = ref_break_cycles(order, {k: list(d) for k, d in deps.items()})
+        assert [(e.user, e.used, e.at) for e in back] == [(u, v, Loc(witness[u, v], 1)) for u, v in cuts]
+        unused = [k for k in order if all(k not in deps[u] for u in order)]
+        assert [n.key for n in start_points(g)] == sorted(unused, key=lambda k: nodes[k].location.line)
+        emitted, stuck = ref_kahn(order, deps)
+        if stuck:
+            with pytest.raises(CycleError):
+                kahn_sort(g)
+        else:
+            assert kahn_sort(g) == emitted
 
 
 def ref_order_modules(mods):

@@ -218,6 +218,27 @@ def test_numbers_are_ascii_digits_only(digit):
     assert str(err.value) == f"<string>:4:8: unexpected character {digit!r}"
 
 
+@pytest.mark.parametrize("section, error", [
+    ("types\n  T = nat 5;", "<string>:4:11: expected ';' or a new definition, found nat '5'"),
+    ("values\n  v = 1 in <set> s;", "<string>:4:9: expected ';' or a new definition, found 'in'"),
+    ("functions\n  f : nat -> nat\n  f(x) == x);", "<string>:5:12: expected ';' or a new definition, found ')'"),
+    ("values\n  v = 1\n  w = 2 ;;", "<string>:5:10: expected a pattern, found ';'"),
+])
+def test_a_stray_token_after_a_definition_is_no_new_definition(section, error):
+    with pytest.raises(ParseError) as err:
+        parse_source(f"module M\ndefinitions\n{section}\nend M\n")
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("section", [
+    "values\n  v = 1\n  w = 2\n  [a] = [4]\n  {b} = {5};\n  - = 3",
+    "types\n  T = nat\n  U = T\nvalues\n  x = 1",
+    "functions\n  f : nat -> nat\n  f(x) == x\n  g : nat -> nat\n  g(y) == y",
+])
+def test_the_semicolon_after_a_definition_is_optional(section):
+    parse_source(f"module M\ndefinitions\n{section}\nend M\n")
+
+
 def test_a_character_literal_cannot_hold_a_line_break():
     with pytest.raises(ParseError) as err:
         parse_source("module M\ndefinitions\nvalues\n  x = '\n'; y = 1 + ;\nend M\n")

@@ -166,7 +166,12 @@ class RefParser(_Parser):
             core = self.parse_valuedef()
         else:
             core = self.parse_fundef()
-        self._skip(";")
+        t = self.cur()
+        starts = ("-", "[", "{") if section == "values" else ()
+        if not self._skip(";") and not (t.kind in ("name", "eof")
+                                        or t.kind == "kw" and t.text in ("types", "values", "functions", "end")
+                                        or t.kind == "punct" and t.text in starts):
+            raise ParseError(f"expected ';' or a new definition, found {t.describe()}", t)
         start = leading[0] if leading else first
         start_off = start.off
         if self.text[start.off - (start.col - 1) : start.off].strip() == "":
