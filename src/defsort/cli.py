@@ -14,6 +14,7 @@ import sys
 from functools import partial
 
 from .defcollect import collect
+from .depgraph import build_graph
 from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, Record, UnknownNameError
 from .dotviz import emit_def_dot, emit_module_dot
 from .freevars import check_bodies, check_init_cycles
@@ -174,10 +175,10 @@ def _header(m) -> SourceModule:
     return SourceModule(m.name, m.exports_all, imports, (), m.file, at)
 
 
-def _emit_module_dot_file(cfg: ToolConfig, a, written: dict, source: str) -> str:
-    """Write one module's definition graph; returns the file path."""
-    path = os.path.join(cfg.dot_dir, f"{a.flat.module_name}.dot")
-    _write(path, emit_def_dot(a.graph, a.report), written, source)
+def _emit_module_dot_file(cfg: ToolConfig, fm, g, written: dict, source: str) -> str:
+    """Write the definition graph `g` of the module `fm`; returns the file path."""
+    path = os.path.join(cfg.dot_dir, f"{fm.module_name}.dot")
+    _write(path, emit_def_dot(g, fm), written, source)
     return path
 
 
@@ -217,20 +218,23 @@ def _cut_warnings(report) -> list:
 
 
 def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
-    texts: list = []
+    out: list = []  # each module as it is written, printed only if the file is
     any_sorted = False
     try:
         for m in mods:
             a = analyse(m)
-            dot_path = _emit_module_dot_file(cfg, a, written, path) if cfg.dot_enabled else None
+            dot_path = None
+            if cfg.dot_enabled:
+                dot_path = _emit_module_dot_file(cfg, a.flat, a.graph, written, path)
             if a.report.removed_edges:
                 print("\n".join(_cut_warnings(a.report)), file=sys.stderr)
             lines = _trace_lines(a.report, dot_path) if cfg.debug else [_status_line(a.report)]
             print("\n".join(lines))
             any_sorted = any_sorted or a.report.sorted
-            texts.append(a.text or print_module(m))
+            out.append(a.rewritten or m)
         if any_sorted and not cfg.check_only:
-            _write(os.path.join(cfg.output_dir, os.path.basename(path)), "\n".join(texts), written, path)
+            text = "\n".join(map(print_module, out))
+            _write(os.path.join(cfg.output_dir, os.path.basename(path)), text, written, path)
     except Exception as exc:
         return _report(exc, path)
     return 0
@@ -295,7 +299,8 @@ def _dot_file(cfg: ToolConfig, written: dict, headers: list, path: str, mods) ->
     errors = _keep_headers(headers, path, mods)
     for m in mods:
         try:
-            dot_path = _emit_module_dot_file(cfg, analyse(m), written, path)
+            fm = collect(m)
+            dot_path = _emit_module_dot_file(cfg, fm, build_graph(fm), written, path)
         except Exception as exc:
             errors += _report(exc, path)
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .defcollect import FlatModule
 from .depgraph import DepGraph, start_points
 from .reorder import SortReport
 
@@ -32,9 +33,10 @@ def _node_ids(nodes: list) -> list:
             for node in nodes]
 
 
-def emit_def_dot(g: DepGraph, report: SortReport) -> str:
+def emit_def_dot(g: DepGraph, report: SortReport | FlatModule) -> str:
     """Definition dependency graph for one module, pre-break view: nodes and
-    each node's edges by declaration location, then collection order."""
+    each node's edges by declaration location, then collection order.  Of
+    `report` only the module name is read, which a FlatModule has too."""
     nodes = list(g.nodes.values())
     place = g.places().__getitem__
     starts = {n.key for n in start_points(g)}

@@ -105,27 +105,32 @@ def organised_definitions(fm: FlatModule, order: list, g: DepGraph):
 
 class Analysis(Record):
     """Everything the commands need to know about one module: its `graph`
-    is from before any cycle is broken, and `text` is the rewritten module,
-    or None when no rewrite is needed."""
+    is from before any cycle is broken, and `rewritten` is the module with
+    its definitions in the new order, or None when no rewrite is needed."""
 
-    __slots__ = ("flat", "graph", "report", "text")
+    __slots__ = ("flat", "graph", "report", "rewritten")
+
+    @property
+    def text(self):
+        """The rewritten module's text, printed when read, or None."""
+        return None if self.rewritten is None else print_module(self.rewritten)
 
 
 def analyse(m: N.SourceModule) -> Analysis:
-    """Collect, graph and report one module, and print its rewrite if needed.
+    """Collect, graph and report one module, and reorder it if needed.
 
     One search of the graph gives both its components, which exempt
     cyclic uses from the forward references, and its back edges.  Without
     forward references there is nothing to rewrite.  Otherwise the back
     edges are cut, the nodes sorted and the cut edges put back, and the
-    definitions are printed in the new order.
+    definitions are put in the new order; only `Analysis.text` prints them.
     """
     fm = collect(m)
     g = build_graph(fm)
     labels, back = search(g)
     refs = forward_references(fm, g, labels)
     starts = [n.name for n in start_points(g)]
-    removed, sorted_names, organised, text = [], [], [], None
+    removed, sorted_names, organised, rewritten = [], [], [], None
     if refs:
         for e in back:
             g.remove_edge(e.user, e.used)
@@ -135,10 +140,10 @@ def analyse(m: N.SourceModule) -> Analysis:
         removed = back
         sorted_names = [g.nodes[k].name for k in order]
         organised, defs = organised_definitions(fm, order, g)
-        text = print_module(replace(m, definitions=tuple(defs)))
+        rewritten = replace(m, definitions=tuple(defs))
     report = SortReport(fm.module_name, list(fm.original_names), starts,
                         sorted_names, organised, refs, removed, bool(refs))
-    return Analysis(fm, g, report, text)
+    return Analysis(fm, g, report, rewritten)
 
 
 def sort_module(m: N.SourceModule):
@@ -149,7 +154,7 @@ def sort_module(m: N.SourceModule):
     module with locations that match it.
     """
     a = analyse(m)
-    if a.text is None:
+    if a.rewritten is None:
         return m, a.report
     return parse_source(a.text, m.file)[0], a.report
 

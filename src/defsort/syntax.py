@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import accumulate, compress, count, repeat
-from operator import itemgetter
+from itertools import accumulate, repeat
 
 from . import nodes as N
 from .diag import Location, ParseError
@@ -112,6 +111,21 @@ _FIRST = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_PUNCT, "punct"),
          **{label: label[1:] for label in (NAME, NAT, REAL, CHAR, QUOTE, EOF, BAD)}}
 
+
+class _Tags(dict):
+    """One scan's tags by spelling, seeded from `_TAG`: a token costs one
+    lookup, and Python runs once per distinct spelling, to tag it by its
+    first character, or as a real when a number holds a dot."""
+
+    __slots__ = ()
+
+    def __missing__(self, word: str) -> str:
+        tag = _FIRST.get(word[0], BAD)
+        if tag == NAT and "." in word:
+            tag = REAL
+        self[word] = tag
+        return tag
+
 # Comments first: `--` starts one wherever it stands outside a comment, as
 # no other token holds two dashes in a row, and a `-` just before a `-`
 # starts a comment itself.  Then one match per token, with the white space
@@ -127,12 +141,11 @@ _TOKEN = re.compile(
     + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'|[^ \t\r\n])"
 )
 _BREAK = re.compile(r"\n")
-_REAL = re.compile(r"\.(?<=[0-9]\.)[0-9]")  # led by the dot, so a search skips from dot to dot
 
 
 def _scan(text: str, file: str):
-    """Lex `text` in whole-text passes: no Python code runs per token, except
-    to tell reals from nats in a file that has a real.
+    """Lex `text` in whole-text passes: no Python code runs per token, only
+    once per distinct spelling, to tag it (`_Tags`).
 
     Returns (texts, tags, ends, comments, src): the source text, tag and
     end offset of every significant token, end of input last; the comment
@@ -157,11 +170,7 @@ def _scan(text: str, file: str):
     ends = list(accumulate(map(len, matched)))
     texts = list(map(str.lstrip, matched, repeat(_SPACE)))
     del matched
-    tags = list(map(_TAG.get, texts, map(_FIRST.get, map(itemgetter(0), texts), repeat(BAD))))
-    if _REAL.search(text):  # rare, so told from the nats one at a time
-        for i in compress(count(), map(NAT.__eq__, tags)):
-            if "." in texts[i]:
-                tags[i] = REAL
+    tags = list(map(_Tags(_TAG).__getitem__, texts))
     if BAD in tags:
         i = tags.index(BAD)
         word = texts[i]
@@ -211,21 +220,17 @@ class _Parser:
 
     # token plumbing
 
-    def _off(self, i: int) -> int:
-        """The offset of the token at index `i`."""
-        return self.ends[i] - len(self.texts[i])
-
     def tok(self, i: int) -> Token:
         """The token at index `i`, built now, as the scan keeps none."""
         tag = self.tags[i]
+        text = self.texts[i]
+        off = self.ends[i] - len(text)
         kind = _KIND[tag]
         if kind == "kw" or kind == "punct":
             text = tag  # the one string of its spelling
         elif kind == "char" or kind == "quote":
-            text = self.texts[i][1:-1]
-        else:
-            text = self.texts[i]
-        return Token(kind, text, self._off(i), self.src)
+            text = text[1:-1]
+        return Token(kind, text, off, self.src)
 
     def _take(self) -> Token:
         """Step over the current token; the token."""
@@ -272,15 +277,20 @@ class _Parser:
     def parse_module(self) -> N.SourceModule:
         self._need("module")
         name_tok = self.tok(self._name("module name"))
+        # ISO VDM-SL puts `imports` with a comma-separated list of `from`
+        # clauses before `exports`; `exports` first, and one `imports` per
+        # import, are read as well
         exports_all = self._skip("exports")
         if exports_all:
             self._need("all")
         imports = []
         while self._skip("imports"):
-            self._need("from")
-            imp = self.tok(self._name("module name"))
+            imports.append(self._import())
+            while self._skip(","):
+                imports.append(self._import())
+        if not exports_all and self._skip("exports"):
             self._need("all")
-            imports.append(N.ImportRef(imp.text, imp))
+            exports_all = True
         self._need("definitions")
         defs: list = []
         tags = self.tags
@@ -298,7 +308,7 @@ class _Parser:
                 # with the section's last definition
                 offs = self.comment_offs
                 lo = bisect_left(offs, boundary)
-                hi = bisect_left(offs, self._off(self.i), lo)
+                hi = bisect_left(offs, self.ends[self.i] - len(self.texts[self.i]), lo)
                 if hi > lo:
                     d.verbatim += self.text[boundary : self.comments[hi - 1].end]
         self._need("end")
@@ -318,13 +328,20 @@ class _Parser:
             name_loc=name_tok,
         )
 
+    def _import(self) -> N.ImportRef:
+        """`from M all`: the import of module M."""
+        self._need("from")
+        t = self.tok(self._name("module name"))
+        self._need("all")
+        return N.ImportRef(t.text, t)
+
     # definitions
 
     def parse_definition(self, section: str, boundary: int):
         """A definition and its `verbatim` text: from its first comment after
         `boundary`, or else its first token, to its last token.  The text
         starts at the start of its line when only white space precedes it."""
-        start = self._off(self.i)
+        start = self.ends[self.i] - len(self.texts[self.i])
         lo = bisect_left(self.comment_offs, boundary)
         if lo < len(self.comment_offs) and self.comment_offs[lo] < start:
             start = self.comment_offs[lo]
@@ -529,8 +546,10 @@ class _Parser:
         """
         tags = self.tags
         texts = self.texts
-        tok = self.tok
+        ends = self.ends
+        src = self.src
         i = self.i
+        # names, numbers and operators are built here, their kinds known
         ops = [(-1, None, None, None)]  # (level, token index, left operand or a group's items, operator)
         nots = True  # this operand may start with a run of `not`s
         while True:
@@ -544,14 +563,17 @@ class _Parser:
                 i += 1
                 tag = tags[i]
             if tag == NAME and tags[i + 1] != "(":
-                e = N.Name(texts[i], tok(i))
+                word = texts[i]
+                e = N.Name(word, Token("name", word, ends[i] - len(word), src))
                 i += 1
             elif tag == NAT:
-                e = N.Lit("nat", int(texts[i]), tok(i))
+                word = texts[i]
+                e = N.Lit("nat", int(word), Token("nat", word, ends[i] - len(word), src))
                 i += 1
             elif tag == "(" or (tag == NAME and not texts[i].startswith(("mk_", "is_"))):
                 if tag == NAME and tags[i + 2] == ")":
-                    e = N.Apply(texts[i], (), tok(i))
+                    word = texts[i]
+                    e = N.Apply(word, (), Token("name", word, ends[i] - len(word), src))
                     i += 3
                 else:  # parentheses, or a call with its arguments
                     ops.append((0, i, [], None))
@@ -566,7 +588,8 @@ class _Parser:
                 tag = tags[i]
                 while tag == ".":
                     self.i = i + 1
-                    e = N.FieldSel(e, texts[self._name("field name")], tok(i))
+                    field = texts[self._name("field name")]
+                    e = N.FieldSel(e, field, Token("punct", ".", ends[i] - 1, src))
                     i = self.i
                     tag = tags[i]
                 op = tag
@@ -580,12 +603,14 @@ class _Parser:
                 bound = (3 if op == "=>" else level) if level else 1
                 while ops[-1][0] >= bound:
                     lv, at, left, oop = ops.pop()
+                    t = tags[at]  # a keyword's or mark's tag is its text
+                    t = Token(_KIND[t], t, ends[at] - len(t), src)
                     if left is not None:
-                        e = N.Binary(oop, left, e, tok(at))
+                        e = N.Binary(oop, left, e, t)
                     elif lv == PREFIX_LEVEL and oop != "-":
-                        e = N.BuiltinApp(oop, (e,), tok(at))
+                        e = N.BuiltinApp(oop, (e,), t)
                     else:
-                        e = N.Unary(oop, e, tok(at))
+                        e = N.Unary(oop, e, t)
                 if level:
                     ops.append((level, i, e, op))
                     i += width
@@ -607,7 +632,8 @@ class _Parser:
                 i += 1
                 ops.pop()
                 if call:
-                    e = N.Apply(texts[start], tuple(items), tok(start))
+                    word = texts[start]
+                    e = N.Apply(word, tuple(items), Token("name", word, ends[start] - len(word), src))
 
     def _parse_args(self):
         self._need("(")
@@ -811,14 +837,16 @@ def parse_source(text: str, file: str = "<string>"):
 def print_module(m: N.SourceModule) -> str:
     """Render a module back to text.
 
-    Definitions are emitted verbatim, in list order, grouped under repeated
-    section keywords whenever consecutive definitions share a section.
+    The header lists the imports, one `imports` each, before `exports all`,
+    as ISO VDM-SL orders them.  Definitions are emitted verbatim, in list
+    order, grouped under repeated section keywords whenever consecutive
+    definitions share a section.
     """
     out = [f"module {m.name}"]
-    if m.exports_all:
-        out.append("exports all")
     for imp in m.imports:
         out.append(f"imports from {imp.module} all")
+    if m.exports_all:
+        out.append("exports all")
     out.append("definitions")
     section = None
     for d in m.definitions:

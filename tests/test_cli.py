@@ -621,8 +621,9 @@ def test_a_fault_while_parsing_one_file_is_an_error_line(argv, tmp_path, monkeyp
 
 @pytest.mark.parametrize("argv", [["sort"], ["check", "--debug"], ["dot"]])
 def test_a_fault_while_analysing_one_module_is_an_error_line(argv, tmp_path, monkeypatch, capsys):
-    real = cli.analyse
-    monkeypatch.setattr(cli, "analyse", lambda m: _planted_fault() if m.name == "M" else real(m))
+    target = "collect" if argv[0] == "dot" else "analyse"  # `dot` only graphs a module
+    real = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda m: _planted_fault() if m.name == "M" else real(m))
     code = run(argv + _output(argv[0]) + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")])
     captured = capsys.readouterr()
     assert code == 1

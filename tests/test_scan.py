@@ -1,16 +1,18 @@
-"""The whole-text scan against the character-loop lexer, and the tokens the
-parser builds on demand against the tokens `lex` returns."""
+"""The whole-text scan against the character-loop lexer, its tags against
+the lookups that made them before, and the tokens the parser builds on
+demand against the tokens `lex` returns."""
 
 import dataclasses
 import importlib.util
 import pathlib
+import random
 import sys
 
 import pytest
 from test_syntax_reference import CORPUS, lex_both, module_text, parse_both
 
-from defsort.diag import Record
-from defsort.syntax import Token, lex, parse_source
+from defsort.diag import ParseError, Record
+from defsort.syntax import _FIRST, _TAG, BAD, EOF, NAT, REAL, Token, _scan, lex, parse_source
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -83,12 +85,12 @@ def test_parser_matches_the_reference_on_quotes_named_like_keywords(body):
     assert new == ref
 
 
-def _workload_texts():
+def _workload_texts(seed=401):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(workloads)  # its dataclasses look their module up by name
     for name in ("chain-rev", "mutual-cycles", "sorted-tree"):
-        for file, text in workloads.generate(name, 401).files.items():
+        for file, text in workloads.generate(name, seed).files.items():
             yield f"{name}/{file}", text
 
 
@@ -125,3 +127,63 @@ def test_parser_builds_the_tokens_lex_returns():
             kinds.add(t.kind)
     # every kind the parser builds, those whose text drops its delimiters included
     assert {"kw", "punct", "name", "nat", "real", "char", "quote"} <= kinds
+
+
+# ── the scan's tag table ──────────────────────────────────────────────────
+
+
+def _formula_tag(word):
+    """A token's tag as three lookups per token gave it: its spelling's own,
+    else the label of its first character; a number with a dot is a real."""
+    tag = _TAG.get(word, _FIRST.get(word[0], BAD))
+    return REAL if tag == NAT and "." in word else tag
+
+
+def _scan_tags(text, path):
+    """(the scan's words, its tags) without the end of input, which is checked."""
+    texts, tags, _, _, _ = _scan(text, path)
+    assert (texts[-1], tags[-1]) == ("", EOF), path
+    return texts[:-1], tags[:-1]
+
+
+# spellings a token may be replaced by: one of each kind, reals, and words
+# that begin no token, one of them the quote mark that opens no literal
+SPELLINGS = ["x", "mk_R", "is_", "in", "set", "not", "nat1", "42", "4.5", "0.25", "'c'",
+             "<Q>", "|->", "<=>", "::", "-", "<", ".", "'", "!", "é", "_"]
+
+
+def _mutated_texts():
+    """Each corpus text with one of its tokens replaced, five times over."""
+    rng = random.Random(20)
+    for k, text in enumerate(CORPUS):
+        texts, _, ends, _, _ = _scan(text, "m")
+        for _ in range(5):
+            i = rng.randrange(len(texts) - 1)
+            word = rng.choice(SPELLINGS)
+            yield f"mutated/{k}", f"{text[:ends[i] - len(texts[i])]} {word} {text[ends[i]:]}"
+
+
+def test_the_scan_tags_every_token_as_the_three_lookups_did():
+    inputs = [(f"corpus/{i}", text) for i, text in enumerate(CORPUS)]
+    inputs += [*_workload_texts(1), *_workload_texts(401), *_mutated_texts()]
+    tagged = set()
+    for path, text in inputs:
+        try:
+            words, tags = _scan_tags(text, path)
+        except ParseError as exc:  # a word tagged as beginning no token
+            assert _formula_tag(exc.at.text) == BAD, path
+            tagged.add(BAD)
+            continue
+        assert tags == list(map(_formula_tag, words)), path
+        tagged.update(tags)
+    assert {BAD, NAT, REAL, "#name", "#char", "#quote", "in", "<=>"} <= tagged
+
+
+def test_no_tag_outlives_its_scan():
+    seed = dict(_TAG)
+    first = CORPUS[0] + " 1.5 x_9 <Q> 'c'"
+    later = dict(_workload_texts(1))["sorted-tree/tree00.vdmsl"]
+    fresh = _scan_tags(later, "B")
+    _scan_tags(first, "A")
+    assert _TAG == seed  # the table a scan starts from gains no spelling
+    assert _scan_tags(later, "B") == fresh

@@ -121,6 +121,35 @@ def test_multiple_modules_in_one_file():
     assert mods[1].imports[0].module == "FIRST"
 
 
+def test_the_iso_module_header_parses_and_prints():
+    mods = parse_source(_corpus("isoheader.vdmsl"))
+    headers = [(m.name, [imp.module for imp in m.imports], m.exports_all) for m in mods]
+    assert headers == [("ISOBASE", [], True), ("ISOLIB", [], True),
+                       ("ISOUSER", ["ISOBASE", "ISOLIB"], True), ("ISOLAST", ["ISOUSER"], True)]
+    user = mods[2]
+    assert [str(imp.loc) for imp in user.imports] == ["<string>:16:14", "<string>:16:32"]
+    printed = print_module(user)
+    assert printed.startswith("module ISOUSER\nimports from ISOBASE all\n"
+                              "imports from ISOLIB all\nexports all\ndefinitions\n")
+    assert parse_source(printed) == [user]
+    # the header forms read before: `exports` first, one `imports` per import
+    old = printed.replace("imports from ISOBASE all\nimports from ISOLIB all\nexports all\n",
+                          "exports all\nimports from ISOBASE all\nimports from ISOLIB all\n")
+    assert old != printed and parse_source(old) == [user]
+
+
+@pytest.mark.parametrize("header, error", [
+    ("imports from A all,\n", "3:1: expected 'from', found 'definitions'"),
+    ("exports all\nimports from A all\nexports all\n", "4:1: expected 'definitions', found 'exports'"),
+    ("imports from A all\nexports all\nimports from B all\n",
+     "4:1: expected 'definitions', found 'imports'"),
+])
+def test_a_module_header_has_one_exports_clause_and_one_import_list(header, error):
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"module M\n{header}definitions\nend M\n")
+    assert str(exc.value) == f"<string>:{error}"
+
+
 def test_union_types_flatten():
     m = _module("module U\ndefinitions\ntypes\n    T = nat | seq of char | [int];\nend U\n")
     rhs = m.definitions[0].rhs
