@@ -126,6 +126,7 @@ class _Tags(dict):
         self[word] = tag
         return tag
 
+
 # Comments first: `--` starts one wherever it stands outside a comment, as
 # no other token holds two dashes in a row, and a `-` just before a `-`
 # starts a comment itself.  Then one match per token, with the white space
@@ -549,7 +550,7 @@ class _Parser:
         ends = self.ends
         src = self.src
         i = self.i
-        # names, numbers and operators are built here, their kinds known
+        # the tokens of names, nats and operators are built here, their kinds known
         ops = [(-1, None, None, None)]  # (level, token index, left operand or a group's items, operator)
         nots = True  # this operand may start with a run of `not`s
         while True:
@@ -603,14 +604,14 @@ class _Parser:
                 bound = (3 if op == "=>" else level) if level else 1
                 while ops[-1][0] >= bound:
                     lv, at, left, oop = ops.pop()
-                    t = tags[at]  # a keyword's or mark's tag is its text
-                    t = Token(_KIND[t], t, ends[at] - len(t), src)
+                    word = tags[at]  # a keyword's or mark's tag is its text
+                    loc = Token(_KIND[word], word, ends[at] - len(word), src)
                     if left is not None:
-                        e = N.Binary(oop, left, e, t)
+                        e = N.Binary(oop, left, e, loc)
                     elif lv == PREFIX_LEVEL and oop != "-":
-                        e = N.BuiltinApp(oop, (e,), t)
+                        e = N.BuiltinApp(oop, (e,), loc)
                     else:
-                        e = N.Unary(oop, e, t)
+                        e = N.Unary(oop, e, loc)
                 if level:
                     ops.append((level, i, e, op))
                     i += width
