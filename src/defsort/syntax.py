@@ -136,10 +136,11 @@ class _Tags(dict):
 _COMMENT = re.compile(r"(--[^\n]*)")
 _SPACE = " \t\r\n"
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:[A-Za-z][A-Za-z0-9_]*|<[A-Za-z][A-Za-z0-9_]*>|"
+    r"[ \t\r\n]*(?:[A-Za-z]\w*|<[A-Za-z]\w*>|"
     + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
     + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1)
-    + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'|[^ \t\r\n])"
+    + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'|[^ \t\r\n])",
+    re.ASCII,  # so `\w` is [A-Za-z0-9_]
 )
 _BREAK = re.compile(r"\n")
 
@@ -191,6 +192,8 @@ def lex(text: str, file: str = "<string>"):
 
 def pattern_names_distinct(patterns, where: str):
     """ParseError if the same identifier is bound twice across `patterns`."""
+    if len(patterns) == 1 and type(patterns[0]) in (N.PatName, N.PatIgnore):
+        return  # binds one name at most
     seen: dict[str, Location] = {}
     for p in patterns:
         for name, loc in N.pattern_name_sites(p):
@@ -222,7 +225,9 @@ class _Parser:
     # token plumbing
 
     def tok(self, i: int) -> Token:
-        """The token at index `i`, built now, as the scan keeps none."""
+        """The token at index `i`, built now, as the scan keeps none: for
+        errors, literals and `lex()`, as the parser builds the tokens of
+        names, keywords and marks where it knows their kind."""
         tag = self.tags[i]
         text = self.texts[i]
         off = self.ends[i] - len(text)
@@ -250,14 +255,11 @@ class _Parser:
             return True
         return False
 
-    def _need(self, tag: str) -> int:
-        """Step over the current token, which must be the keyword or mark
-        `tag`; its index."""
-        i = self.i
-        if self.tags[i] != tag:
+    def _need(self, tag: str) -> None:
+        """Step over the current token, which must be the keyword or mark `tag`."""
+        if self.tags[self.i] != tag:
             raise self._expected(f"'{tag}'")
-        self.i = i + 1
-        return i
+        self.i += 1
 
     def _name(self, what: str) -> int:
         """Step over the current token, which must be a name; its index."""
@@ -266,6 +268,24 @@ class _Parser:
             raise self._expected(what)
         self.i = i + 1
         return i
+
+    def _take_tag(self, tag: str) -> Token:
+        """Step over the current token, which must be the keyword or mark
+        `tag`; the token."""
+        i = self.i
+        if self.tags[i] != tag:
+            raise self._expected(f"'{tag}'")
+        self.i = i + 1
+        return Token(_KIND[tag], tag, self.ends[i] - len(tag), self.src)
+
+    def _take_name(self, what: str) -> Token:
+        """Step over the current token, which must be a name; the token."""
+        i = self.i
+        if self.tags[i] != NAME:
+            raise self._expected(what)
+        self.i = i + 1
+        word = self.texts[i]
+        return Token("name", word, self.ends[i] - len(word), self.src)
 
     # file / module level
 
@@ -277,7 +297,7 @@ class _Parser:
 
     def parse_module(self) -> N.SourceModule:
         self._need("module")
-        name_tok = self.tok(self._name("module name"))
+        name_tok = self._take_name("module name")
         # ISO VDM-SL puts `imports` with a comma-separated list of `from`
         # clauses before `exports`; `exports` first, and one `imports` per
         # import, are read as well
@@ -332,7 +352,7 @@ class _Parser:
     def _import(self) -> N.ImportRef:
         """`from M all`: the import of module M."""
         self._need("from")
-        t = self.tok(self._name("module name"))
+        t = self._take_name("module name")
         self._need("all")
         return N.ImportRef(t.text, t)
 
@@ -362,13 +382,13 @@ class _Parser:
         return core
 
     def parse_typedef(self):
-        name = self.tok(self._name("type name"))
+        name = self._take_name("type name")
         if self._skip("::"):
             fields = []
             tags = self.tags
             while tags[self.i] == NAME and tags[self.i + 1] == ":":
-                fname = self.tok(self.i)
-                self.i += 2
+                fname = self._take_name("field name")
+                self.i += 1
                 fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
                 raise ParseError("record type needs at least one field", self.tok(self.i))
@@ -379,7 +399,7 @@ class _Parser:
         inv = self._parse_inv_clause()
         eq = None
         if self.tags[self.i] == "eq":
-            loc = self._take()
+            loc = self._take_tag("eq")
             left = self.parse_pattern()
             self._need("=")
             right = self.parse_pattern()
@@ -388,7 +408,7 @@ class _Parser:
             eq = N.EqClause(left, right, self.parse_expr(), loc)
         order = None
         if self.tags[self.i] == "ord":
-            loc = self._take()
+            loc = self._take_tag("ord")
             left = self.parse_pattern()
             self._need("<")
             right = self.parse_pattern()
@@ -400,7 +420,7 @@ class _Parser:
     def _parse_inv_clause(self):
         if self.tags[self.i] != "inv":
             return None
-        loc = self._take()
+        loc = self._take_tag("inv")
         pat = self.parse_pattern()
         pattern_names_distinct([pat], "inv clause")
         self._need("==")
@@ -417,7 +437,7 @@ class _Parser:
         return N.ValueDef(pat, decl_type, init, pat.loc, "")
 
     def parse_fundef(self):
-        name = self.tok(self._name("function name"))
+        name = self._take_name("function name")
         self._need(":")
         param_types: list = []
         if self.tags[self.i] == "(" and self.tags[self.i + 1] == ")":
@@ -461,13 +481,14 @@ class _Parser:
     # patterns
 
     def parse_pattern(self):
-        tag = self.tags[self.i]
-        if tag == "-":
-            return N.PatIgnore(self._take())
+        i = self.i
+        tag = self.tags[i]
         if tag == NAME:
-            t = self._take()
-            if t.text.startswith("mk_") and self.tags[self.i] == "(":
-                ctor = t.text[3:]
+            word = self.texts[i]
+            t = Token("name", word, self.ends[i] - len(word), self.src)
+            self.i = i + 1
+            if word.startswith("mk_") and self.tags[i + 1] == "(":
+                ctor = word[3:]
                 if not ctor:
                     raise ParseError("constructor pattern needs a type name", t)
                 self.i += 1
@@ -476,9 +497,11 @@ class _Parser:
                     items.append(self.parse_pattern())
                 self._need(")")
                 return N.PatCtor(ctor, tuple(items), t)
-            return N.PatName(t.text, t)
+            return N.PatName(word, t)
+        if tag == "-":
+            return N.PatIgnore(self._take_tag("-"))
         if tag == "[" or tag == "{":
-            t = self._take()
+            t = self._take_tag(tag)
             close = "]" if tag == "[" else "}"
             items = []
             if self.tags[self.i] != close:
@@ -504,20 +527,26 @@ class _Parser:
         return N.TUnion(tuple(flat), first.loc)
 
     def parse_type_atom(self):
-        tag = self.tags[self.i]
+        i = self.i
+        tag = self.tags[i]
+        if tag == NAME:
+            word = self.texts[i]
+            self.i = i + 1
+            return N.TNamed(word, Token("name", word, self.ends[i] - len(word), self.src))
         if tag in BASIC_TYPES:
-            return N.TBasic(tag, self._take())
+            self.i = i + 1
+            return N.TBasic(tag, Token("kw", tag, self.ends[i] - len(tag), self.src))
         if tag in _COLLECTION_TYPES:
-            t = self._take()
+            t = self._take_tag(tag)
             self._need("of")
             return _COLLECTION_TYPES[tag](self.parse_type_atom(), t)
         if tag == "map":
-            t = self._take()
+            t = self._take_tag("map")
             key = self.parse_type_atom()
             self._need("to")
             return N.TMap(key, self.parse_type_atom(), t)
         if tag == "[":
-            t = self._take()
+            t = self._take_tag("[")
             inner = self.parse_type()
             self._need("]")
             return N.TOptional(inner, t)
@@ -529,9 +558,6 @@ class _Parser:
         if tag == QUOTE:
             t = self._take()
             return N.TQuote(t.text, t)
-        if tag == NAME:
-            t = self._take()
-            return N.TNamed(t.text, t)
         raise self._expected("a type")
 
     # expressions: one loop over BINARY_LEVELS
@@ -676,7 +702,7 @@ class _Parser:
     def parse_mk_or_is(self):
         """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
         or `is_`, with its argument list next."""
-        t = self._take()
+        t = self._take_name("a name")
         if t.text.startswith("mk_"):
             if t.text == "mk_":
                 raise ParseError("record constructor needs a type name", t)
@@ -693,7 +719,7 @@ class _Parser:
         return N.Is(e, ty, t)
 
     def parse_if(self):
-        loc = self.tok(self._need("if"))
+        loc = self._take_tag("if")
         cond = self.parse_expr()
         self._need("then")
         then = self.parse_expr()
@@ -706,7 +732,7 @@ class _Parser:
         return N.If(cond, then, tuple(elifs), self.parse_expr(), loc)
 
     def parse_let(self):
-        loc = self.tok(self._need("let"))
+        loc = self._take_tag("let")
         binds = []
         while True:
             pat = self.parse_pattern()
@@ -720,7 +746,7 @@ class _Parser:
         return N.Let(tuple(binds), self.parse_expr(), loc)
 
     def parse_quantifier(self):
-        t = self._take()
+        t = self._take_tag(self.tags[self.i])
         binds = self.parse_binds()
         self._need("&")
         return N.Quant(t.text, binds, self.parse_expr(), t)
@@ -746,7 +772,7 @@ class _Parser:
         return binds, pred
 
     def parse_braced(self):
-        loc = self.tok(self._need("{"))
+        loc = self._take_tag("{")
         if self._skip("}"):
             return N.SetEnum((), loc)
         if self._skip("|->"):
@@ -777,7 +803,7 @@ class _Parser:
         return N.SetEnum(tuple(items), loc)
 
     def parse_bracketed(self):
-        loc = self.tok(self._need("["))
+        loc = self._take_tag("[")
         if self._skip("]"):
             return N.SeqEnum((), loc)
         first = self.parse_expr()

@@ -143,6 +143,10 @@ def test_the_iso_module_header_parses_and_prints():
     ("exports all\nimports from A all\nexports all\n", "4:1: expected 'definitions', found 'exports'"),
     ("imports from A all\nexports all\nimports from B all\n",
      "4:1: expected 'definitions', found 'imports'"),
+    ("imports from A\n", "3:1: expected 'all', found 'definitions'"),
+    ("imports from all\n", "2:14: expected module name, found 'all'"),
+    ("imports A all\n", "2:9: expected 'from', found name 'A'"),
+    ("imports from A all, B all\n", "2:21: expected 'from', found name 'B'"),
 ])
 def test_a_module_header_has_one_exports_clause_and_one_import_list(header, error):
     with pytest.raises(ParseError) as exc:
@@ -196,6 +200,31 @@ def test_repeated_pattern_name_in_one_pattern_rejected():
     bad = "module D\ndefinitions\nvalues\n    [x,x] = [1,2];\nend D\n"
     with pytest.raises(ParseError):
         parse_source(bad)
+
+
+@pytest.mark.parametrize("section, error", [
+    ("functions\n  f: nat * nat -> nat\n  f(x, x) == x;", "5:8: name 'x' bound twice in parameter list"),
+    ("values\n  v = let [a, a] = [1, 2] in a;", "4:15: name 'a' bound twice in let binding"),
+    ("values\n  [a, a] = [1, 2];", "4:7: name 'a' bound twice in value pattern"),
+    ("values\n  v = forall [a, a] in set {[1, 2]} & true;", "4:18: name 'a' bound twice in binding pattern"),
+    ("values\n  v = exists mk_R(a, -, a) : R & true;", "4:25: name 'a' bound twice in binding pattern"),
+    ("values\n  v = {a | [a, a] in set {[1, 2]}};", "4:16: name 'a' bound twice in binding pattern"),
+    ("values\n  v = [a | {a, a} in set {{1}}];", "4:16: name 'a' bound twice in binding pattern"),
+    ("types\n  R :: x : nat\n       y : nat\n  inv mk_R(a, a) == true;", "6:15: name 'a' bound twice in inv clause"),
+    ("types\n  T = nat\n  eq a = a == true;", "5:10: name 'a' bound twice in eq clause"),
+    ("types\n  T = nat\n  ord a < a == true;", "5:11: name 'a' bound twice in ord clause"),
+    # a lone name or `-` binds one name at most
+    ("values\n  v = let a = 1 in a;", None),
+    ("values\n  v = let - = 1 in 2;", None),
+])
+def test_a_name_bound_twice_is_a_located_error(section, error):
+    text = f"module M\ndefinitions\n{section}\nend M\n"
+    if error is None:
+        assert _module(text).name == "M"
+        return
+    with pytest.raises(ParseError) as err:
+        parse_source(text)
+    assert str(err.value) == f"<string>:{error}"
 
 
 def test_parse_error_carries_location():
