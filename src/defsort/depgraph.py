@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import Counter, deque
+from collections import deque
 from itertools import chain, count
 
 from .defcollect import Edge, FlatModule, NodeKey, type_dependency_links
@@ -23,8 +23,8 @@ class DepGraph:
     that order: a node's position is its index in `keys` (`pos` maps a key
     back).  `deps` holds, per position, the positions that node uses, in
     ascending order, kept current by `add_edge` and `remove_edge`; each such
-    pair keeps the edge of its earliest use as its witness.  The traversals
-    read positions; `out`, `edge` and `in_degree` translate to keys.
+    pair keeps the edge of its earliest use as its witness.  `add_edge` and
+    `remove_edge` take keys; the traversals read positions.
     """
 
     def __init__(self, nodes: dict, edges=()):
@@ -53,22 +53,10 @@ class DepGraph:
         elif (e.at.line, e.at.col) < (old.at.line, old.at.col):
             self._witness[i, j] = e
 
-    def edge(self, user: NodeKey, used: NodeKey) -> Edge:
-        return self._witness[self.pos[user], self.pos[used]]
-
     def remove_edge(self, user: NodeKey, used: NodeKey):
         i, j = self.pos[user], self.pos[used]
         del self._witness[i, j]
         self.deps[i].remove(j)
-
-    def out(self, key: NodeKey) -> list:
-        """Dependencies of `key`, in collection order of the target."""
-        keys = self.keys
-        return [keys[j] for j in self.deps[self.pos[key]]]
-
-    def in_degree(self) -> dict:
-        deg = Counter(chain.from_iterable(self.deps))
-        return {k: deg[i] for i, k in enumerate(self.keys)}
 
     def places(self) -> list:
         """Per position, where the node is declared, as one int that orders

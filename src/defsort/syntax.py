@@ -209,6 +209,8 @@ _SECTION_ENDS = (*SECTION_KEYWORDS, "end", EOF)
 # the tags a definition of each section can start with
 _DEFINITION_STARTS = {"types": (NAME,), "values": (NAME, "-", "[", "{"), "functions": (NAME,)}
 _COLLECTION_TYPES = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}
+# a type's clauses, in order: keyword, the mark between two patterns, node
+_CLAUSES = (("inv", None, N.InvClause), ("eq", "=", N.EqClause), ("ord", "<", N.OrdClause))
 
 
 class _Parser:
@@ -383,8 +385,8 @@ class _Parser:
 
     def parse_typedef(self):
         name = self._take_name("type name")
+        fields = []
         if self._skip("::"):
-            fields = []
             tags = self.tags
             while tags[self.i] == NAME and tags[self.i + 1] == ":":
                 fname = self._take_name("field name")
@@ -392,39 +394,26 @@ class _Parser:
                 fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
                 raise ParseError("record type needs at least one field", self.tok(self.i))
-            inv = self._parse_inv_clause()
-            return N.RecordTypeDef(name.text, tuple(fields), inv, name, "")
-        self._need("=")
-        rhs = self.parse_type()
-        inv = self._parse_inv_clause()
-        eq = None
-        if self.tags[self.i] == "eq":
-            loc = self._take_tag("eq")
-            left = self.parse_pattern()
+        else:
             self._need("=")
-            right = self.parse_pattern()
-            pattern_names_distinct([left, right], "eq clause")
+            rhs = self.parse_type()
+        # the optional clauses, in order; a record type takes `inv` only
+        clauses = []
+        for kw, relation, node in _CLAUSES[:1] if fields else _CLAUSES:
+            if self.tags[self.i] != kw:
+                clauses.append(None)
+                continue
+            loc = self._take_tag(kw)
+            pats = [self.parse_pattern()]
+            if relation:
+                self._need(relation)
+                pats.append(self.parse_pattern())
+            pattern_names_distinct(pats, f"{kw} clause")
             self._need("==")
-            eq = N.EqClause(left, right, self.parse_expr(), loc)
-        order = None
-        if self.tags[self.i] == "ord":
-            loc = self._take_tag("ord")
-            left = self.parse_pattern()
-            self._need("<")
-            right = self.parse_pattern()
-            pattern_names_distinct([left, right], "ord clause")
-            self._need("==")
-            order = N.OrdClause(left, right, self.parse_expr(), loc)
-        return N.NamedTypeDef(name.text, rhs, inv, eq, order, name, "")
-
-    def _parse_inv_clause(self):
-        if self.tags[self.i] != "inv":
-            return None
-        loc = self._take_tag("inv")
-        pat = self.parse_pattern()
-        pattern_names_distinct([pat], "inv clause")
-        self._need("==")
-        return N.InvClause(pat, self.parse_expr(), loc)
+            clauses.append(node(*pats, self.parse_expr(), loc))
+        if fields:
+            return N.RecordTypeDef(name.text, tuple(fields), *clauses, name, "")
+        return N.NamedTypeDef(name.text, rhs, *clauses, name, "")
 
     def parse_valuedef(self):
         pat = self.parse_pattern()
@@ -487,30 +476,30 @@ class _Parser:
             word = self.texts[i]
             t = Token("name", word, self.ends[i] - len(word), self.src)
             self.i = i + 1
-            if word.startswith("mk_") and self.tags[i + 1] == "(":
-                ctor = word[3:]
-                if not ctor:
-                    raise ParseError("constructor pattern needs a type name", t)
-                self.i += 1
-                items = [self.parse_pattern()]
-                while self._skip(","):
-                    items.append(self.parse_pattern())
-                self._need(")")
-                return N.PatCtor(ctor, tuple(items), t)
-            return N.PatName(word, t)
-        if tag == "-":
+            if not (word.startswith("mk_") and self.tags[i + 1] == "("):
+                return N.PatName(word, t)
+            if word == "mk_":
+                raise ParseError("constructor pattern needs a type name", t)
+            self.i = i + 2
+            close = ")"
+        elif tag == "-":
             return N.PatIgnore(self._take_tag("-"))
-        if tag == "[" or tag == "{":
+        elif tag == "[" or tag == "{":
             t = self._take_tag(tag)
             close = "]" if tag == "[" else "}"
-            items = []
-            if self.tags[self.i] != close:
+        else:
+            raise self._expected("a pattern")
+        # the items of a constructor (one or more), sequence or set pattern:
+        # a helper here would be one more frame per nesting level
+        items = []
+        if close == ")" or self.tags[self.i] != close:
+            items.append(self.parse_pattern())
+            while self._skip(","):
                 items.append(self.parse_pattern())
-                while self._skip(","):
-                    items.append(self.parse_pattern())
-            self._need(close)
-            return (N.PatSeq if close == "]" else N.PatSet)(tuple(items), t)
-        raise self._expected("a pattern")
+        self._need(close)
+        if close == ")":
+            return N.PatCtor(word[3:], tuple(items), t)
+        return (N.PatSeq if close == "]" else N.PatSet)(tuple(items), t)
 
     # types
 
@@ -693,10 +682,8 @@ class _Parser:
             return self.parse_quantifier()
         if tag == NAME:
             return self.parse_mk_or_is()
-        if tag == "{":
-            return self.parse_braced()
-        if tag == "[":
-            return self.parse_bracketed()
+        if tag == "{" or tag == "[":
+            return self.parse_collection()
         raise self._expected("an expression")
 
     def parse_mk_or_is(self):
@@ -766,84 +753,55 @@ class _Parser:
             if not self._skip(","):
                 return tuple(binds)
 
-    def _parse_comp_tail(self):
-        binds = self.parse_binds()
-        pred = self.parse_expr() if self._skip("&") else None
-        return binds, pred
-
-    def parse_braced(self):
-        loc = self._take_tag("{")
-        if self._skip("}"):
-            return N.SetEnum((), loc)
-        if self._skip("|->"):
+    def parse_collection(self):
+        """A set, sequence or map enumeration or comprehension: `{…}` or `[…]`."""
+        tag = self.tags[self.i]
+        loc = self._take_tag(tag)
+        braced = tag == "{"
+        close = "}" if braced else "]"
+        if self._skip(close):
+            return (N.SetEnum if braced else N.SeqEnum)((), loc)
+        if braced and self._skip("|->"):
             self._need("}")
             return N.MapEnum((), loc)
         first = self.parse_expr()
-        if self._skip("|->"):
-            val = self.parse_expr()
-            if self._skip("|"):
-                binds, pred = self._parse_comp_tail()
-                self._need("}")
+        val = self.parse_expr() if braced and self._skip("|->") else None
+        if self._skip("|"):
+            binds = self.parse_binds()
+            pred = self.parse_expr() if self._skip("&") else None
+            self._need(close)
+            if val is not None:
                 return N.MapComp(first, val, binds, pred, loc)
-            maplets = [(first, val)]
-            while self._skip(","):
-                k = self.parse_expr()
+            return (N.SetComp if braced else N.SeqComp)(first, binds, pred, loc)
+        # the items or maplets: a helper here would be one more frame per
+        # nesting level
+        items = [first if val is None else (first, val)]
+        while self._skip(","):
+            item = self.parse_expr()
+            if val is not None:
                 self._need("|->")
-                maplets.append((k, self.parse_expr()))
-            self._need("}")
-            return N.MapEnum(tuple(maplets), loc)
-        if self._skip("|"):
-            binds, pred = self._parse_comp_tail()
-            self._need("}")
-            return N.SetComp(first, binds, pred, loc)
-        items = [first]
-        while self._skip(","):
-            items.append(self.parse_expr())
-        self._need("}")
-        return N.SetEnum(tuple(items), loc)
-
-    def parse_bracketed(self):
-        loc = self._take_tag("[")
-        if self._skip("]"):
-            return N.SeqEnum((), loc)
-        first = self.parse_expr()
-        if self._skip("|"):
-            binds, pred = self._parse_comp_tail()
-            self._need("]")
-            return N.SeqComp(first, binds, pred, loc)
-        items = [first]
-        while self._skip(","):
-            items.append(self.parse_expr())
-        self._need("]")
-        return N.SeqEnum(tuple(items), loc)
+                item = (item, self.parse_expr())
+            items.append(item)
+        self._need(close)
+        if val is not None:
+            return N.MapEnum(tuple(items), loc)
+        return (N.SetEnum if braced else N.SeqEnum)(tuple(items), loc)
 
 
 def _check_toplevel_names(defs, module_name: str):
-    """Duplicate names inside one namespace are rejected at parse time."""
-    type_names: dict[str, Location] = {}
-    fn_names: dict[str, Location] = {}
+    """Duplicate names inside one namespace are rejected at parse time, at
+    the second name."""
+    functions = set()  # values and functions share a namespace
+    seen = {"types": set(), "values": functions, "functions": functions}
     for d in defs:
-        if isinstance(d, (N.RecordTypeDef, N.NamedTypeDef)):
-            if d.name in type_names:
-                raise ParseError(
-                    f"duplicate type name {d.name!r} in module {module_name}", d.name_loc
-                )
-            type_names[d.name] = d.name_loc
-        elif isinstance(d, N.FuncDef):
-            if d.name in fn_names:
-                raise ParseError(
-                    f"duplicate function or value name {d.name!r} in module {module_name}",
-                    d.name_loc,
-                )
-            fn_names[d.name] = d.name_loc
-        else:
-            for name in N.pattern_names(d.pattern):
-                if name in fn_names:
-                    raise ParseError(
-                        f"duplicate function or value name {name!r} in module {module_name}",
-                        d.name_loc,
-                    )
-                fn_names[name] = d.name_loc
+        section = d.section
+        names = seen[section]
+        sites = N.pattern_name_sites(d.pattern) if section == "values" else ((d.name, d.name_loc),)
+        for name, loc in sites:
+            if name in names:
+                what = "type" if section == "types" else "function or value"
+                raise ParseError(f"duplicate {what} name {name!r} in module {module_name}", loc)
+            names.add(name)
 
 
 def parse_source(text: str, file: str = "<string>"):

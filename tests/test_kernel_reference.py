@@ -216,9 +216,10 @@ def test_every_view_of_the_graph_follows_each_edit(run):
             g.remove_edge(*pair)
             del witness[pair]
         deps = {k: [v for v in order if (k, v) in witness] for k in order}
-        assert {k: g.out(k) for k in order} == deps
+        assert {k: [g.keys[j] for j in g.deps[g.pos[k]]] for k in order} == deps
         assert {(e.user, e.used): e.at for e in g.edges} == {p: Loc(at, 1) for p, at in witness.items()}
-        assert g.in_degree() == {k: sum(k in deps[u] for u in order) for k in order}
+        assert [sum(g.pos[k] in used for used in g.deps) for k in order] == [
+            sum(k in deps[u] for u in order) for k in order]
         labels, back = search(g)
         same = {(u, v) for i, u in enumerate(order) for j, v in enumerate(order) if labels[i] == labels[j]}
         assert same == ref_mutually_reachable(order, deps)

@@ -213,6 +213,16 @@ def test_repeated_pattern_name_in_one_pattern_rejected():
     ("types\n  R :: x : nat\n       y : nat\n  inv mk_R(a, a) == true;", "6:15: name 'a' bound twice in inv clause"),
     ("types\n  T = nat\n  eq a = a == true;", "5:10: name 'a' bound twice in eq clause"),
     ("types\n  T = nat\n  ord a < a == true;", "5:11: name 'a' bound twice in ord clause"),
+    ("types\n  T = nat\n  eq [a, b] = b == true;", "5:15: name 'b' bound twice in eq clause"),
+    # a definition's name is bound once in its namespace; a value's duplicate
+    # is located at the name, not at the start of its pattern
+    ("types\n  T = nat;\n  T = int;", "5:3: duplicate type name 'T' in module M"),
+    ("types\n  T = nat;\n  T :: x : nat;", "5:3: duplicate type name 'T' in module M"),
+    ("values\n  a = 1;\n  [x, a] = [1, 2];", "5:7: duplicate function or value name 'a' in module M"),
+    ("values\n  f = 1;\nfunctions\n  f : nat -> nat\n  f(x) == x;",
+     "6:3: duplicate function or value name 'f' in module M"),
+    ("functions\n  f : nat -> nat\n  f(x) == x;\nvalues\n  {b, f} = {1, 2};",
+     "7:7: duplicate function or value name 'f' in module M"),
     # a lone name or `-` binds one name at most
     ("values\n  v = let a = 1 in a;", None),
     ("values\n  v = let - = 1 in 2;", None),
@@ -281,6 +291,23 @@ def test_numbers_are_ascii_digits_only(digit):
     ("values\n  v = 1 in <set> s;", "<string>:4:9: expected ';' or a new definition, found 'in'"),
     ("functions\n  f : nat -> nat\n  f(x) == x);", "<string>:5:12: expected ';' or a new definition, found ')'"),
     ("values\n  v = 1\n  w = 2 ;;", "<string>:5:10: expected a pattern, found ';'"),
+    # a record type takes no `eq` or `ord`; `ord` relates its patterns by `<`
+    ("types\n  R :: x : nat\n  eq a = b == true;", "<string>:5:3: expected ';' or a new definition, found 'eq'"),
+    ("types\n  T = nat\n  ord a = b == true;", "<string>:5:9: expected '<', found '='"),
+    # a list separator with nothing after it
+    ("functions\n  f : nat -> nat\n  f(x) == g(x,);", "<string>:5:15: expected an expression, found ')'"),
+    ("values\n  v = mk_R(1,);", "<string>:4:14: expected an expression, found ')'"),
+    ("functions\n  f : nat * nat -> nat\n  f(x,) == x;", "<string>:5:7: expected a pattern, found ')'"),
+    ("values\n  [a,] = [1];", "<string>:4:6: expected a pattern, found ']'"),
+    ("values\n  {a,} = {1};", "<string>:4:6: expected a pattern, found '}'"),
+    ("values\n  mk_R(a,) = 1;", "<string>:4:10: expected a pattern, found ')'"),
+    ("values\n  v = let a = 1, in a;", "<string>:4:18: expected a pattern, found 'in'"),
+    ("values\n  v = forall a in set {1}, & true;", "<string>:4:28: expected a pattern, found '&'"),
+    ("values\n  v = {1,};", "<string>:4:10: expected an expression, found '}'"),
+    ("values\n  v = [1,];", "<string>:4:10: expected an expression, found ']'"),
+    ("values\n  v = {1 |-> 2,};", "<string>:4:16: expected an expression, found '}'"),
+    ("types\n  T = nat |;", "<string>:4:12: expected a type, found ';'"),
+    ("functions\n  f : nat * -> nat\n  f(x) == x;", "<string>:4:13: expected a type, found '->'"),
 ])
 def test_a_stray_token_after_a_definition_is_no_new_definition(section, error):
     with pytest.raises(ParseError) as err:
