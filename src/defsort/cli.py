@@ -328,7 +328,7 @@ def _cmd_dot(cfg: ToolConfig, paths) -> int:
 # every command reads --debug and --properties; these are all the flags
 _OPTIONS = {
     "--debug": dict(action="store_true", help="print the analysis trace"),
-    "--check": dict(action="store_true", help="analyse only, write nothing"),
+    "--check": dict(action="store_true", help="analyse only, write no rewritten module"),
     "--output": dict(metavar="DIR", help="directory for rewritten modules"),
     "--dot": dict(metavar="DIR", help="write dot files into DIR"),
     "--properties": dict(metavar="FILE", help="properties file to load"),

@@ -14,6 +14,9 @@ from .defcollect import FlatModule
 from .depgraph import DepGraph, start_points
 from .reorder import SortReport
 
+# DOT's keywords, in any case, are an ID only when quoted
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
 
 def _node_style(node, start: bool, has_out: bool) -> str:
     if start:
@@ -42,7 +45,10 @@ def emit_def_dot(g: DepGraph, report: SortReport | FlatModule) -> str:
     starts = {n.key for n in start_points(g)}
     ids = _node_ids(nodes)
     order = sorted(range(len(nodes)), key=place)
-    lines = [f"digraph {report.module_name} {{"]
+    name = report.module_name
+    if name.lower() in _DOT_KEYWORDS:
+        name = f'"{name}"'
+    lines = [f"digraph {name} {{"]
     for i in order:
         node = nodes[i]
         style = _node_style(node, node.key in starts, bool(g.deps[i]))

@@ -149,20 +149,16 @@ def _scan(text: str, file: str):
     """Lex `text` in whole-text passes: no Python code runs per token, only
     once per distinct spelling, to tag it (`_Tags`).
 
-    Returns (texts, tags, ends, comments, src): the source text, tag and
-    end offset of every significant token, end of input last; the comment
-    tokens; and the line-break index the tokens share.  Raises the
-    ParseError of the first character that begins no token.
+    Returns (texts, tags, ends, src): the source text, tag and end offset
+    of every significant token, end of input last, and the line-break index
+    the tokens share.  Raises the ParseError of the first character that
+    begins no token.
     """
     src = (file, list(map(re.Match.start, _BREAK.finditer(text))), len(text))
     parts = _COMMENT.split(text)  # code, comment, code, ..., code
-    comment_texts = parts[1::2]
-    comments = []
-    if comment_texts:
-        starts = list(accumulate(map(len, parts)))[0:-1:2]
-        comments = [Token("comment", c.rstrip("\r"), off, src) for c, off in zip(comment_texts, starts)]
-        # blanked to as many spaces, so the tokens keep their offsets
-        parts[1::2] = map(" ".__mul__, map(len, comment_texts))
+    if len(parts) > 1:
+        # each comment blanked to as many spaces, so the tokens keep their offsets
+        parts[1::2] = map(" ".__mul__, map(len, parts[1::2]))
         text = "".join(parts)
     del parts  # a small file's memory peaks in its scan, so each pass frees what the next does not read
     # one match per token and the white space before it, up to the last
@@ -181,13 +177,16 @@ def _scan(text: str, file: str):
     texts.append("")
     tags.append(EOF)
     ends.append(len(text))
-    return texts, tags, ends, comments, src
+    return texts, tags, ends, src
 
 
 def lex(text: str, file: str = "<string>"):
-    """Split text into (significant tokens, comment tokens)."""
+    """Split text into (significant tokens, comment tokens).  Only this
+    builds comment tokens: the parser finds a definition's comments in the
+    text."""
     p = _Parser(text, file)
-    return list(map(p.tok, range(len(p.tags)))), p.comments
+    comments = [Token("comment", m[0].rstrip("\r"), m.start(), p.src) for m in _COMMENT.finditer(text)]
+    return list(map(p.tok, range(len(p.tags)))), comments
 
 
 def pattern_names_distinct(patterns, where: str):
@@ -220,8 +219,7 @@ class _Parser:
     def __init__(self, text: str, file: str):
         self.text = text
         self.file = file
-        self.texts, self.tags, self.ends, self.comments, self.src = _scan(text, file)
-        self.comment_offs = [c.off for c in self.comments]
+        self.texts, self.tags, self.ends, self.src = _scan(text, file)
         self.i = 0
 
     # token plumbing
@@ -262,14 +260,6 @@ class _Parser:
         if self.tags[self.i] != tag:
             raise self._expected(f"'{tag}'")
         self.i += 1
-
-    def _name(self, what: str) -> int:
-        """Step over the current token, which must be a name; its index."""
-        i = self.i
-        if self.tags[i] != NAME:
-            raise self._expected(what)
-        self.i = i + 1
-        return i
 
     def _take_tag(self, tag: str) -> Token:
         """Step over the current token, which must be the keyword or mark
@@ -321,26 +311,13 @@ class _Parser:
             section = tags[self.i]
             boundary = self.ends[self.i]  # the end of the text before the next definition
             self.i += 1
-            d = None
             while tags[self.i] not in _SECTION_ENDS:
-                d = self.parse_definition(section, boundary)
-                defs.append(d)
+                defs.append(self.parse_definition(section, boundary))
                 boundary = self.ends[self.i - 1]
-            if d is not None:
-                # the comments before the next section keyword or `end` move
-                # with the section's last definition
-                offs = self.comment_offs
-                lo = bisect_left(offs, boundary)
-                hi = bisect_left(offs, self.ends[self.i] - len(self.texts[self.i]), lo)
-                if hi > lo:
-                    d.verbatim += self.text[boundary : self.comments[hi - 1].end]
         self._need("end")
-        end = self._name("module name")
-        if self.texts[end] != name_tok.text:
-            raise ParseError(
-                f"module ends with 'end {self.texts[end]}' but is named {name_tok.text!r}",
-                self.tok(end),
-            )
+        end = self._take_name("module name")
+        if end.text != name_tok.text:
+            raise ParseError(f"module ends with 'end {end.text}' but is named {name_tok.text!r}", end)
         _check_toplevel_names(defs, name_tok.text)
         return N.SourceModule(
             name=name_tok.text,
@@ -361,13 +338,14 @@ class _Parser:
     # definitions
 
     def parse_definition(self, section: str, boundary: int):
-        """A definition and its `verbatim` text: from its first comment after
-        `boundary`, or else its first token, to its last token.  The text
-        starts at the start of its line when only white space precedes it."""
-        start = self.ends[self.i] - len(self.texts[self.i])
-        lo = bisect_left(self.comment_offs, boundary)
-        if lo < len(self.comment_offs) and self.comment_offs[lo] < start:
-            start = self.comment_offs[lo]
+        """A definition and its `verbatim` text, found in the source text:
+        only white space and comments lie between two tokens, so a `--`
+        there starts a comment.  The text starts at the first comment after
+        `boundary`, the end of the token before, or else at the first token,
+        and at the start of that line when a line break lies between.  It
+        ends at the last token, or, when the next token ends the section, at
+        the line break that ends the last comment before that token."""
+        first = self.ends[self.i] - len(self.texts[self.i])
         if section == "types":
             core = self.parse_typedef()
         elif section == "values":
@@ -377,10 +355,21 @@ class _Parser:
         tag = self.tags[self.i]
         if not self._skip(";") and tag not in _SECTION_ENDS and tag not in _DEFINITION_STARTS[section]:
             raise self._expected("';' or a new definition")
-        line_start = self.text.rfind("\n", 0, start) + 1
-        if not self.text[line_start:start].strip():
-            start = line_start
-        core.verbatim = self.text[start : self.ends[self.i - 1]]
+        text = self.text
+        start = text.find("--", boundary, first)
+        if start < 0:
+            start = first
+        line = text.rfind("\n", boundary, start)
+        if line >= 0:
+            start = line + 1
+        end = self.ends[self.i - 1]
+        if self.tags[self.i] in _SECTION_ENDS:
+            last = text.rfind("--", end, self.ends[self.i] - len(self.texts[self.i]))
+            if last >= 0:
+                end = text.find("\n", last)
+                if end < 0:
+                    end = len(text)
+        core.verbatim = text[start:end]
         return core
 
     def parse_typedef(self):
@@ -437,11 +426,11 @@ class _Parser:
                 param_types.append(self.parse_type())
         self._need("->")
         ret = self.parse_type()
-        body_name = self._name("function name")
-        if self.texts[body_name] != name.text:
+        body_name = self._take_name("function name")
+        if body_name.text != name.text:
             raise ParseError(
-                f"body is named {self.texts[body_name]!r} but the signature says {name.text!r}",
-                self.tok(body_name),
+                f"body is named {body_name.text!r} but the signature says {name.text!r}",
+                body_name,
             )
         self._need("(")
         params = []
@@ -454,7 +443,7 @@ class _Parser:
             raise ParseError(
                 f"{name.text} takes {len(param_types)} parameters "
                 f"but {len(params)} patterns are given",
-                self.tok(body_name),
+                body_name,
             )
         pattern_names_distinct(params, "parameter list")
         self._need("==")
@@ -604,7 +593,7 @@ class _Parser:
                 tag = tags[i]
                 while tag == ".":
                     self.i = i + 1
-                    field = texts[self._name("field name")]
+                    field = self._take_name("field name").text
                     e = N.FieldSel(e, field, Token("punct", ".", ends[i] - 1, src))
                     i = self.i
                     tag = tags[i]

@@ -1,5 +1,6 @@
 """Deterministic dot output for definition and module graphs."""
 
+import pytest
 from conftest import single_module
 
 from defsort.defcollect import collect
@@ -107,3 +108,18 @@ def test_empty_module_dot_has_header_only():
     _, report = sort_module(m)
     dot = emit_def_dot(g, report)
     assert dot == "digraph E {\n}\n"
+
+
+@pytest.mark.parametrize("name, header", [
+    ("Node", 'digraph "Node" {'),
+    ("EDGE", 'digraph "EDGE" {'),
+    ("graph", 'digraph "graph" {'),
+    ("DiGraph", 'digraph "DiGraph" {'),
+    ("subGraph", 'digraph "subGraph" {'),
+    ("Strict", 'digraph "Strict" {'),
+    ("M", "digraph M {"),
+])
+def test_a_module_named_like_a_dot_keyword_is_quoted(name, header):
+    m = parse_source(f"module {name}\nexports all\ndefinitions\nend {name}\n")[0]
+    _, report = sort_module(m)
+    assert emit_def_dot(build_graph(collect(m)), report).splitlines()[0] == header

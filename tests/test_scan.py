@@ -141,7 +141,7 @@ def _formula_tag(word):
 
 def _scan_tags(text, path):
     """(the scan's words, its tags) without the end of input, which is checked."""
-    texts, tags, _, _, _ = _scan(text, path)
+    texts, tags, _, _ = _scan(text, path)
     assert (texts[-1], tags[-1]) == ("", EOF), path
     return texts[:-1], tags[:-1]
 
@@ -156,7 +156,7 @@ def _mutated_texts():
     """Each corpus text with one of its tokens replaced, five times over."""
     rng = random.Random(20)
     for k, text in enumerate(CORPUS):
-        texts, _, ends, _, _ = _scan(text, "m")
+        texts, _, ends, _ = _scan(text, "m")
         for _ in range(5):
             i = rng.randrange(len(texts) - 1)
             word = rng.choice(SPELLINGS)

@@ -12,6 +12,7 @@ diagnostics.
 
 import dataclasses
 import pathlib
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,10 @@ class RefParser(_Parser):
 
     It reads the tokens it tests, through the Token cursor below."""
 
+    def __init__(self, text, file):
+        super().__init__(text, file)
+        self.comments = lex(text, file)[1]
+
     def cur(self):
         return self.tok(self.i)
 
@@ -176,7 +181,14 @@ class RefParser(_Parser):
         start_off = start.off
         if self.text[start.off - (start.col - 1) : start.off].strip() == "":
             start_off -= start.col - 1
-        core.verbatim = self.text[start_off : self.tok(self.i - 1).end]
+        end = self.tok(self.i - 1).end
+        nxt = self.cur()
+        if nxt.kind == "eof" or nxt.kind == "kw" and nxt.text in ("types", "values", "functions", "end"):
+            # the section's last definition takes the comments before the next section
+            trailing = [c for c in self.comments if end <= c.off < nxt.off]
+            if trailing:
+                end = trailing[-1].end
+        core.verbatim = self.text[start_off:end]
         return core
 
     def parse_expr(self):
@@ -286,7 +298,7 @@ class RefParser(_Parser):
         e = self.parse_primary()  # then its field selections, then the prefix run
         while self.at("punct", "."):
             dot = self._take()
-            e = N.FieldSel(e, self.texts[self._name("field name")], dot)
+            e = N.FieldSel(e, self._take_name("field name").text, dot)
         for t in reversed(ops):
             e = N.Unary("-", e, t) if t.text == "-" else N.BuiltinApp(t.text, (e,), t)
         return e
@@ -817,6 +829,29 @@ def test_walkers_match_the_recursive_references_on_the_corpus():
     assert kinds == set(N._CHILDREN)
 
 
+def comment_layouts(text):
+    """The text as is, without its final line break, with a comment after
+    each `;`, with two comment lines before each `end`, and with a comment
+    line every third line; each with LF and with CRLF line ends."""
+    lines = text.split("\n")
+    for variant in (
+        text,
+        text.rstrip("\n"),
+        text.replace(";", "; -- after"),
+        re.sub(r"(?m)^end\b", "-- one\n  -- two\nend", text),
+        "\n".join(line + "\n  -- inserted" * (k % 3 == 2) for k, line in enumerate(lines)),
+    ):
+        yield variant
+        yield variant.replace("\n", "\r\n")
+
+
+def test_definition_text_matches_the_comment_token_reference():
+    for text in CORPUS:
+        for variant in comment_layouts(text):
+            new, ref = parse_both(variant)
+            assert new == ref, variant
+
+
 @st.composite
 def operator_runs(draw, depth=1):
     """Operands with runs of prefix operators before them and binary
@@ -861,7 +896,7 @@ class RecursivePrefixParser(RefParser):
         e = self.parse_primary()
         while self.at("punct", "."):
             loc = stored_loc(self._take())
-            e = N.FieldSel(e, self.texts[self._name("field name")], loc)
+            e = N.FieldSel(e, self._take_name("field name").text, loc)
         return e
 
 
