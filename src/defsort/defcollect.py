@@ -75,14 +75,13 @@ class DefNode(Record):
     None for a primary (type, value or function) node, `location` its
     declaration `Loc` (for ordering and labels), `bound` the names its body
     may use without depending on them, `def_index` the index of its
-    definition in the source module (equal for the nodes of one definition),
-    `index` its collection order
-    (synthesized nodes come after all user nodes) and `body` its
-    expression, or None.  Its key is built once, so graphs share the tuple.
+    definition in the source module (equal for the nodes of one definition)
+    and `body` its expression, or None.  Its key is built once, so graphs
+    share the tuple.
     """
 
     __slots__ = ("name", "namespace", "kind", "owner", "synthetic", "location", "bound",
-                 "def_index", "index", "body", "_node_key")
+                 "def_index", "body", "_node_key")
     _derived = {"_node_key": "(namespace, name)"}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -143,7 +142,7 @@ def collect(m: N.SourceModule) -> FlatModule:
 
     def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
         loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
-        node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, len(nodes), body)
+        node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, body)
         key = node.key
         if key in seen:
             if synthetic:  # added after every user node: the user's definition takes its name

@@ -545,9 +545,12 @@ class _Parser:
 
         Each entry waits for its right operand, tightest last: a binary
         operator at its level, a prefix `not` at NOT_LEVEL, a prefix `-` or
-        built-in at PREFIX_LEVEL, or an open parenthesis or call at level 0.
-        So operator runs, parentheses and plain calls do not nest the
-        parser; any other operand is read by `parse_primary`, which recurses.
+        built-in at PREFIX_LEVEL, or an open parenthesis or application at
+        level 0.  An application is a name with its items in parentheses:
+        a call, `mk_T(…)`, `is_T(e)` or `is_(e, type)`, built by
+        `_application`.  So operator runs, parentheses and applications do
+        not nest the parser, except for the type of `is_`; any other operand
+        is read by `parse_primary`, which recurses.
         """
         tags = self.tags
         texts = self.texts
@@ -555,7 +558,7 @@ class _Parser:
         src = self.src
         i = self.i
         # the tokens of names, nats and operators are built here, their kinds known
-        ops = [(-1, None, None, None)]  # (level, token index, left operand or a group's items, operator)
+        ops = [(-1, None, None, None)]  # (level, token index, left operand or a group's items, operator or name)
         nots = True  # this operand may start with a run of `not`s
         while True:
             tag = tags[i]
@@ -575,14 +578,16 @@ class _Parser:
                 word = texts[i]
                 e = N.Lit("nat", int(word), Token("nat", word, ends[i] - len(word), src))
                 i += 1
-            elif tag == "(" or (tag == NAME and not texts[i].startswith(("mk_", "is_"))):
-                if tag == NAME and tags[i + 2] == ")":
-                    word = texts[i]
-                    e = N.Apply(word, (), Token("name", word, ends[i] - len(word), src))
+            elif tag == "(" or tag == NAME:  # parentheses, or a name applied
+                word = texts[i] if tag == NAME else None
+                if word == "mk_":
+                    raise ParseError("record constructor needs a type name", self.tok(i))
+                if word and tags[i + 2] == ")" and not word.startswith("is_"):
+                    e = _application(word, (), Token("name", word, ends[i] - len(word), src))
                     i += 3
-                else:  # parentheses, or a call with its arguments
-                    ops.append((0, i, [], None))
-                    i += 1 if tag == "(" else 2
+                else:  # a group, closed below
+                    ops.append((0, i, [], word))
+                    i += 2 if word else 1
                     nots = True
                     continue
             else:
@@ -621,34 +626,27 @@ class _Parser:
                     i += width
                     nots = level < NOT_LEVEL
                     break
-                _, start, items, _ = ops[-1]
+                _, start, items, word = ops[-1]
                 if start is None:
                     self.i = i
                     return e
                 items.append(e)
-                call = tags[start] == NAME
-                if call and tag == ",":
+                if tag == "," and word and not word.startswith("is_"):
                     i += 1
                     nots = True
                     break
-                if tag != ")":
+                if word == "is_":  # its one operand, then a type
+                    self.i = i
+                    self._need(",")
+                    items.append(self.parse_type())
+                    i = self.i
+                if tags[i] != ")":
                     self.i = i
                     self._need(")")
                 i += 1
                 ops.pop()
-                if call:
-                    word = texts[start]
-                    e = N.Apply(word, tuple(items), Token("name", word, ends[start] - len(word), src))
-
-    def _parse_args(self):
-        self._need("(")
-        args = []
-        if self.tags[self.i] != ")":
-            args.append(self.parse_expr())
-            while self._skip(","):
-                args.append(self.parse_expr())
-        self._need(")")
-        return tuple(args)
+                if word:
+                    e = _application(word, items, Token("name", word, ends[start] - len(word), src))
 
     def parse_primary(self):
         """An operand that parse_expr does not read itself."""
@@ -669,30 +667,9 @@ class _Parser:
             return self.parse_let()
         if tag == "forall" or tag == "exists":
             return self.parse_quantifier()
-        if tag == NAME:
-            return self.parse_mk_or_is()
         if tag == "{" or tag == "[":
             return self.parse_collection()
         raise self._expected("an expression")
-
-    def parse_mk_or_is(self):
-        """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
-        or `is_`, with its argument list next."""
-        t = self._take_name("a name")
-        if t.text.startswith("mk_"):
-            if t.text == "mk_":
-                raise ParseError("record constructor needs a type name", t)
-            return N.MkCtor(t.text[3:], self._parse_args(), t)
-        self._need("(")
-        e = self.parse_expr()
-        if t.text == "is_":
-            self._need(",")
-            ty = self.parse_type()
-        else:
-            name = t.text[3:]
-            ty = N.TBasic(name, t) if name in BASIC_TYPES else N.TNamed(name, t)
-        self._need(")")
-        return N.Is(e, ty, t)
 
     def parse_if(self):
         loc = self._take_tag("if")
@@ -777,6 +754,19 @@ class _Parser:
         return (N.SetEnum if braced else N.SeqEnum)(tuple(items), loc)
 
 
+def _application(word: str, items, t: Token):
+    """The node of `word(items…)`: a record constructor `mk_T(…)`, a type
+    test `is_T(e)` or `is_(e, type)`, whose items are `e` and the type, or
+    else a call."""
+    if word.startswith("mk_"):
+        return N.MkCtor(word[3:], tuple(items), t)
+    if word.startswith("is_"):
+        name = word[3:]
+        ty = items[1] if word == "is_" else N.TBasic(name, t) if name in BASIC_TYPES else N.TNamed(name, t)
+        return N.Is(items[0], ty, t)
+    return N.Apply(word, tuple(items), t)
+
+
 def _check_toplevel_names(defs, module_name: str):
     """Duplicate names inside one namespace are rejected at parse time, at
     the second name."""
@@ -796,10 +786,11 @@ def _check_toplevel_names(defs, module_name: str):
 def parse_source(text: str, file: str = "<string>"):
     """Parse a file's worth of text into a list of modules.
 
-    Parentheses, plain calls and operator runs are read by a loop, but other
-    constructs (`if`, `let`, quantifiers, braces, brackets, `mk_`, `is_`,
-    patterns and types) recurse once per nesting level, so such input nested
-    deeper than the interpreter's stack allows is a located ParseError.
+    Parentheses, applications (calls, `mk_` and `is_`) and operator runs are
+    read by a loop, but other constructs (`if`, `let`, quantifiers, braces,
+    brackets, patterns and types) recurse once per nesting level, so such
+    input nested deeper than the interpreter's stack allows is a located
+    ParseError.
     """
     parser = _Parser(text, file)
     try:

@@ -180,7 +180,7 @@ def _spec_graph(n, edges):
     nodes = {}
     for i in range(n):
         node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None,
-                       False, Loc(i + 1, 1), frozenset(), i, i, None)
+                       False, Loc(i + 1, 1), frozenset(), i, None)
         nodes[node.key] = node
     g = DepGraph(nodes)
     for u, v in edges:

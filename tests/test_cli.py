@@ -523,12 +523,16 @@ def test_a_quote_named_like_a_keyword_is_a_located_parse_error(line, err, tmp_pa
     assert capsys.readouterr().err == err + "\n"
 
 
-# parentheses and plain calls are frames of the expression loop, not of the
-# interpreter, so their depth is bounded by nothing but memory
+# parentheses and applications (calls, `mk_T(…)`, `is_T(…)`, `is_(…, type)`)
+# are frames of the expression loop, not of the interpreter, so their depth
+# is bounded by nothing but memory
 NESTED = {
     "calls": _module("C", "functions\n  f : nat -> nat\n  f(x) == x;\n  g : nat -> nat\n  g(y) == "
                      + "f(" * 10000 + "y" + ")" * 10000 + ";"),
     "parentheses": _module("P", "values\n  v = " + "(" * 10000 + "1" + ")" * 10000 + ";"),
+    "mk_": _module("K", "types\n  R :: f : nat;\nvalues\n  v = " + "mk_R(" * 10000 + "1" + ")" * 10000 + ";"),
+    "is_T": _module("T", "types\n  R :: f : nat;\nvalues\n  v = " + "is_R(" * 10000 + "1" + ")" * 10000 + ";"),
+    "is_": _module("I", "values\n  v = " + "is_(" * 10000 + "1" + ", nat)" * 10000 + ";"),
 }
 
 
@@ -551,7 +555,7 @@ def test_deep_parentheses_and_calls_parse_at_any_stack_depth(shape, tmp_path, ca
         seen.append((code, captured.out, captured.err, nodes))
     assert seen[1] == seen[0]
     code, out, err, nodes = seen[0]
-    assert (code, err, len(nodes)) == (0, "", 10001 if shape == "calls" else 1)
+    assert (code, err, len(nodes)) == (0, "", 1 if shape == "parentheses" else 10001)
     assert "Calculating declaration dependencies for module" in out
 
 

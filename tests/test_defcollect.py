@@ -11,6 +11,7 @@ from defsort.defcollect import (
     pattern_names,
     type_dependency_links,
 )
+from defsort.depgraph import build_graph
 from defsort.diag import DuplicateNameError, UnknownNameError
 from defsort.syntax import parse_source
 
@@ -35,7 +36,7 @@ def test_collect_orders_user_nodes_before_synthetic_invariants():
     fm = collect(single_module("M.vdmsl"))
     names = [n.name for n in fm.nodes]
     assert names == ["Rec", "S", "inv_S", "T", "tail", "head", "inv_Rec", "inv_T"]
-    assert [n.index for n in fm.nodes] == list(range(8))
+    assert build_graph(fm).keys == [n.key for n in fm.nodes]
 
 
 def test_collect_marks_only_missing_invariants_synthetic():

@@ -32,7 +32,7 @@ GOLDEN_EDGES = {
 
 def _node(name, i, ns=Namespace.FUNCTION):
     return DefNode(name, ns, DefKind.FUNCTION_DEF, None, False,
-                   Loc(i + 1, 1), frozenset(), i, i, None)
+                   Loc(i + 1, 1), frozenset(), i, None)
 
 
 def _graph(names, pairs):

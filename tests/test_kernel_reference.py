@@ -129,7 +129,7 @@ def kernel_graph(n, edges):
     nodes = {}
     for i in range(n):
         node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, False,
-                       Loc(i + 1, 1), frozenset(), i, i, None)
+                       Loc(i + 1, 1), frozenset(), i, None)
         nodes[node.key] = node
     return DepGraph(nodes, [Edge(_key(u), _key(v), Loc(line, 1)) for u, v, line in edges])
 
@@ -201,7 +201,7 @@ def test_every_view_of_the_graph_follows_each_edit(run):
     nodes = {}
     for i, line in enumerate(lines):
         node = DefNode(f"n{i}", Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, False,
-                       Loc(line, 1), frozenset(), i, i, None)
+                       Loc(line, 1), frozenset(), i, None)
         nodes[node.key] = node
     g = DepGraph(nodes)
     order = list(nodes)

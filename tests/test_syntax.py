@@ -308,6 +308,14 @@ def test_numbers_are_ascii_digits_only(digit):
     ("values\n  v = {1 |-> 2,};", "<string>:4:16: expected an expression, found '}'"),
     ("types\n  T = nat |;", "<string>:4:12: expected a type, found ';'"),
     ("functions\n  f : nat * -> nat\n  f(x) == x;", "<string>:4:13: expected a type, found '->'"),
+    # an application: `mk_` needs a type name, `is_T` takes one operand, `is_` an operand and a type
+    ("values\n  v = mk_(1);", "<string>:4:7: record constructor needs a type name"),
+    ("values\n  v = mk_R(1 2);", "<string>:4:14: expected ')', found nat '2'"),
+    ("values\n  v = is_R();", "<string>:4:12: expected an expression, found ')'"),
+    ("values\n  v = is_R(1, 2);", "<string>:4:13: expected ')', found ','"),
+    ("values\n  v = is_(1);", "<string>:4:12: expected ',', found ')'"),
+    ("values\n  v = is_(1,);", "<string>:4:13: expected a type, found ')'"),
+    ("values\n  v = is_(1, nat 2);", "<string>:4:18: expected ')', found nat '2'"),
 ])
 def test_a_stray_token_after_a_definition_is_no_new_definition(section, error):
     with pytest.raises(ParseError) as err:

@@ -28,7 +28,7 @@ from defsort.freevars import (
     check_precondition_calls,
     free_uses,
 )
-from defsort.syntax import _PUNCT, BUILTIN_OPS, KEYWORDS, _Parser, lex, parse_source
+from defsort.syntax import _PUNCT, BASIC_TYPES, BUILTIN_OPS, KEYWORDS, _Parser, lex, parse_source
 
 # ── references ────────────────────────────────────────────────────────────
 
@@ -289,7 +289,38 @@ class RefParser(_Parser):
         if t.kind == "name" and not (applies and t.text.startswith(("mk_", "is_"))):
             self._take()
             return N.Apply(t.text, self._parse_args(), t) if applies else N.Name(t.text, t)
+        if t.kind == "name":
+            return self.parse_mk_or_is()
         return super().parse_primary()
+
+    def _parse_args(self):
+        self._need("(")
+        args = []
+        if self.tags[self.i] != ")":
+            args.append(self.parse_expr())
+            while self._skip(","):
+                args.append(self.parse_expr())
+        self._need(")")
+        return tuple(args)
+
+    def parse_mk_or_is(self):
+        """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
+        or `is_`, with its argument list next."""
+        t = self._take_name("a name")
+        if t.text.startswith("mk_"):
+            if t.text == "mk_":
+                raise ParseError("record constructor needs a type name", t)
+            return N.MkCtor(t.text[3:], self._parse_args(), t)
+        self._need("(")
+        e = self.parse_expr()
+        if t.text == "is_":
+            self._need(",")
+            ty = self.parse_type()
+        else:
+            name = t.text[3:]
+            ty = N.TBasic(name, t) if name in BASIC_TYPES else N.TNamed(name, t)
+        self._need(")")
+        return N.Is(e, ty, t)
 
     def parse_prefix(self):
         ops = []
