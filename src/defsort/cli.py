@@ -21,7 +21,7 @@ from .freevars import check_bodies, check_init_cycles
 from .modorder import build_module_graph, order_modules
 from .nodes import ImportRef, SourceModule
 from .reorder import analyse
-from .syntax import parse_source, print_module
+from .syntax import parse_headers, parse_source, print_module
 
 BANNER = "Calling Exu VDM analyser..."
 
@@ -151,20 +151,20 @@ def _write(path: str, text: str, written: dict, source: str):
     written[key] = source
 
 
-def _run_file(path: str, handle) -> int:
-    """Parse one file and hand its modules to `handle(path, mods)`; returns its
-    error count.  All the file's text, trees and analyses are freed on return."""
+def _run_file(path: str, handle, parse) -> int:
+    """Parse one file by `parse`, hand its modules to `handle(path, mods)`; returns
+    its error count.  All the file's text, trees and analyses are freed on return."""
     try:
         with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
-            mods = parse_source(f.read(), path)
+            mods = parse(f.read(), path)
     except Exception as exc:
         return _report(exc, path)
     return handle(path, mods)
 
 
-def _run_files(paths, handle) -> int:
+def _run_files(paths, handle, parse=None) -> int:
     """1 when any of `paths`, handled in the order given, had an error, else 0."""
-    return 1 if sum(_run_file(path, handle) for path in paths) else 0
+    return 1 if sum(_run_file(path, handle, parse or parse_source) for path in paths) else 0
 
 
 def _header(m) -> SourceModule:
@@ -282,7 +282,7 @@ def _keep_headers(headers: list, path: str, mods) -> int:
 
 def _cmd_order(cfg: ToolConfig, paths) -> int:
     headers: list = []
-    if _run_files(paths, partial(_keep_headers, headers)):
+    if _run_files(paths, partial(_keep_headers, headers), parse_headers):
         return 1
     try:
         ordered, _, warnings = order_modules(headers)

@@ -281,13 +281,13 @@ class _Parser:
 
     # file / module level
 
-    def parse_file(self):
+    def parse_file(self, bodies: bool = True):
         mods = []
         while self.tags[self.i] != EOF:
-            mods.append(self.parse_module())
+            mods.append(self.parse_module(bodies))
         return mods
 
-    def parse_module(self) -> N.SourceModule:
+    def parse_module(self, bodies: bool = True) -> N.SourceModule:
         self._need("module")
         name_tok = self._take_name("module name")
         # ISO VDM-SL puts `imports` with a comma-separated list of `from`
@@ -307,6 +307,8 @@ class _Parser:
         self._need("definitions")
         defs: list = []
         tags = self.tags
+        if not bodies:  # on to the first `end`; a ValueError if none follows
+            self.i = tags.index("end", self.i)
         while tags[self.i] in SECTION_KEYWORDS:
             section = tags[self.i]
             boundary = self.ends[self.i]  # the end of the text before the next definition
@@ -784,7 +786,7 @@ def _check_toplevel_names(defs, module_name: str):
 
 
 def parse_source(text: str, file: str = "<string>"):
-    """Parse a file's worth of text into a list of modules.
+    """Parse a file's worth of text into a list of modules, definitions included.
 
     Parentheses, applications (calls, `mk_` and `is_`) and operator runs are
     read by a loop, but other constructs (`if`, `let`, quantifiers, braces,
@@ -797,6 +799,19 @@ def parse_source(text: str, file: str = "<string>"):
         return parser.parse_file()
     except RecursionError:
         raise ParseError("nesting too deep", parser.tok(parser.i)) from None
+
+
+def parse_headers(text: str, file: str = "<string>"):
+    """`parse_source`'s modules without definitions: its code scans the text and
+    reads each header and `end` line, and skips the definitions unread, to the
+    module's first `end`, so only a fault outside them raises: `parse_source`'s
+    error.  Sound as no definition holds `end`; once one can (`cases … end`), the
+    skip must find `end`, then the module's own name, then `module` or the end."""
+    try:
+        return _Parser(text, file).parse_file(bodies=False)
+    except (ParseError, ValueError):  # ValueError: no `end` follows a header
+        parse_source(text, file)  # raises too, at the file's first fault
+        raise
 
 
 def print_module(m: N.SourceModule) -> str:
