@@ -15,7 +15,7 @@ from functools import partial
 
 from .defcollect import collect
 from .depgraph import build_graph
-from .diag import CycleError, Diagnostic, DuplicateNameError, Loc, ParseError, Record, UnknownNameError
+from .diag import Diagnostic, Loc, ParseError, Record
 from .dotviz import emit_def_dot, emit_module_dot
 from .freevars import check_bodies, check_init_cycles
 from .modorder import build_module_graph, order_modules
@@ -41,7 +41,7 @@ class _OutputError(Exception):
 
 
 # each stops one module or file, which is reported by the error's message
-_ERRORS = (ParseError, DuplicateNameError, UnknownNameError, CycleError, _OutputError)
+_ERRORS = (ParseError, _OutputError)
 
 
 def _report(exc: Exception, path: str) -> int:

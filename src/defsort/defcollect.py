@@ -4,8 +4,8 @@ Every type clause (invariant, equality, order) and every function clause
 (pre, post, measure) becomes its own node, named after its definition
 (``inv_T``, ``pre_f`` and so on) and linked to that definition's node, its
 `owner`.  Types without a user invariant receive a synthetic, trivially-true
-invariant node so that invariant totality holds; a user definition named
-like that implicit `inv_T` is a duplicate name.
+invariant node so that invariant totality holds.  The parser has rejected
+any name that two of these nodes would share.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import nodes as N
-from .diag import DuplicateNameError, Loc, Record, UnknownNameError
+from .diag import Loc, Record, UnknownNameError
 from .nodes import pattern_names
 
 
@@ -36,18 +36,11 @@ class DefKind(Enum):
     __hash__ = object.__hash__  # as for Namespace
 
 
-# each definition class's clauses, as (attribute, node kind), in node order;
-# a type's clause is an InvClause, EqClause or OrdClause, a function's is the
-# clause expression itself
-CLAUSES = {
-    N.RecordTypeDef: (("inv", DefKind.INVARIANT_FN),),
-    N.NamedTypeDef: (("inv", DefKind.INVARIANT_FN), ("eq", DefKind.EQ_FN), ("ord", DefKind.ORD_FN)),
-    N.ValueDef: (),
-    N.FuncDef: (("pre", DefKind.PRE_FN), ("post", DefKind.POST_FN), ("measure", DefKind.MEASURE_FN)),
-}
+# a clause field's node kind, by the field's name
+_CLAUSE_KINDS = {kind.value: kind for kind in DefKind}
 
 # a type's clause kinds, in the order a type links to its clause nodes
-TYPE_CLAUSES = tuple(kind for _, kind in CLAUSES[N.NamedTypeDef])
+TYPE_CLAUSES = tuple(_CLAUSE_KINDS[attr] for attr in N.NamedTypeDef.clauses)
 
 # (namespace, name): names are unique per namespace, not per module
 NodeKey = tuple
@@ -110,13 +103,6 @@ class FlatModule(Record):
         return self._type_refs
 
 
-def _param_names(d: N.FuncDef) -> frozenset:
-    names: list = []
-    for p in d.params:
-        names.extend(pattern_names(p))
-    return frozenset(names)
-
-
 def _signature_types(d) -> list:
     """A definition's field, right-hand side, declared, parameter and
     result types, in source order."""
@@ -133,23 +119,15 @@ TRUE_LIT = N.Lit("bool", True, Loc(0, 0))
 
 
 def collect(m: N.SourceModule) -> FlatModule:
-    """Flatten a module; raises DuplicateNameError on a namespace collision,
-    then UnknownNameError on the first signature type name that no type
-    definition declares, unless the module imports (and so may name types
-    it does not declare)."""
+    """Flatten a parsed module, whose names the parser has checked to be
+    distinct (`syntax._check_toplevel_names`).  Raises UnknownNameError on
+    the first signature type name that no type definition declares, unless
+    the module imports (and so may name types it does not declare)."""
     nodes: list = []
-    seen: dict = {}
 
     def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
         loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
         node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, body)
-        key = node.key
-        if key in seen:
-            if synthetic:  # added after every user node: the user's definition takes its name
-                raise DuplicateNameError(name, ns.value, seen[key].location,
-                                         f"invariant of type {owner.name}")
-            raise DuplicateNameError(name, ns.value, loc)
-        seen[key] = node
         nodes.append(node)
         return node
 
@@ -160,16 +138,17 @@ def collect(m: N.SourceModule) -> FlatModule:
             continue
         is_function = isinstance(d, N.FuncDef)
         if is_function:
-            params = _param_names(d)
+            params = frozenset(name for p in d.params for name in pattern_names(p))
             owner = add(d.name, Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, d.name_loc,
                         params, di, d.body)
         else:
             owner = add(d.name, Namespace.TYPE, DefKind.TYPE_DEF, None, d.name_loc, (), di, None)
-        for attr, kind in CLAUSES[type(d)]:
+        for attr in d.clauses:
             c = getattr(d, attr)
             if c is None:
                 continue
             name = f"{attr}_{d.name}"
+            kind = _CLAUSE_KINDS[attr]
             if is_function:  # sees the parameters, and a post also RESULT
                 bound = params | {"RESULT"} if kind is DefKind.POST_FN else params
                 add(name, Namespace.FUNCTION, kind, owner, d.name_loc, bound, di, c)
@@ -190,7 +169,7 @@ def collect(m: N.SourceModule) -> FlatModule:
     if not m.imports:
         for refs in fm.type_refs():
             for ref in refs:
-                if (Namespace.TYPE, ref.name) not in seen:
+                if fm.get(Namespace.TYPE, ref.name) is None:
                     raise UnknownNameError(ref.name, ref.loc)
     return fm
 

@@ -96,31 +96,29 @@ class Diagnostic(Record):
 
 
 class ParseError(Exception):
+    """A located fault in an input: the one family of faults a command reports."""
+
     def __init__(self, message: str, at: Location):
         super().__init__(f"{at}: {message}")
         self.message = message
         self.at = at
 
 
-class DuplicateNameError(Exception):
-    """Two definitions claim the same name inside one namespace of a module,
-    or one takes the name of an implicit definition, the `implicit` one."""
+class DuplicateNameError(ParseError):
+    """A name bound twice in one namespace of a module, found by the parser:
+    `what` names the namespace, and `also` ends the message."""
 
-    def __init__(self, name: str, namespace: str, at: Location, implicit: str = ""):
-        also = f", the implicit {implicit}" if implicit else ""
-        super().__init__(f"{at}: duplicate {namespace} name {name!r}{also}")
+    def __init__(self, name: str, what: str, at: Location, also: str = ""):
+        super().__init__(f"duplicate {what} name {name!r}{also}", at)
         self.name = name
-        self.namespace = namespace
-        self.at = at
 
 
-class UnknownNameError(Exception):
+class UnknownNameError(ParseError):
     """A type reference that resolves nowhere and cannot come from an import."""
 
     def __init__(self, name: str, at: Location):
-        super().__init__(f"{at}: unknown type name {name!r}")
+        super().__init__(f"unknown type name {name!r}", at)
         self.name = name
-        self.at = at
 
 
 class CycleError(Exception):

@@ -11,7 +11,7 @@ initialization-cycle errors.
 from __future__ import annotations
 
 from . import nodes as N
-from .defcollect import CLAUSES, DefKind, FlatModule, Namespace
+from .defcollect import DefKind, FlatModule, Namespace
 from .diag import Diagnostic, Record
 
 
@@ -171,7 +171,7 @@ def _definition_exprs(d) -> list:
     function's body and clauses, a type's clause bodies."""
     if isinstance(d, N.ValueDef):
         return [d.init]
-    clauses = [getattr(d, attr) for attr, _ in CLAUSES[type(d)]]
+    clauses = [getattr(d, attr) for attr in d.clauses]
     if isinstance(d, N.FuncDef):
         return [e for e in (d.body, *clauses) if e is not None]
     return [c.expr for c in clauses if c is not None]

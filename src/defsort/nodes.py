@@ -7,9 +7,9 @@ equal to the result of printing and reparsing it.
 
 Records are not frozen.  The parser sets a definition's source text
 (`verbatim`, its comments included) on the object it built, so a
-definition is built once; no later stage assigns to it.  Only modules stay frozen dataclasses, because the
-benchmark's re-enactment (`perfbench/reenact.py`) copies a module with
-`dataclasses.replace`.
+definition is built once; no later stage assigns to it.  Only modules stay
+frozen dataclasses, because the benchmark's re-enactment
+(`perfbench/reenact.py`) copies a module with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -171,6 +171,7 @@ class BuiltinApp(Record):
 # ── definitions ───────────────────────────────────────────────────────────
 # Optional parts (an invariant, a declared type, a precondition …) are None
 # when absent.  `name_loc` is where the name, or a value's pattern, starts.
+# `clauses` names a class's clause fields in order; clause `c` of `d` is the function `c_d`.
 
 
 class InvClause(Record):
@@ -193,18 +194,21 @@ class RecordTypeDef(Record):
     __slots__ = ("name", "fields", "inv", "name_loc", "verbatim")
 
     section = "types"
+    clauses = ("inv",)
 
 
 class NamedTypeDef(Record):
     __slots__ = ("name", "rhs", "inv", "eq", "ord", "name_loc", "verbatim")
 
     section = "types"
+    clauses = ("inv", "eq", "ord")
 
 
 class ValueDef(Record):
     __slots__ = ("pattern", "decl_type", "init", "name_loc", "verbatim")
 
     section = "values"
+    clauses = ()
 
 
 class FuncDef(Record):
@@ -213,6 +217,7 @@ class FuncDef(Record):
                  "name_loc", "verbatim")
 
     section = "functions"
+    clauses = ("pre", "post", "measure")
 
 
 class ImportRef(Record):
@@ -232,8 +237,6 @@ class SourceModule:
     definitions: tuple
     file: str = _pos()
     name_loc: Location = _pos()
-
-
 
 
 # ── walkers ───────────────────────────────────────────────────────────────

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 
 from . import nodes as N
-from .diag import Location, ParseError
+from .diag import DuplicateNameError, Location, ParseError
 
 KEYWORDS = frozenset(
     """
@@ -450,13 +450,8 @@ class _Parser:
         pattern_names_distinct(params, "parameter list")
         self._need("==")
         body = self.parse_expr()
-        pre = self.parse_expr() if self._skip("pre") else None
-        post = self.parse_expr() if self._skip("post") else None
-        measure = self.parse_expr() if self._skip("measure") else None
-        return N.FuncDef(
-            name.text, tuple(param_types), ret, tuple(params),
-            body, pre, post, measure, name, "",
-        )
+        clauses = [self.parse_expr() if self._skip(kw) else None for kw in N.FuncDef.clauses]
+        return N.FuncDef(name.text, tuple(param_types), ret, tuple(params), body, *clauses, name, "")
 
     # patterns
 
@@ -770,19 +765,38 @@ def _application(word: str, items, t: Token):
 
 
 def _check_toplevel_names(defs, module_name: str):
-    """Duplicate names inside one namespace are rejected at parse time, at
-    the second name."""
-    functions = set()  # values and functions share a namespace
-    seen = {"types": set(), "values": functions, "functions": functions}
+    """Raise a DuplicateNameError at the second site of a name bound twice in
+    one namespace, taking names in the order `defcollect.collect` makes nodes:
+    each definition's own, then its clauses' (`pre_f` at `f`, `inv_T` at `inv`);
+    last, each implicit `inv_T`, whose clash is located at the other name."""
+    types = set()
+    functions: dict = {}  # a value's, function's or clause's name -> (its site, whether a clause's)
+
+    def bind(name, loc, clause=False):
+        if name in functions:
+            if clause or functions[name][1]:
+                raise DuplicateNameError(name, "function", loc)
+            raise DuplicateNameError(name, "function or value", loc, f" in module {module_name}")
+        functions[name] = (loc, clause)
+
     for d in defs:
         section = d.section
-        names = seen[section]
-        sites = N.pattern_name_sites(d.pattern) if section == "values" else ((d.name, d.name_loc),)
-        for name, loc in sites:
-            if name in names:
-                what = "type" if section == "types" else "function or value"
-                raise ParseError(f"duplicate {what} name {name!r} in module {module_name}", loc)
-            names.add(name)
+        if section == "types":
+            if d.name in types:
+                raise DuplicateNameError(d.name, "type", d.name_loc, f" in module {module_name}")
+            types.add(d.name)
+        else:
+            sites = N.pattern_name_sites(d.pattern) if section == "values" else ((d.name, d.name_loc),)
+            for name, loc in sites:
+                bind(name, loc)
+        for attr in d.clauses:
+            c = getattr(d, attr)
+            if c is not None:
+                bind(f"{attr}_{d.name}", d.name_loc if section == "functions" else c.loc, True)
+    for d in defs:
+        if d.section == "types" and d.inv is None and f"inv_{d.name}" in functions:
+            raise DuplicateNameError(f"inv_{d.name}", "function", functions[f"inv_{d.name}"][0],
+                                     f", the implicit invariant of type {d.name}")
 
 
 def parse_source(text: str, file: str = "<string>"):
@@ -805,8 +819,10 @@ def parse_headers(text: str, file: str = "<string>"):
     """`parse_source`'s modules without definitions: its code scans the text and
     reads each header and `end` line, and skips the definitions unread, to the
     module's first `end`, so only a fault outside them raises: `parse_source`'s
-    error.  Sound as no definition holds `end`; once one can (`cases … end`), the
-    skip must find `end`, then the module's own name, then `module` or the end."""
+    error.  A duplicate name, a clause's or an implicit invariant's included,
+    is a fault inside them.  Sound as no definition holds `end`; once one can
+    (`cases … end`), the skip must find `end`, then the module's own name, then
+    `module` or the end."""
     try:
         return _Parser(text, file).parse_file(bodies=False)
     except (ParseError, ValueError):  # ValueError: no `end` follows a header

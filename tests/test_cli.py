@@ -27,7 +27,7 @@ from defsort.cli import (
     run,
 )
 from defsort.defcollect import collect
-from defsort.diag import DuplicateNameError, ParseError
+from defsort.diag import CycleError, DuplicateNameError, ParseError
 from defsort.freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
 from defsort.reorder import verify_order
 from defsort.syntax import parse_source
@@ -647,6 +647,46 @@ def test_a_fault_across_all_files_is_one_error_line(argv, target, where, monkeyp
     monkeypatch.setattr(cli, target, _planted_fault)
     assert run(argv + [_corpus("M.vdmsl"), _corpus("mutrec.vdmsl")]) == 1
     assert capsys.readouterr().err == f"{where}: error: internal error: ValueError: planted fault\n"
+
+
+def test_a_stuck_sort_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # every sort the CLI runs is of a graph whose cycles are cut, so a
+    # CycleError is defsort's fault, not the input's
+    def stuck(m):
+        raise CycleError("cycle prevents sorting: f, g")
+
+    monkeypatch.setattr(cli, "analyse", stuck)
+    assert run(["sort", "--output", "out", _corpus("M.vdmsl")]) == 1
+    assert capsys.readouterr() == ("", f"{_corpus('M.vdmsl')}: error: internal error: "
+                                       "CycleError: cycle prevents sorting: f, g\n")
+    assert not (tmp_path / "out").exists()
+
+
+# module B of a two-module file binds one name twice; a declared duplicate,
+# a clash with a clause's name and one with an implicit invariant's name
+# each stop the whole file, at the second site
+CLASHES = {
+    "declared": ("values\n  v = 1;\n  v = 2;",
+                 "10:3: duplicate function or value name 'v' in module B"),
+    "clause": ("functions\n  f : nat -> nat\n  f(x) == x\n  pre x > 0;\n"
+               "  pre_f : nat -> bool\n  pre_f(x) == true;",
+               "12:3: duplicate function name 'pre_f'"),
+    "implicit-invariant": ("types\n  T = nat;\nfunctions\n  inv_T : nat -> bool\n  inv_T(x) == x > 0;",
+                           "11:3: duplicate function name 'inv_T', the implicit invariant of type T"),
+}
+
+
+@pytest.mark.parametrize("argv", [["sort", "--output", "out"], ["sort", "--dot", "dots"], ["check"],
+                                  ["check", "--debug"], ["dot", "--dot", "dots"]])
+@pytest.mark.parametrize("clash", sorted(CLASHES))
+def test_a_duplicate_name_stops_its_file(clash, argv, tmp_path, capsys):
+    section, error = CLASHES[clash]
+    (tmp_path / "clash.vdmsl").write_text(_module("A", "values\n  a = 1;") + _module("B", section))
+    assert run(argv + ["clash.vdmsl"]) == 1
+    banner = cli.BANNER + "\n" if "--debug" in argv else ""
+    assert capsys.readouterr() == (banner, f"clash.vdmsl:{error}\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "dots").exists()
+    assert not (tmp_path / ".generated").exists()
 
 
 def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys):

@@ -83,6 +83,10 @@ def _module(name, body, header="", end=None):
 BODY_FAULTS = {
     "syntax-error": _module("M", "values\n  x = 1 +;"),
     "duplicate-name": _module("M", "values\n  x = 1;\n  x = 2;"),
+    "clause-name": _module("M", "functions\n  f : nat -> nat\n  f(x) == x\n  pre x > 0;\n"
+                                "  pre_f : nat -> bool\n  pre_f(x) == true;"),
+    "implicit-invariant-name": _module("M", "types\n  T = nat;\nfunctions\n"
+                                            "  inv_T : nat -> bool\n  inv_T(x) == x > 0;"),
 }
 
 

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from defsort import nodes as N
-from defsort.diag import Loc, ParseError, Record
+from defsort.diag import DuplicateNameError, Loc, ParseError, Record
 from defsort.syntax import Token, lex, parse_source, print_module
 from exprwalk import subexpressions
 from test_syntax_reference import ref_definition_exprs, ref_lex
@@ -235,6 +235,44 @@ def test_a_name_bound_twice_is_a_located_error(section, error):
     with pytest.raises(ParseError) as err:
         parse_source(text)
     assert str(err.value) == f"<string>:{error}"
+
+
+FUNCTION_F = "functions\n  f : nat -> nat\n  f(x) == x\n  pre x > 0\n  post RESULT = x\n  measure x;"
+
+
+@pytest.mark.parametrize("section, error", [
+    # a clause function is at its function's name, a type clause at its
+    # keyword: the second of two sites is reported
+    (FUNCTION_F + "\n  pre_f : nat -> bool\n  pre_f(x) == true;", "9:3: duplicate function name 'pre_f'"),
+    (FUNCTION_F + "\n  post_f : nat * nat -> bool\n  post_f(x, y) == true;",
+     "9:3: duplicate function name 'post_f'"),
+    ("functions\n  measure_f : nat -> nat\n  measure_f(x) == x;\n" + FUNCTION_F,
+     "7:3: duplicate function name 'measure_f'"),
+    ("functions\n  inv_T : nat -> bool\n  inv_T(x) == true;\ntypes\n  T = nat\n  inv t == t > 0;",
+     "8:3: duplicate function name 'inv_T'"),
+    ("values\n  eq_T = 1;\ntypes\n  T = nat\n  eq a = b == a = b;", "7:3: duplicate function name 'eq_T'"),
+    ("types\n  T = nat\n  ord a < b == a < b;\nvalues\n  ord_T = 1;", "7:3: duplicate function name 'ord_T'"),
+    # an implicit invariant's clash is at the other name, wherever it stands
+    ("values\n  inv_T = 1;\ntypes\n  T = nat;",
+     "4:3: duplicate function name 'inv_T', the implicit invariant of type T"),
+    ("types\n  T = nat;\nvalues\n  [x, inv_T] = [1, 2];",
+     "6:7: duplicate function name 'inv_T', the implicit invariant of type T"),
+    # a value's clash is at its name inside the pattern
+    (FUNCTION_F + "\nvalues\n  [x, pre_f] = [1, 2];", "10:7: duplicate function name 'pre_f'"),
+    # the first clash in declaration order wins, whichever its kind
+    (FUNCTION_F + "\n  pre_f : nat -> bool\n  pre_f(x) == true;\nvalues\n  v = 1;\n  v = 2;",
+     "9:3: duplicate function name 'pre_f'"),
+    ("values\n  v = 1;\n  v = 2;\n" + FUNCTION_F + "\n  pre_f : nat -> bool\n  pre_f(x) == true;",
+     "5:3: duplicate function or value name 'v' in module M"),
+    ("types\n  T = nat;\n  T = int;\nvalues\n  inv_T = 1;", "5:3: duplicate type name 'T' in module M"),
+])
+def test_a_duplicate_name_is_a_duplicate_name_error_of_the_parse(section, error):
+    text = f"module M\ndefinitions\n{section}\nend M\n"
+    with pytest.raises(DuplicateNameError) as err:
+        parse_source(text)
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == f"<string>:{error}"
+    assert err.value.name == error.split("'")[1]
 
 
 def test_parse_error_carries_location():
