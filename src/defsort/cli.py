@@ -40,7 +40,7 @@ class _OutputError(Exception):
     """An output file could not be written; the message names the file."""
 
 
-# each stops one module or file, which is reported by the error's message
+# each stops its file, and is reported by its message
 _ERRORS = (ParseError, _OutputError)
 
 
@@ -151,15 +151,19 @@ def _write(path: str, text: str, written: dict, source: str):
     written[key] = source
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
+        return f.read()
+
+
 def _run_file(path: str, handle, parse) -> int:
     """Parse one file by `parse`, hand its modules to `handle(path, mods)`; returns
-    its error count.  All the file's text, trees and analyses are freed on return."""
+    its error count.  Any error stops the file: the one place one is caught.  The
+    text is freed once parsed, and the trees and analyses on return."""
     try:
-        with open(path, encoding="utf-8-sig") as f:  # a byte-order mark is not text
-            mods = parse(f.read(), path)
+        return handle(path, parse(_read(path), path))
     except Exception as exc:
         return _report(exc, path)
-    return handle(path, mods)
 
 
 def _run_files(paths, handle, parse=None) -> int:
@@ -220,23 +224,20 @@ def _cut_warnings(report) -> list:
 def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
     out: list = []  # each module as it is written, printed only if the file is
     any_sorted = False
-    try:
-        for m in mods:
-            a = analyse(m)
-            dot_path = None
-            if cfg.dot_enabled:
-                dot_path = _emit_module_dot_file(cfg, a.flat, a.graph, written, path)
-            if a.report.removed_edges:
-                print("\n".join(_cut_warnings(a.report)), file=sys.stderr)
-            lines = _trace_lines(a.report, dot_path) if cfg.debug else [_status_line(a.report)]
-            print("\n".join(lines))
-            any_sorted = any_sorted or a.report.sorted
-            out.append(a.rewritten or m)
-        if any_sorted and not cfg.check_only:
-            text = "\n".join(map(print_module, out))
-            _write(os.path.join(cfg.output_dir, os.path.basename(path)), text, written, path)
-    except Exception as exc:
-        return _report(exc, path)
+    for m in mods:
+        a = analyse(m)
+        dot_path = None
+        if cfg.dot_enabled:
+            dot_path = _emit_module_dot_file(cfg, a.flat, a.graph, written, path)
+        if a.report.removed_edges:
+            print("\n".join(_cut_warnings(a.report)), file=sys.stderr)
+        lines = _trace_lines(a.report, dot_path) if cfg.debug else [_status_line(a.report)]
+        print("\n".join(lines))
+        any_sorted = any_sorted or a.report.sorted
+        out.append(a.rewritten or m)
+    if any_sorted and not cfg.check_only:
+        text = "\n".join(map(print_module, out))
+        _write(os.path.join(cfg.output_dir, os.path.basename(path)), text, written, path)
     return 0
 
 
@@ -254,16 +255,12 @@ def _module_diagnostics(m, fm) -> list:
 def _check_file(cfg: ToolConfig, path: str, mods) -> int:
     errors = 0
     for m in mods:
-        try:
-            if cfg.debug:
-                a = analyse(m)
-                fm, lines = a.flat, _trace_lines(a.report)
-            else:
-                fm, lines = collect(m), []
-            diags = _module_diagnostics(m, fm)
-        except Exception as exc:
-            errors += _report(exc, path)
-            continue
+        if cfg.debug:
+            a = analyse(m)
+            fm, lines = a.flat, _trace_lines(a.report)
+        else:
+            fm, lines = collect(m), []
+        diags = _module_diagnostics(m, fm)
         for line in lines + [str(d) for d in diags]:
             print(line)
         errors += sum(1 for d in diags if d.severity == "error")
@@ -296,16 +293,11 @@ def _cmd_order(cfg: ToolConfig, paths) -> int:
 
 
 def _dot_file(cfg: ToolConfig, written: dict, headers: list, path: str, mods) -> int:
-    errors = _keep_headers(headers, path, mods)
     for m in mods:
-        try:
-            fm = collect(m)
-            dot_path = _emit_module_dot_file(cfg, fm, build_graph(fm), written, path)
-        except Exception as exc:
-            errors += _report(exc, path)
-            continue
+        fm = collect(m)
+        dot_path = _emit_module_dot_file(cfg, fm, build_graph(fm), written, path)
         print(f"Printed dependencies for module {m.name}.dot at {dot_path}")
-    return errors
+    return _keep_headers(headers, path, mods)  # a stopped file adds no module to `modules.dot`
 
 
 def _cmd_dot(cfg: ToolConfig, paths) -> int:

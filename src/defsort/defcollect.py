@@ -5,7 +5,8 @@ Every type clause (invariant, equality, order) and every function clause
 (``inv_T``, ``pre_f`` and so on) and linked to that definition's node, its
 `owner`.  Types without a user invariant receive a synthetic, trivially-true
 invariant node so that invariant totality holds.  The parser has rejected
-any name that two of these nodes would share.
+any name that two of these nodes would share, and any signature type name
+that resolves nowhere, so flattening finds no fault.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import nodes as N
-from .diag import Loc, Record, UnknownNameError
+from .diag import Loc, Record
 from .nodes import pattern_names
 
 
@@ -88,41 +89,20 @@ class DefNode(Record):
 
 
 class FlatModule(Record):
-    __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key", "_type_refs")
-    _derived = {"_by_key": "{n.key: n for n in nodes}", "_type_refs": "None"}
+    __slots__ = ("module_name", "nodes", "original_names", "source", "_by_key")
+    _derived = {"_by_key": "{n.key: n for n in nodes}"}
 
     def get(self, namespace: Namespace, name: str):
         return self._by_key.get((namespace, name))
-
-    def type_refs(self) -> list:
-        """Per definition index, the type names its signature uses, as
-        `TNamed` nodes in source order; walked once, on first use."""
-        if self._type_refs is None:
-            self._type_refs = [[ref for t in _signature_types(d) for ref in N.named_types(t)]
-                               for d in self.source.definitions]
-        return self._type_refs
-
-
-def _signature_types(d) -> list:
-    """A definition's field, right-hand side, declared, parameter and
-    result types, in source order."""
-    if isinstance(d, N.RecordTypeDef):
-        return [fld.type for fld in d.fields]
-    if isinstance(d, N.NamedTypeDef):
-        return [d.rhs]
-    if isinstance(d, N.ValueDef):
-        return [] if d.decl_type is None else [d.decl_type]
-    return [*d.param_types, d.ret_type]
 
 
 TRUE_LIT = N.Lit("bool", True, Loc(0, 0))
 
 
 def collect(m: N.SourceModule) -> FlatModule:
-    """Flatten a parsed module, whose names the parser has checked to be
-    distinct (`syntax._check_toplevel_names`).  Raises UnknownNameError on
-    the first signature type name that no type definition declares, unless
-    the module imports (and so may name types it does not declare)."""
+    """Flatten a parsed module, whose names the parser has checked
+    (`syntax._check_toplevel_names`): they are distinct, and each signature
+    type name is declared unless the module imports."""
     nodes: list = []
 
     def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
@@ -165,13 +145,7 @@ def collect(m: N.SourceModule) -> FlatModule:
                 node.location, (), node.def_index, TRUE_LIT, synthetic=True)
 
     original = [node.name for node in nodes if node.owner is None]
-    fm = FlatModule(m.name, nodes, original, m)
-    if not m.imports:
-        for refs in fm.type_refs():
-            for ref in refs:
-                if fm.get(Namespace.TYPE, ref.name) is None:
-                    raise UnknownNameError(ref.name, ref.loc)
-    return fm
+    return FlatModule(m.name, nodes, original, m)
 
 
 def type_dependency_links(fm: FlatModule) -> list:
@@ -179,7 +153,7 @@ def type_dependency_links(fm: FlatModule) -> list:
 
     A record's field types and a named type's right-hand side attach to the
     type node itself; invariant/eq/ord nodes carry no signature links.
-    Type names that resolve to no definition are skipped: `collect` has
+    Type names that resolve to no definition are skipped: the parser has
     rejected them unless the module imports them.
     """
     owned: dict = {}  # a type node -> its clause nodes by kind
@@ -187,7 +161,9 @@ def type_dependency_links(fm: FlatModule) -> list:
         if node.kind in TYPE_CLAUSES:
             owned.setdefault(node.owner, {})[node.kind] = node
     links: list = []
-    type_refs = fm.type_refs()
+    # per definition index, the type names its signature uses, walked once
+    type_refs = [[ref for t in N.signature_types(d) for ref in N.named_types(t)]
+                 for d in fm.source.definitions]
     for node in fm.nodes:
         if node.kind is DefKind.TYPE_DEF:
             clauses = owned[node]  # it owns an invariant node at least

@@ -280,6 +280,18 @@ def named_types(t) -> list:
     return found
 
 
+def signature_types(d) -> list:
+    """A definition's field, right-hand side, declared, parameter and
+    result types, in source order."""
+    if isinstance(d, RecordTypeDef):
+        return [fld.type for fld in d.fields]
+    if isinstance(d, NamedTypeDef):
+        return [d.rhs]
+    if isinstance(d, ValueDef):
+        return [] if d.decl_type is None else [d.decl_type]
+    return [*d.param_types, d.ret_type]
+
+
 def _domains(binds) -> tuple:
     return tuple(b.domain for b in binds if b.domain is not None)
 

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 
 from . import nodes as N
-from .diag import DuplicateNameError, Location, ParseError
+from .diag import DuplicateNameError, Location, ParseError, UnknownNameError
 
 KEYWORDS = frozenset(
     """
@@ -320,7 +320,7 @@ class _Parser:
         end = self._take_name("module name")
         if end.text != name_tok.text:
             raise ParseError(f"module ends with 'end {end.text}' but is named {name_tok.text!r}", end)
-        _check_toplevel_names(defs, name_tok.text)
+        _check_toplevel_names(defs, name_tok.text, imports)
         return N.SourceModule(
             name=name_tok.text,
             exports_all=exports_all,
@@ -764,11 +764,14 @@ def _application(word: str, items, t: Token):
     return N.Apply(word, tuple(items), t)
 
 
-def _check_toplevel_names(defs, module_name: str):
+def _check_toplevel_names(defs, module_name: str, imports):
     """Raise a DuplicateNameError at the second site of a name bound twice in
     one namespace, taking names in the order `defcollect.collect` makes nodes:
     each definition's own, then its clauses' (`pre_f` at `f`, `inv_T` at `inv`);
-    last, each implicit `inv_T`, whose clash is located at the other name."""
+    last, each implicit `inv_T`, whose clash is located at the other name.
+    Then, unless the module imports (and so may name types it does not
+    declare), raise an UnknownNameError at the first signature type name, in
+    source order, that no type definition declares."""
     types = set()
     functions: dict = {}  # a value's, function's or clause's name -> (its site, whether a clause's)
 
@@ -797,6 +800,13 @@ def _check_toplevel_names(defs, module_name: str):
         if d.section == "types" and d.inv is None and f"inv_{d.name}" in functions:
             raise DuplicateNameError(f"inv_{d.name}", "function", functions[f"inv_{d.name}"][0],
                                      f", the implicit invariant of type {d.name}")
+    if imports:
+        return
+    for d in defs:
+        for t in N.signature_types(d):
+            for ref in N.named_types(t):
+                if ref.name not in types:
+                    raise UnknownNameError(ref.name, ref.loc)
 
 
 def parse_source(text: str, file: str = "<string>"):
@@ -820,9 +830,9 @@ def parse_headers(text: str, file: str = "<string>"):
     reads each header and `end` line, and skips the definitions unread, to the
     module's first `end`, so only a fault outside them raises: `parse_source`'s
     error.  A duplicate name, a clause's or an implicit invariant's included,
-    is a fault inside them.  Sound as no definition holds `end`; once one can
-    (`cases … end`), the skip must find `end`, then the module's own name, then
-    `module` or the end."""
+    and an unknown type name are faults inside them.  Sound as no definition
+    holds `end`; once one can (`cases … end`), the skip must find `end`, then
+    the module's own name, then `module` or the end."""
     try:
         return _Parser(text, file).parse_file(bodies=False)
     except (ParseError, ValueError):  # ValueError: no `end` follows a header

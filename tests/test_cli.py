@@ -466,10 +466,7 @@ def test_a_failing_module_stops_its_file_but_not_the_others(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"{multi}:10:7: unknown type name 'U'\n"
-    assert captured.out.splitlines() == [
-        "Exu successfully sorted module A definitions",
-        "Exu successfully sorted module M definitions",
-    ]
+    assert captured.out.splitlines() == ["Exu successfully sorted module M definitions"]
     assert os.listdir(tmp_path / "out") == ["M.vdmsl"]
 
 
@@ -639,6 +636,29 @@ def test_a_fault_while_analysing_one_module_is_an_error_line(argv, tmp_path, mon
         assert os.listdir(tmp_path / "out") == ["mutrec.vdmsl"]
 
 
+@pytest.mark.parametrize("argv", [["check"], ["dot", "--dot", "dots"]])
+def test_a_fault_in_one_module_stops_the_rest_of_its_file(argv, tmp_path, monkeypatch, capsys):
+    """A fault outside the text stops its file, as a fault in the text does:
+    module B after the faulty A gets no diagnostics and no dot file, and no
+    module of the file reaches `modules.dot`; the next file still runs."""
+    real = cli.collect
+    monkeypatch.setattr(cli, "collect", lambda m: _planted_fault() if m.name == "A" else real(m))
+    (tmp_path / "two.vdmsl").write_text(
+        _module("A", "values\n  a = 1;") + _module("B", "values\n  v = v + 1;"))
+    (tmp_path / "next.vdmsl").write_text(_module("N", "values\n  w = w + 1;"))
+    assert run(argv + ["two.vdmsl", "next.vdmsl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "two.vdmsl: error: internal error: ValueError: planted fault\n"
+    if argv[0] == "check":
+        assert captured.out == "next.vdmsl:4:3: error: value initialization cycle: w -> w [init-cycle]\n"
+        return
+    dots = {name: os.path.join("dots", name) for name in ("N.dot", "modules.dot")}
+    assert captured.out == (f"Printed dependencies for module N.dot at {dots['N.dot']}\n"
+                            f"Printed module imports at {dots['modules.dot']}\n")
+    assert sorted(os.listdir(tmp_path / "dots")) == ["N.dot", "modules.dot"]
+    assert (tmp_path / "dots" / "modules.dot").read_text() == 'digraph modules {\n    "N";\n}\n'
+
+
 @pytest.mark.parametrize("argv, target, where", [
     (["order"], "order_modules", "defsort"),
     (["dot", "--dot", "out"], "build_module_graph", os.path.join("out", "modules.dot")),
@@ -662,9 +682,10 @@ def test_a_stuck_sort_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# module B of a two-module file binds one name twice; a declared duplicate,
-# a clash with a clause's name and one with an implicit invariant's name
-# each stop the whole file, at the second site
+# module B of a two-module file binds one name twice or names an unknown
+# type; a declared duplicate, a clash with a clause's name and one with an
+# implicit invariant's name each stop the whole file, at the second site, and
+# an unknown type name does too, at the name
 CLASHES = {
     "declared": ("values\n  v = 1;\n  v = 2;",
                  "10:3: duplicate function or value name 'v' in module B"),
@@ -673,6 +694,7 @@ CLASHES = {
                "12:3: duplicate function name 'pre_f'"),
     "implicit-invariant": ("types\n  T = nat;\nfunctions\n  inv_T : nat -> bool\n  inv_T(x) == x > 0;",
                            "11:3: duplicate function name 'inv_T', the implicit invariant of type T"),
+    "unknown-type": ("types\n  S = Missing;", "9:7: unknown type name 'Missing'"),
 }
 
 
@@ -882,8 +904,8 @@ def test_the_import_graph_does_not_overwrite_a_module_named_modules(tmp_path, ca
 @pytest.mark.parametrize("argv", [["sort"], ["sort", "--dot", "dots"], ["check"],
                                   ["check", "--debug"], ["dot", "--dot", "dots"]])
 def test_errors_are_reported_in_file_order(argv, tmp_path, capsys):
-    """A file whose analysis fails, then one that does not parse: the errors
-    come in that order, and only `dot` writes anything (the import graph)."""
+    """A file with an unknown type name, then one that does not parse: the
+    errors come in that order, and no command writes anything."""
     unknown = _write_file(tmp_path / "u.vdmsl", _module("U", "types\n  T = Missing;"))
     broken = _write_file(tmp_path / "bad.vdmsl", "module Broken\n")
     with pytest.raises(ParseError) as parse_error:
@@ -891,10 +913,8 @@ def test_errors_are_reported_in_file_order(argv, tmp_path, capsys):
     assert run(argv + [unknown, broken]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"{unknown}:4:7: unknown type name 'Missing'\n{parse_error.value}\n"
-    graph = os.path.join("dots", "modules.dot")
-    assert captured.out == (cli.BANNER + "\n") * ("--debug" in argv) + (
-        f"Printed module imports at {graph}\n" * (argv[0] == "dot"))
-    assert sorted(os.listdir(tmp_path)) == ["bad.vdmsl"] + ["dots"] * (argv[0] == "dot") + ["u.vdmsl"]
+    assert captured.out == (cli.BANNER + "\n") * ("--debug" in argv)
+    assert sorted(os.listdir(tmp_path)) == ["bad.vdmsl", "u.vdmsl"]
 
 
 def _copy(i, n=14):

@@ -87,6 +87,7 @@ BODY_FAULTS = {
                                 "  pre_f : nat -> bool\n  pre_f(x) == true;"),
     "implicit-invariant-name": _module("M", "types\n  T = nat;\nfunctions\n"
                                             "  inv_T : nat -> bool\n  inv_T(x) == x > 0;"),
+    "unknown-type": _module("M", "types\n  S = Missing;"),
 }
 
 

@@ -5,7 +5,8 @@ The CLI writes the text `analyse` prints without parsing it again, so these
 properties are what make that text trustworthy: it re-parses to the module
 `sort_module` returns, it is in declaration order, and it keeps every
 definition's text.  No stage may change the syntax it is given, as the
-syntax classes are not frozen.
+syntax classes are not frozen.  And a text the parser accepts, corpus texts
+with a name renamed included, analyses without an error.
 """
 
 from collections import Counter
@@ -20,9 +21,11 @@ from test_syntax_reference import dump
 from defsort import analyse, sort_module, verify_order
 from defsort.defcollect import collect
 from defsort.depgraph import break_cycles, build_graph
-from defsort.freevars import check_duplicate_binds, check_init_cycles, check_precondition_calls
+from defsort.diag import ParseError
+from defsort.freevars import (check_bodies, check_duplicate_binds, check_init_cycles,
+                              check_precondition_calls)
 from defsort.modorder import order_modules
-from defsort.syntax import parse_source, print_module
+from defsort.syntax import lex, parse_source, print_module
 
 MODULES = [m for path in sorted(CORPUS.glob("*.vdmsl")) for m in parse_corpus(path.name)]
 
@@ -86,3 +89,32 @@ def test_no_stage_changes_the_syntax_it_is_given(mods):
         check_init_cycles(fm)
     order_modules(mods)
     assert dump(mods) == before
+
+
+# each corpus file's name, text and name tokens
+NAMED_TEXTS = [(path.name, text, [t for t in lex(text, path.name)[0] if t.kind == "name"])
+               for path in sorted(CORPUS.glob("*.vdmsl")) for text in [path.read_text()]]
+
+
+@st.composite
+def renamed_texts(draw):
+    """A corpus text with one name token renamed to a name no corpus text uses."""
+    file, text, names = draw(st.sampled_from(NAMED_TEXTS))
+    t = draw(st.sampled_from(names))
+    return file, text[:t.off] + "Renamed" + text[t.end:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_texts())
+def test_whatever_parses_analyses(renamed):
+    file, text = renamed
+    try:
+        mods = parse_source(text, file)
+    except ParseError:
+        return
+    for m in mods:
+        analyse(m)
+        fm = collect(m)
+        check_bodies(m, fm)
+        check_init_cycles(fm)
+        verify_order(m)

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from defsort import nodes as N
-from defsort.diag import DuplicateNameError, Loc, ParseError, Record
+from defsort.diag import DuplicateNameError, Loc, ParseError, Record, UnknownNameError
 from defsort.syntax import Token, lex, parse_source, print_module
 from exprwalk import subexpressions
 from test_syntax_reference import ref_definition_exprs, ref_lex
@@ -273,6 +273,45 @@ def test_a_duplicate_name_is_a_duplicate_name_error_of_the_parse(section, error)
     assert isinstance(err.value, ParseError)
     assert str(err.value) == f"<string>:{error}"
     assert err.value.name == error.split("'")[1]
+
+
+@pytest.mark.parametrize("section, at", [
+    ("types\n  S = seq of Missing;", "4:14"),  # a type's right-hand side
+    ("types\n  R :: a : nat\n       b : Missing;", "5:12"),  # a record field
+    ("values\n  v : Missing = 1;", "4:7"),  # a value's declared type
+    ("values\n  - : Missing = 1;", "4:7"),  # a value that binds no name
+    ("functions\n  f : nat * Missing -> nat\n  f(x, y) == x;", "4:13"),  # a parameter type
+    ("functions\n  f : nat -> Missing\n  f(x) == x;", "4:14"),  # a result type
+    # the first in source order is reported
+    ("types\n  T = map Missing to Other;\n  U = Zeroth;", "4:11"),
+    ("functions\n  f : Missing -> nat\n  f(x) == 1;\ntypes\n  T = Other;", "4:7"),
+])
+def test_an_unknown_type_name_is_an_unknown_name_error_of_the_parse(section, at):
+    with pytest.raises(UnknownNameError) as err:
+        parse_source(f"module M\ndefinitions\n{section}\nend M\n")
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == f"<string>:{at}: unknown type name 'Missing'"
+    assert err.value.name == "Missing"
+
+
+def test_a_module_that_imports_may_name_types_it_does_not_declare():
+    m = _module("module M\nimports from LIB all\ndefinitions\ntypes\n  S = Missing;\n"
+                "values\n  v : Other = 1;\nend M\n")
+    assert [type(d) for d in m.definitions] == [N.NamedTypeDef, N.ValueDef]
+
+
+def test_a_duplicate_name_is_reported_before_an_unknown_type_name():
+    with pytest.raises(DuplicateNameError, match=r"^<string>:7:3: duplicate function or value name"):
+        parse_source("module M\ndefinitions\ntypes\n  S = Missing;\nvalues\n  v = 1;\n  v = 2;\nend M\n")
+
+
+def test_a_fault_in_an_earlier_module_is_reported_first():
+    # module A's unknown type name is found before module B's duplicate name
+    text = ("module A\ndefinitions\ntypes\n  S = Missing;\nend A\n"
+            "module B\ndefinitions\nvalues\n  v = 1;\n  v = 2;\nend B\n")
+    with pytest.raises(ParseError) as err:
+        parse_source(text)
+    assert str(err.value) == "<string>:4:7: unknown type name 'Missing'"
 
 
 def test_parse_error_carries_location():
