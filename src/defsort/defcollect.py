@@ -5,8 +5,8 @@ Every type clause (invariant, equality, order) and every function clause
 (``inv_T``, ``pre_f`` and so on) and linked to that definition's node, its
 `owner`.  Types without a user invariant receive a synthetic, trivially-true
 invariant node so that invariant totality holds.  The parser has rejected
-any name that two of these nodes would share, and any signature type name
-that resolves nowhere, so flattening finds no fault.
+any name that two of these nodes would share (`nodes.declared_names`), and
+any type name that resolves nowhere, so flattening finds no fault.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ class DefKind(Enum):
     __hash__ = object.__hash__  # as for Namespace
 
 
-# a clause field's node kind, by the field's name
-_CLAUSE_KINDS = {kind.value: kind for kind in DefKind}
+# a node's kind, by its clause field's name, or else by its definition's section
+_KINDS = {**{kind.value: kind for kind in DefKind},
+          "types": DefKind.TYPE_DEF, "values": DefKind.VALUE_DEF, "functions": DefKind.FUNCTION_DEF}
 
 # a type's clause kinds, in the order a type links to its clause nodes
-TYPE_CLAUSES = tuple(_CLAUSE_KINDS[attr] for attr in N.NamedTypeDef.clauses)
+TYPE_CLAUSES = tuple(_KINDS[attr] for attr in N.NamedTypeDef.clauses)
 
 # (namespace, name): names are unique per namespace, not per module
 NodeKey = tuple
@@ -100,52 +101,53 @@ TRUE_LIT = N.Lit("bool", True, Loc(0, 0))
 
 
 def collect(m: N.SourceModule) -> FlatModule:
-    """Flatten a parsed module, whose names the parser has checked
-    (`syntax._check_toplevel_names`): they are distinct, and each signature
-    type name is declared unless the module imports."""
+    """Flatten a parsed module: a node per `nodes.declared_names` entry, in its
+    order, whose names the parser has checked (`syntax._check_toplevel_names`)."""
     nodes: list = []
+    owners: dict = {}  # a type's or function's definition index -> its node
 
-    def add(name, ns, kind, owner, loc, bound, di, body, synthetic=False):
+    def add(name, kind, owner, loc, bound, di, body, synthetic=False):
+        ns = Namespace.TYPE if kind is DefKind.TYPE_DEF else Namespace.FUNCTION
         loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
         node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, body)
         nodes.append(node)
         return node
 
-    for di, d in enumerate(m.definitions):
-        if isinstance(d, N.ValueDef):
-            for name in pattern_names(d.pattern):
-                add(name, Namespace.FUNCTION, DefKind.VALUE_DEF, None, d.name_loc, (), di, d.init)
-            continue
-        is_function = isinstance(d, N.FuncDef)
-        if is_function:
-            params = frozenset(name for p in d.params for name in pattern_names(p))
-            owner = add(d.name, Namespace.FUNCTION, DefKind.FUNCTION_DEF, None, d.name_loc,
-                        params, di, d.body)
-        else:
-            owner = add(d.name, Namespace.TYPE, DefKind.TYPE_DEF, None, d.name_loc, (), di, None)
-        for attr in d.clauses:
+    for di, attr, name, site in N.declared_names(m.definitions):
+        d = m.definitions[di]
+        kind = _KINDS[attr or d.section]
+        owner = owners.get(di)  # None for a type's, value's or function's own node
+        if kind is DefKind.VALUE_DEF:
+            add(name, kind, None, d.name_loc, (), di, d.init)
+        elif kind is DefKind.FUNCTION_DEF:
+            owners[di] = add(name, kind, None, site, [n for p in d.params for n in pattern_names(p)],
+                             di, d.body)
+        elif kind is DefKind.TYPE_DEF:
+            owners[di] = add(name, kind, None, site, (), di, None)
+        elif site is None:  # the implicit invariant of a type without one
+            add(name, kind, owner, owner.location, (), di, TRUE_LIT, synthetic=True)
+        elif owner.kind is DefKind.FUNCTION_DEF:  # sees the parameters, and a post also RESULT
+            bound = owner.bound | {"RESULT"} if kind is DefKind.POST_FN else owner.bound
+            add(name, kind, owner, site, bound, di, getattr(d, attr))
+        else:  # binds its own patterns
             c = getattr(d, attr)
-            if c is None:
-                continue
-            name = f"{attr}_{d.name}"
-            kind = _CLAUSE_KINDS[attr]
-            if is_function:  # sees the parameters, and a post also RESULT
-                bound = params | {"RESULT"} if kind is DefKind.POST_FN else params
-                add(name, Namespace.FUNCTION, kind, owner, d.name_loc, bound, di, c)
-            else:  # binds its own patterns
-                pats = (c.pattern,) if kind is DefKind.INVARIANT_FN else (c.left, c.right)
-                bound = [n for p in pats for n in pattern_names(p)]
-                add(name, Namespace.FUNCTION, kind, owner, c.loc, bound, di, c.expr)
-
-    # second stage: every type gets an invariant node, synthesized when it
-    # owns none, which is when its definition has no inv clause
-    for node in list(nodes):
-        if node.kind is DefKind.TYPE_DEF and m.definitions[node.def_index].inv is None:
-            add(f"inv_{node.name}", Namespace.FUNCTION, DefKind.INVARIANT_FN, node,
-                node.location, (), node.def_index, TRUE_LIT, synthetic=True)
+            pats = (c.pattern,) if kind is DefKind.INVARIANT_FN else (c.left, c.right)
+            add(name, kind, owner, site, [n for p in pats for n in pattern_names(p)], di, c.expr)
 
     original = [node.name for node in nodes if node.owner is None]
     return FlatModule(m.name, nodes, original, m)
+
+
+def signature_types(d) -> list:
+    """A definition's field, right-hand side, declared, parameter and
+    result types, in source order."""
+    if isinstance(d, N.RecordTypeDef):
+        return [fld.type for fld in d.fields]
+    if isinstance(d, N.NamedTypeDef):
+        return [d.rhs]
+    if isinstance(d, N.ValueDef):
+        return [] if d.decl_type is None else [d.decl_type]
+    return [*d.param_types, d.ret_type]
 
 
 def type_dependency_links(fm: FlatModule) -> list:
@@ -162,7 +164,7 @@ def type_dependency_links(fm: FlatModule) -> list:
             owned.setdefault(node.owner, {})[node.kind] = node
     links: list = []
     # per definition index, the type names its signature uses, walked once
-    type_refs = [[ref for t in N.signature_types(d) for ref in N.named_types(t)]
+    type_refs = [[ref for t in signature_types(d) for ref in N.named_types(t)]
                  for d in fm.source.definitions]
     for node in fm.nodes:
         if node.kind is DefKind.TYPE_DEF:

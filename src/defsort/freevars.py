@@ -20,7 +20,6 @@ class UseSite(Record):
 
 
 _SCOPED = (N.Let, N.Quant, N.SetComp, N.SeqComp, N.MapComp)
-_COMPREHENSIONS = (N.SetComp, N.SeqComp, N.MapComp)
 
 
 def walk(body, bound=frozenset(), conditional: bool = False) -> tuple:
@@ -29,10 +28,10 @@ def walk(body, bound=frozenset(), conditional: bool = False) -> tuple:
     `uses` are the UseSites of the identifiers not in `bound` and of the
     named types, in source order; `calls` the Apply nodes in pre-order;
     `names` every name mentioned, called or not, bound or not; `dups` the
-    comprehensions' dup-bind findings in pre-order.  A stack entry is (an
-    expression or a named type, conditional, bound), so a scope ends with
-    the node that opened it.  Kinds without a branch here read
-    `nodes.children`.
+    quantifiers' and comprehensions' dup-bind findings in pre-order.  A
+    stack entry is (an expression or a named type, conditional, bound), so
+    a scope ends with the node that opened it.  Kinds without a branch here
+    read `nodes.children`.
     """
     uses: list = []
     calls: list = []
@@ -68,7 +67,8 @@ def walk(body, bound=frozenset(), conditional: bool = False) -> tuple:
                 stack += ((branch, True, bound), (c, cond, bound))
             stack += ((e.then, True, bound), (e.cond, cond, bound))
         elif kind in _SCOPED:
-            if kind in _COMPREHENSIONS:
+            # a let's binds hide one another, and one bind binds each name once (parser)
+            if kind is not N.Let and len(e.binds) > 1:
                 dups += _duplicate_binds(e)
             stack.extend(reversed(_scoped_steps(e, cond, bound)))
         elif kind is N.TNamed:
@@ -118,14 +118,15 @@ def _scoped_steps(e, cond, bound) -> list:
 
 
 def _duplicate_binds(e) -> list:
-    """A comprehension's binds of a name it has bound already."""
+    """A quantifier's or comprehension's binds of a name it has bound already."""
+    what = "quantifier" if type(e) is N.Quant else "comprehension"
     dups: list = []
     seen: set = set()
     for b in e.binds:
         for name in N.pattern_names(b.pattern):
             if name in seen:
                 dups.append(Diagnostic(
-                    "error", "dup-bind", f"comprehension binds {name!r} more than once", b.loc))
+                    "error", "dup-bind", f"{what} binds {name!r} more than once", b.loc))
             seen.add(name)
     return dups
 
@@ -178,7 +179,7 @@ def _definition_exprs(d) -> list:
 
 
 def check_duplicate_binds(m: N.SourceModule) -> list:
-    """A comprehension must not bind the same name twice.
+    """A quantifier or comprehension must not bind the same name twice.
 
     VDM treats repeated binds as an implicit union of ranges, which silently
     changes meaning; the second bind is reported as an error.

@@ -280,16 +280,25 @@ def named_types(t) -> list:
     return found
 
 
-def signature_types(d) -> list:
-    """A definition's field, right-hand side, declared, parameter and
-    result types, in source order."""
-    if isinstance(d, RecordTypeDef):
-        return [fld.type for fld in d.fields]
-    if isinstance(d, NamedTypeDef):
-        return [d.rhs]
-    if isinstance(d, ValueDef):
-        return [] if d.decl_type is None else [d.decl_type]
-    return [*d.param_types, d.ret_type]
+def declared_names(defs):
+    """(definition index, clause field or None, name, site) per declared name,
+    in `defcollect.collect`'s node order: a value's pattern names at their
+    sites; a type's or function's name, then each clause `c` as `c_<name>`,
+    at the clause for a type and the name for a function; last, each
+    implicit `inv_T` of a type without `inv`, with no site."""
+    for di, d in enumerate(defs):
+        if d.section == "values":
+            for name, loc in pattern_name_sites(d.pattern):
+                yield di, None, name, loc
+            continue
+        yield di, None, d.name, d.name_loc
+        for attr in d.clauses:
+            c = getattr(d, attr)
+            if c is not None:
+                yield di, attr, f"{attr}_{d.name}", d.name_loc if d.section == "functions" else c.loc
+    for di, d in enumerate(defs):
+        if d.section == "types" and d.inv is None:
+            yield di, "inv", f"inv_{d.name}", None
 
 
 def _domains(binds) -> tuple:

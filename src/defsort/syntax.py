@@ -306,6 +306,7 @@ class _Parser:
             exports_all = True
         self._need("definitions")
         defs: list = []
+        self.type_uses = []  # (name, token index) of each type name read, in source order
         tags = self.tags
         if not bodies:  # on to the first `end`; a ValueError if none follows
             self.i = tags.index("end", self.i)
@@ -320,7 +321,11 @@ class _Parser:
         end = self._take_name("module name")
         if end.text != name_tok.text:
             raise ParseError(f"module ends with 'end {end.text}' but is named {name_tok.text!r}", end)
-        _check_toplevel_names(defs, name_tok.text, imports)
+        types = _check_toplevel_names(defs, name_tok.text)
+        if not imports:  # else the module may name types it does not declare
+            for name, i in self.type_uses:
+                if name not in types and name not in BASIC_TYPES:  # `mk_token`, `is_nat`
+                    raise UnknownNameError(name, self.tok(i))
         return N.SourceModule(
             name=name_tok.text,
             exports_all=exports_all,
@@ -381,6 +386,8 @@ class _Parser:
             tags = self.tags
             while tags[self.i] == NAME and tags[self.i + 1] == ":":
                 fname = self._take_name("field name")
+                if any(f.name == fname.text for f in fields):
+                    raise DuplicateNameError(fname.text, "field", fname, f" in record {name.text}")
                 self.i += 1
                 fields.append(N.RecordField(fname.text, self.parse_type(), fname))
             if not fields:
@@ -507,6 +514,7 @@ class _Parser:
         if tag == NAME:
             word = self.texts[i]
             self.i = i + 1
+            self.type_uses.append((word, i))
             return N.TNamed(word, Token("name", word, self.ends[i] - len(word), self.src))
         if tag in BASIC_TYPES:
             self.i = i + 1
@@ -579,6 +587,8 @@ class _Parser:
                 word = texts[i] if tag == NAME else None
                 if word == "mk_":
                     raise ParseError("record constructor needs a type name", self.tok(i))
+                if word and word[:3] in ("mk_", "is_") and word != "is_":  # reads the type after `_`
+                    self.type_uses.append((word[3:], i))
                 if word and tags[i + 2] == ")" and not word.startswith("is_"):
                     e = _application(word, (), Token("name", word, ends[i] - len(word), src))
                     i += 3
@@ -764,49 +774,27 @@ def _application(word: str, items, t: Token):
     return N.Apply(word, tuple(items), t)
 
 
-def _check_toplevel_names(defs, module_name: str, imports):
-    """Raise a DuplicateNameError at the second site of a name bound twice in
-    one namespace, taking names in the order `defcollect.collect` makes nodes:
-    each definition's own, then its clauses' (`pre_f` at `f`, `inv_T` at `inv`);
-    last, each implicit `inv_T`, whose clash is located at the other name.
-    Then, unless the module imports (and so may name types it does not
-    declare), raise an UnknownNameError at the first signature type name, in
-    source order, that no type definition declares."""
+def _check_toplevel_names(defs, module_name: str) -> set:
+    """The module's type names; a DuplicateNameError at the second site of
+    the first name `nodes.declared_names` gives twice in one namespace, or,
+    for an implicit invariant, at the other name."""
     types = set()
     functions: dict = {}  # a value's, function's or clause's name -> (its site, whether a clause's)
-
-    def bind(name, loc, clause=False):
-        if name in functions:
-            if clause or functions[name][1]:
-                raise DuplicateNameError(name, "function", loc)
-            raise DuplicateNameError(name, "function or value", loc, f" in module {module_name}")
-        functions[name] = (loc, clause)
-
-    for d in defs:
-        section = d.section
-        if section == "types":
-            if d.name in types:
-                raise DuplicateNameError(d.name, "type", d.name_loc, f" in module {module_name}")
-            types.add(d.name)
-        else:
-            sites = N.pattern_name_sites(d.pattern) if section == "values" else ((d.name, d.name_loc),)
-            for name, loc in sites:
-                bind(name, loc)
-        for attr in d.clauses:
-            c = getattr(d, attr)
-            if c is not None:
-                bind(f"{attr}_{d.name}", d.name_loc if section == "functions" else c.loc, True)
-    for d in defs:
-        if d.section == "types" and d.inv is None and f"inv_{d.name}" in functions:
-            raise DuplicateNameError(f"inv_{d.name}", "function", functions[f"inv_{d.name}"][0],
-                                     f", the implicit invariant of type {d.name}")
-    if imports:
-        return
-    for d in defs:
-        for t in N.signature_types(d):
-            for ref in N.named_types(t):
-                if ref.name not in types:
-                    raise UnknownNameError(ref.name, ref.loc)
+    for di, attr, name, site in N.declared_names(defs):
+        if attr is None and defs[di].section == "types":
+            if name in types:
+                raise DuplicateNameError(name, "type", site, f" in module {module_name}")
+            types.add(name)
+        elif name in functions:
+            if site is None:
+                raise DuplicateNameError(name, "function", functions[name][0],
+                                         f", the implicit invariant of type {defs[di].name}")
+            if attr or functions[name][1]:
+                raise DuplicateNameError(name, "function", site)
+            raise DuplicateNameError(name, "function or value", site, f" in module {module_name}")
+        elif site is not None:
+            functions[name] = (site, attr is not None)
+    return types
 
 
 def parse_source(text: str, file: str = "<string>"):

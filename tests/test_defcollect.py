@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import single_module
+from conftest import CORPUS, parse_corpus, single_module
+
+from defsort.nodes import declared_names
 
 from defsort.defcollect import (
     DefKind,
@@ -30,6 +32,13 @@ def test_pattern_names_walks_structured_patterns():
     )
     defn = m.source.definitions[0]
     assert pattern_names(defn.pattern) == ["i", "j"]
+
+
+def test_collect_makes_a_node_of_each_declared_name_in_its_order():
+    for path in sorted(CORPUS.glob("*.vdmsl")):
+        for m in parse_corpus(path.name):
+            names = [name for _, _, name, _ in declared_names(m.definitions)]
+            assert names == [n.name for n in collect(m).nodes], path.name
 
 
 def test_collect_orders_user_nodes_before_synthetic_invariants():

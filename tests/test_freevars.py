@@ -18,7 +18,8 @@ from defsort.syntax import parse_source
 
 
 def _value_body(expr_src):
-    src = f"module X\nexports all\ndefinitions\nvalues\n    v = {expr_src};\nend X\n"
+    # the module imports, so its snippets may name types it does not declare
+    src = f"module X\nimports from L all\nexports all\ndefinitions\nvalues\n    v = {expr_src};\nend X\n"
     fm = collect(parse_source(src)[0])
     return fm.get(Namespace.FUNCTION, "v").body
 
@@ -168,6 +169,18 @@ def test_duplicate_bind_reported_once_at_second_bind():
     assert str(d).endswith(
         "4:44: error: comprehension binds 'x' more than once [dup-bind]"
     )
+
+
+@pytest.mark.parametrize("body, at, name", [
+    ("forall x in set {n}, x in set {1} & x > 0", "5:30", "x"),
+    ("exists z : nat, z : nat & z > n", "5:25", "z"),
+    ("forall [a, b] in set {[1, 2]}, mk_R(-, b) in set {r} & a = b", "5:40", "b"),
+])
+def test_a_quantifier_that_binds_a_name_twice_is_a_dup_bind(body, at, name):
+    src = f"module Q\ndefinitions\nvalues\n    n = 1;\n    v = {body};\nend Q\n"
+    diags = check_duplicate_binds(parse_source(src, "Q.vdmsl")[0])
+    assert [str(d) for d in diags] == [
+        f"Q.vdmsl:{at}: error: quantifier binds {name!r} more than once [dup-bind]"]
 
 
 def test_distinct_binds_are_clean():

@@ -16,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS, parse_corpus
-from test_syntax_reference import dump
+from test_syntax_reference import dump, ref_definition_exprs
 
 from defsort import analyse, sort_module, verify_order
-from defsort.defcollect import collect
+from defsort.defcollect import Namespace, collect, signature_types
 from defsort.depgraph import break_cycles, build_graph
 from defsort.diag import ParseError
 from defsort.freevars import (check_bodies, check_duplicate_binds, check_init_cycles,
-                              check_precondition_calls)
+                              check_precondition_calls, walk)
 from defsort.modorder import order_modules
-from defsort.syntax import lex, parse_source, print_module
+from defsort.nodes import named_types
+from defsort.syntax import BASIC_TYPES, lex, parse_source, print_module
 
 MODULES = [m for path in sorted(CORPUS.glob("*.vdmsl")) for m in parse_corpus(path.name)]
 
@@ -118,3 +119,32 @@ def test_whatever_parses_analyses(renamed):
         check_bodies(m, fm)
         check_init_cycles(fm)
         verify_order(m)
+
+
+@st.composite
+def type_name_texts(draw):
+    """A corpus text, or one with a name token replaced by a type name no
+    corpus text declares, bare or in a constructor or a type test."""
+    file, text, names = draw(st.sampled_from(NAMED_TEXTS))
+    if draw(st.integers(0, 4)) == 0:
+        return file, text
+    t = draw(st.sampled_from(names))
+    return file, text[:t.off] + draw(st.sampled_from(["Renamed", "mk_Renamed", "is_Renamed"])) + text[t.end:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(type_name_texts())
+def test_every_type_name_of_an_accepted_module_without_imports_resolves(case):
+    file, text = case
+    try:
+        mods = parse_source(text, file)
+    except ParseError:
+        return
+    for m in mods:
+        if m.imports:
+            continue
+        types = {n.name for n in collect(m).nodes if n.namespace is Namespace.TYPE}
+        refs = {ref.name for d in m.definitions for t in signature_types(d) for ref in named_types(t)}
+        uses = {use.name for d in m.definitions for root in ref_definition_exprs(d)
+                for use in walk(root)[0] if use.space is Namespace.TYPE}
+        assert (refs | uses) - BASIC_TYPES <= types

@@ -285,6 +285,21 @@ def test_a_duplicate_name_is_a_duplicate_name_error_of_the_parse(section, error)
     # the first in source order is reported
     ("types\n  T = map Missing to Other;\n  U = Zeroth;", "4:11"),
     ("functions\n  f : Missing -> nat\n  f(x) == 1;\ntypes\n  T = Other;", "4:7"),
+    # a body's type names: a type test, a constructor, a let type and a bind type
+    ("values\n  v = is_(1, Missing);", "4:14"),
+    ("values\n  v = is_Missing(1);", "4:7"),
+    ("values\n  v = mk_Missing(1);", "4:7"),
+    ("values\n  v = mk_Missing();", "4:7"),
+    ("values\n  v = let x : Missing = 1 in x;", "4:15"),
+    ("values\n  v = forall x : Missing & x > 0;", "4:18"),
+    ("values\n  v = {x | x : seq of Missing};", "4:23"),
+    ("types\n  T = nat\n  inv t == is_Missing(t);", "5:12"),
+    ("functions\n  f : nat -> nat\n  f(x) == x\n  pre is_(x, [Missing]);", "6:15"),
+    # an application's type name is read where its group opens, before its items
+    ("values\n  v = is_Missing(is_(1, Other));", "4:7"),
+    ("values\n  v = mk_Missing(let y : Other = 1 in y);", "4:7"),
+    # a body before a signature, in source order
+    ("values\n  v = is_Missing(1);\n  w : Other = 2;", "4:7"),
 ])
 def test_an_unknown_type_name_is_an_unknown_name_error_of_the_parse(section, at):
     with pytest.raises(UnknownNameError) as err:
@@ -300,9 +315,40 @@ def test_a_module_that_imports_may_name_types_it_does_not_declare():
     assert [type(d) for d in m.definitions] == [N.NamedTypeDef, N.ValueDef]
 
 
+@pytest.mark.parametrize("body", ["mk_token(1)", "is_nat(1)", "is_(1, nat | token)",
+                                  "let x : seq of char = [] in is_bool(x)"])
+def test_a_basic_type_in_a_body_is_no_unknown_type_name(body):
+    m = _module(f"module M\ndefinitions\nvalues\n  v = {body};\nend M\n")
+    assert [type(d) for d in m.definitions] == [N.ValueDef]
+
+
+def test_a_module_that_imports_may_name_types_it_does_not_declare_in_bodies():
+    m = _module("module M\nimports from LIB all\ndefinitions\nvalues\n"
+                "  v = is_(mk_Missing(1), Other) and is_Third(2);\n"
+                "  w = let x : Fourth = 1 in forall y : Fifth & x = y;\nend M\n")
+    assert len(m.definitions) == 2
+
+
 def test_a_duplicate_name_is_reported_before_an_unknown_type_name():
     with pytest.raises(DuplicateNameError, match=r"^<string>:7:3: duplicate function or value name"):
         parse_source("module M\ndefinitions\ntypes\n  S = Missing;\nvalues\n  v = 1;\n  v = 2;\nend M\n")
+
+
+def test_a_duplicate_name_is_reported_before_an_unknown_type_name_in_a_body():
+    with pytest.raises(DuplicateNameError, match=r"^<string>:5:3: duplicate function or value name"):
+        parse_source("module M\ndefinitions\nvalues\n  v = is_Missing(1);\n  v = 2;\nend M\n")
+
+
+@pytest.mark.parametrize("fields, at", [
+    ("x : nat\n       x : bool", "5:8"),
+    ("x : nat\n       y : nat\n       x : nat", "6:8"),
+])
+def test_a_duplicate_record_field_is_a_duplicate_name_error_of_the_parse(fields, at):
+    with pytest.raises(DuplicateNameError) as err:
+        parse_source(f"module M\ndefinitions\ntypes\n  P :: {fields};\nend M\n")
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == f"<string>:{at}: duplicate field name 'x' in record P"
+    assert err.value.name == "x"
 
 
 def test_a_fault_in_an_earlier_module_is_reported_first():

@@ -14,6 +14,7 @@ import dataclasses
 import pathlib
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -307,6 +308,8 @@ class RefParser(_Parser):
         """`mk_T(…)`, `is_T(e)` or `is_(e, type)`: a name starting with `mk_`
         or `is_`, with its argument list next."""
         t = self._take_name("a name")
+        if t.text[3:] not in BASIC_TYPES and t.text not in ("mk_", "is_"):  # the type name it reads
+            self.type_uses.append((t.text[3:], self.i - 1))
         if t.text.startswith("mk_"):
             if t.text == "mk_":
                 raise ParseError("record constructor needs a type name", t)
@@ -553,7 +556,7 @@ def ref_definition_exprs(d):
 
 
 def ref_duplicate_binds(m):
-    """A comprehension must not bind the same name twice.
+    """A quantifier or comprehension must not bind the same name twice.
 
     VDM treats repeated binds as an implicit union of ranges, which silently
     changes meaning; the second bind is reported as an error.
@@ -562,15 +565,16 @@ def ref_duplicate_binds(m):
     for d in m.definitions:
         for root in ref_definition_exprs(d):
             for e in ref_iter_exprs(root):
-                if not isinstance(e, (N.SetComp, N.SeqComp, N.MapComp)):
+                if not isinstance(e, (N.Quant, N.SetComp, N.SeqComp, N.MapComp)):
                     continue
+                what = "quantifier" if isinstance(e, N.Quant) else "comprehension"
                 seen: set = set()
                 for b in e.binds:
                     for name in ref_pattern_names(b.pattern):
                         if name in seen:
                             diags.append(Diagnostic(
                                 "error", "dup-bind",
-                                f"comprehension binds {name!r} more than once",
+                                f"{what} binds {name!r} more than once",
                                 b.loc,
                             ))
                         else:
@@ -824,6 +828,18 @@ def parse_both(text):
 def test_parser_matches_the_precedence_level_reference(body, pre):
     new, ref = parse_both(module_text(body, pre))
     assert new == ref
+
+
+@pytest.mark.parametrize("body", [
+    "is_Q ( is_ ( x , S ) )",
+    "mk_Q ( let y : S = 1 in y )",
+    "is_ ( mk_Q ( ) , S )",
+    "f ( forall z : S & is_Q ( z ) )",
+    "mk_token ( is_nat ( 1 ) ) + is_Q ( 2 )",
+])
+def test_parser_matches_the_reference_on_unknown_type_names(body):
+    new, ref = parse_both(module_text(body, "true"))
+    assert new == ref and "unknown type name" in new
 
 
 @settings(max_examples=300, deadline=None)
