@@ -246,8 +246,8 @@ def _cmd_sort(cfg: ToolConfig, paths) -> int:
 
 
 def _module_diagnostics(m, fm) -> list:
-    dups, calls = check_bodies(m, fm)
-    diags = dups + check_init_cycles(fm) + calls
+    dups, calls, reads = check_bodies(m, fm)
+    diags = dups + check_init_cycles(fm, reads) + calls
     diags.sort(key=lambda d: (d.at.line, d.at.col, d.code))
     return diags
 

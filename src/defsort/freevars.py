@@ -156,12 +156,13 @@ def init_dependencies(node, fm: FlatModule) -> set:
     own name included when it reads itself unconditionally."""
     if node.kind is not DefKind.VALUE_DEF:
         return set()
-    deps = set()
-    for use in free_uses(node.body, node.bound):
-        target = fm.get(use.space, use.name)
-        if not use.conditional and target is not None and target.kind is DefKind.VALUE_DEF:
-            deps.add(target.name)
-    return deps
+    return _value_reads(free_uses(node.body, node.bound), fm)
+
+
+def _value_reads(uses, fm: FlatModule) -> set:
+    """The names of the values that `uses` read unconditionally."""
+    targets = (fm.get(use.space, use.name) for use in uses if not use.conditional)
+    return {t.name for t in targets if t is not None and t.kind is DefKind.VALUE_DEF}
 
 
 # ── diagnostics ───────────────────────────────────────────────────────────
@@ -195,14 +196,19 @@ def check_precondition_calls(m: N.SourceModule, fm: FlatModule) -> list:
 
 
 def check_bodies(m: N.SourceModule, fm: FlatModule) -> tuple:
-    """(check_duplicate_binds(m), check_precondition_calls(m, fm)), with
-    each definition expression walked once for both.  A value that binds
-    several names, or none, is still one expression."""
+    """(check_duplicate_binds(m), check_precondition_calls(m, fm), reads),
+    with each definition expression walked once for all three: `reads`
+    maps the index of each value definition to its `init_dependencies`,
+    for `check_init_cycles`.  A value that binds several names, or none, is
+    still one expression."""
     dups: list = []
     calls: list = []
-    for d in m.definitions:
+    reads: dict = {}
+    for di, d in enumerate(m.definitions):
         for root in _definition_exprs(d):
-            _, applies, referenced, found = walk(root)
+            uses, applies, referenced, found = walk(root)
+            if isinstance(d, N.ValueDef):
+                reads[di] = _value_reads(uses, fm)
             dups += found
             for call in applies:
                 # a pre_f node is always the clause of the function f
@@ -211,21 +217,22 @@ def check_bodies(m: N.SourceModule, fm: FlatModule) -> tuple:
                     calls.append(Diagnostic(
                         "warning", "pre-call", f"call to {call.callee} is not guarded by {pre.name}",
                         call.loc))
-    return dups, calls
+    return dups, calls, reads
 
 
-def check_init_cycles(fm: FlatModule) -> list:
+def check_init_cycles(fm: FlatModule, reads: dict | None = None) -> list:
     """Unconditional value-initialization cycles are errors, a value that
-    reads itself included."""
+    reads itself included.  `reads` is `check_bodies`' third result; without
+    it each value definition's initialiser is walked here."""
     from .depgraph import DepGraph, Edge, find_cycles
 
     values = [n for n in fm.nodes if n.kind is DefKind.VALUE_DEF]
     g = DepGraph({n.key: n for n in values}, [])
     cycles: list = []
-    reads: dict = {}  # def_index -> init_dependencies, one walk for all the names it binds
+    if reads is None:  # def_index -> init_dependencies, one walk for all the names it binds
+        reads = {n.def_index: n for n in values}
+        reads = {di: init_dependencies(n, fm) for di, n in reads.items()}
     for n in values:
-        if n.def_index not in reads:
-            reads[n.def_index] = init_dependencies(n, fm)
         deps = reads[n.def_index]
         if n.name in deps:  # find_cycles reports cycles of two or more
             cycles.append([n.name, n.name])

@@ -2,8 +2,10 @@
 
 The lexer scans a whole file in a few passes into parallel lists of token
 texts, tags and offsets, and the parser reads those lists by index,
-building a `Token` only for a location the tree keeps.  The parser is a
-recursive descent, except that an expression is read by one
+building a `Token` only for a location the tree keeps.  A header read
+(`parse_headers`) tokenizes only each module's header and `end` line, and
+steps over the definitions between with one regular expression.  The
+parser is a recursive descent, except that an expression is read by one
 operator-precedence loop.  Every definition keeps the exact source text it
 came from (`verbatim`, leading comments included), so later stages can
 move definitions around without touching their text.
@@ -135,24 +137,52 @@ class _Tags(dict):
 # pattern match after any white space, so no match backtracks through it.
 _COMMENT = re.compile(r"(--[^\n]*)")
 _SPACE = " \t\r\n"
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:[A-Za-z]\w*|<[A-Za-z]\w*>|"
+_WORD = (  # every token but the other character, in the order `_TOKEN` tries them
+    r"[A-Za-z]\w*|<[A-Za-z]\w*>|"
     + "|".join(re.escape(p) for p in _PUNCT if len(p) > 1)
     + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1)
-    + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'|[^ \t\r\n])",
-    re.ASCII,  # so `\w` is [A-Za-z0-9_]
+    + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'"
 )
+_TOKEN = re.compile(r"[ \t\r\n]*(?:" + _WORD + r"|[^ \t\r\n])", re.ASCII)  # so `\w` is [A-Za-z0-9_]
+# The tokens up to the next `definitions` or `end`, or the next character
+# that begins no token, stepped over as `_TOKEN` splits them, building
+# nothing; possessive, so no match backtracks.  Compiled on first use
+# (`re` caches it), as only a header read needs it.
+_SKIP = r"(?:[ \t\r\n]*+(?!(?:definitions|end)(?!\w))(?:" + _WORD + r"))*+[ \t\r\n]*+"
 _BREAK = re.compile(r"\n")
 
 
-def _scan(text: str, file: str):
+def _header_spans(text: str, stop: int):
+    """The (start, stop) spans of `text` that a header read tokenizes:
+    each header through `definitions`, and each `end` on to the next
+    header's `definitions`.  Each definitions block between is stepped over
+    up to its first `end`; where a skip stops short of the `definitions` or
+    `end` due there, the last span runs on to `stop`."""
+    skip = re.compile(_SKIP, re.ASCII).match
+    start = at = 0  # the first character not yet in a span; where the skip resumes
+    while True:
+        at = skip(text, at, stop).end()
+        if not text.startswith("definitions", at):
+            break
+        at += len("definitions")
+        yield start, at
+        start, at = at, skip(text, at, stop).end()
+        if not text.startswith("end", at):
+            break
+        start, at = at, at + len("end")
+    yield start, stop
+
+
+def _scan(text: str, file: str, bodies: bool = True):
     """Lex `text` in whole-text passes: no Python code runs per token, only
     once per distinct spelling, to tag it (`_Tags`).
 
     Returns (texts, tags, ends, src): the source text, tag and end offset
     of every significant token, end of input last, and the line-break index
     the tokens share.  Raises the ParseError of the first character that
-    begins no token.
+    begins no token.  Without `bodies`, the tokens of each module's
+    definitions are left out, up to its first `end` (`_header_spans`), but
+    a character that begins no token still raises its ParseError.
     """
     src = (file, list(map(re.Match.start, _BREAK.finditer(text))), len(text))
     parts = _COMMENT.split(text)  # code, comment, code, ..., code
@@ -164,8 +194,16 @@ def _scan(text: str, file: str):
     # one match per token and the white space before it, up to the last
     # token, so no match is tried on white space alone, which would
     # backtrack through it
-    matched = _TOKEN.findall(text, 0, len(text.rstrip(_SPACE)))
-    ends = list(accumulate(map(len, matched)))
+    stop = len(text.rstrip(_SPACE))
+    if bodies:
+        matched = _TOKEN.findall(text, 0, stop)
+        ends = list(accumulate(map(len, matched)))
+    else:
+        matched, ends = [], []
+        for start, end in _header_spans(text, stop):
+            span = _TOKEN.findall(text, start, end)
+            matched += span
+            ends += map(start.__add__, accumulate(map(len, span)))
     texts = list(map(str.lstrip, matched, repeat(_SPACE)))
     del matched
     tags = list(map(_Tags(_TAG).__getitem__, texts))
@@ -216,10 +254,10 @@ class _Parser:
     """Reads the scan by index, one tag compare per test, and builds a
     `Token` only for a location that a node or an error keeps."""
 
-    def __init__(self, text: str, file: str):
+    def __init__(self, text: str, file: str, bodies: bool = True):
         self.text = text
         self.file = file
-        self.texts, self.tags, self.ends, self.src = _scan(text, file)
+        self.texts, self.tags, self.ends, self.src = _scan(text, file, bodies)
         self.i = 0
 
     # token plumbing
@@ -814,15 +852,17 @@ def parse_source(text: str, file: str = "<string>"):
 
 
 def parse_headers(text: str, file: str = "<string>"):
-    """`parse_source`'s modules without definitions: its code scans the text and
-    reads each header and `end` line, and skips the definitions unread, to the
-    module's first `end`, so only a fault outside them raises: `parse_source`'s
-    error.  A duplicate name, a clause's or an implicit invariant's included,
-    and an unknown type name are faults inside them.  Sound as no definition
-    holds `end`; once one can (`cases … end`), the skip must find `end`, then
-    the module's own name, then `module` or the end."""
+    """`parse_source`'s modules without definitions: its code tokenizes and
+    reads each header and `end` line, and steps over the definitions
+    untokenized, to the module's first `end` (`_scan` without `bodies`), so
+    only a fault outside them, or a character that begins no token anywhere,
+    raises: `parse_source`'s error.  A duplicate name, a clause's or an
+    implicit invariant's included, and an unknown type name are faults
+    inside them.  Sound as no definition holds `end`; once one can
+    (`cases … end`), the skip must find `end`, then the module's own name,
+    then `module` or the end."""
     try:
-        return _Parser(text, file).parse_file(bodies=False)
+        return _Parser(text, file, bodies=False).parse_file(bodies=False)
     except (ParseError, ValueError):  # ValueError: no `end` follows a header
         parse_source(text, file)  # raises too, at the file's first fault
         raise

@@ -17,7 +17,7 @@ from exprwalk import subexpressions
 from test_syntax_reference import exprs
 
 import defsort
-from defsort import cli
+from defsort import cli, freevars
 from defsort.cli import (
     DEFAULTS,
     _write_atomic,
@@ -827,6 +827,22 @@ def test_one_walk_equals_the_separate_checks_on_the_corpus(name):
     for m in parse_corpus(name):
         fm = collect(m)
         assert cli._module_diagnostics(m, fm) == _separate_checks(m, fm)
+
+
+def test_check_walks_each_definition_expression_once(monkeypatch, capsys):
+    """Two value initialisers and a function body: three walks, the init
+    cycle check reading the values from the same walk as the other checks."""
+    walks = []
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    walk = freevars.walk
+    monkeypatch.setattr(freevars, "walk", counting_walk)
+    assert run(["check", str(CORPUS / "fwdvals.vdmsl")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert len(walks) == 3
 
 
 # value patterns binding one name, several, or none; no two bind the same name

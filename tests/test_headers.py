@@ -11,7 +11,7 @@ from test_scan import SPELLINGS, _workload_texts
 from defsort import cli
 from defsort.cli import run
 from defsort.diag import ParseError
-from defsort.syntax import _scan, parse_headers, parse_source
+from defsort.syntax import _Parser, _scan, parse_headers, parse_source
 
 
 def _input_sets():
@@ -170,3 +170,94 @@ def test_on_mutated_text_the_header_reader_fails_only_as_the_full_parse_does():
             assert headers == full, text
             outcomes.add(type(full).__name__)
     assert outcomes == {"list", "str", "a fault inside a definition"}
+
+
+# ── the header-read scan against the full scan ────────────────────────────
+
+
+def _outcome(text, name, bodies):
+    """The full scan's header read (`bodies`) or the header-read scan's: the
+    headers, or the type and text of the error."""
+    try:
+        return [_header(m) for m in _Parser(text, name, bodies).parse_file(bodies=False)]
+    except (ParseError, ValueError) as exc:  # ValueError: no `end` follows a header
+        return type(exc).__name__, str(exc)
+
+
+def _two(body_a="x = 1;", body_b="y = 2;"):
+    return _module("A", "values\n  " + body_a) + _module("B", "values\n  " + body_b, "imports from A all\n")
+
+
+# where skipping a definitions block could part from tokenizing it: an
+# `end` glued to the token before it or inside one, a character that
+# begins no token, `definitions` in a body, comments and line ends
+SCAN_CASES = {
+    "1end": "module M\ndefinitions\nvalues x = 1end M\n",
+    "x1.5end": "module M\ndefinitions\nvalues x = x1.5end M\n",
+    "<end>": _two("x = <end>;"),
+    "<end": "module M\ndefinitions\nvalues x = 1 <end M\n",
+    "ending": _two("ending = 1;"),
+    "end_x": _two("end_x = 1;"),
+    "_end": _two("x = _end;"),
+    "'e'": _two("x = 'e';"),
+    "letter-past-ascii": _two(body_b="y\u00e9 = 2;"),
+    "lone-quote": _two("x = 'ab';"),
+    "bad-character-in-the-second-body": _two(body_b="y = 1 ! 2;"),
+    "definitions-in-a-body": _two("x = 1; definitions y = 2;"),
+    "end-and-definitions-in-comments": "-- end A definitions\nmodule A -- end A\ndefinitions -- end\n"
+                                       "values -- definitions end A\n  x = 1; -- end A\nend A -- definitions\n",
+    "crlf-and-tabs": _two().replace("\n", "\r\n").replace("  ", "\t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_the_header_read_scan_reads_what_the_full_scan_reads(case):
+    text = SCAN_CASES[case]
+    assert _outcome(text, "m", bodies=False) == _outcome(text, "m", bodies=True)
+
+
+def test_the_scan_cases_read_as_intended():
+    assert parse_headers(SCAN_CASES["1end"])[0].name == "M"
+    assert [m.name for m in parse_headers(SCAN_CASES["<end>"])] == ["A", "B"]
+    for case in ("_end", "lone-quote", "letter-past-ascii", "bad-character-in-the-second-body"):
+        with pytest.raises(ParseError):
+            parse_headers(SCAN_CASES[case])
+
+
+# glued to a token or standing alone: text an edit may insert
+INSERTS = ["1end", "<end>", "<end", "_end", "x1.5end", "end", " end ", "definitions", "'", "'e'",
+           "!", "\u00e9", "\r\n", "\t", "-- end\n", " M ", "module"]
+
+
+def _character_mutated_texts():
+    """Each corpus text with one to three characters deleted, or snippets
+    from `INSERTS` put in at any character, twenty times over."""
+    rng = random.Random(29)
+    for path in sorted(CORPUS.glob("*.vdmsl")):
+        text = path.read_text()
+        for _ in range(20):
+            out = text
+            for at in sorted(rng.sample(range(len(text)), rng.randint(1, 3)), reverse=True):
+                cut = rng.randrange(2)
+                out = out[:at] + ("" if cut else rng.choice(INSERTS)) + out[at + cut:]
+            yield path.name, out
+
+
+def test_on_every_input_the_header_read_scan_reads_what_the_full_scan_reads():
+    inputs = [item for _, files in INPUT_SETS for item in files.items()]
+    inputs += [*_mutated_texts(), *_character_mutated_texts()]
+    inputs += [(name, text.replace("\n", "\r\n")) for name, text in inputs]
+    outcomes = set()
+    for name, text in inputs:
+        headers = _outcome(text, name, bodies=False)
+        assert headers == _outcome(text, name, bodies=True), text
+        outcomes.add(headers[0] if isinstance(headers, tuple) else "headers")
+    assert outcomes == {"headers", "ParseError", "ValueError"}
+
+
+def test_the_header_read_scan_leaves_out_every_body_token():
+    def tokens(definitions):
+        text = _module("M", "values\n" + "".join(f"  x{i} = {i} + 'c';\n" for i in range(definitions)))
+        return _scan(text, "m", bodies=False)[0]
+
+    assert tokens(400) == tokens(0) == ["module", "M", "definitions", "end", "M", ""]
