@@ -285,10 +285,8 @@ def _cmd_order(cfg: ToolConfig, paths) -> int:
         ordered, _, warnings = order_modules(headers)
     except Exception as exc:  # no one file is at fault
         return _report(exc, "defsort")
-    for w in warnings:
-        print(str(w), file=sys.stderr)
-    for name in ordered:
-        print(name)
+    sys.stderr.write("".join(f"{w}\n" for w in warnings))
+    sys.stdout.write("".join(f"{name}\n" for name in ordered))
     return 0
 
 

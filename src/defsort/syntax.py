@@ -4,7 +4,8 @@ The lexer scans a whole file in a few passes into parallel lists of token
 texts, tags and offsets, and the parser reads those lists by index,
 building a `Token` only for a location the tree keeps.  A header read
 (`parse_headers`) tokenizes only each module's header and `end` line, and
-steps over the definitions between with one regular expression.  The
+steps over the definitions between by string searches, tokenizing only
+the lines where a search finds a place that might end the step.  The
 parser is a recursive descent, except that an expression is read by one
 operator-precedence loop.  Every definition keeps the exact source text it
 came from (`verbatim`, leading comments included), so later stages can
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from heapq import merge
 from itertools import accumulate, repeat
 
 from . import nodes as N
@@ -108,7 +110,8 @@ NAME, NAT, REAL, CHAR, QUOTE, EOF, BAD = "#name", "#nat", "#real", "#char", "#qu
 _TAG = {w: w for w in (*KEYWORDS, *_PUNCT)}  # a spelling's tag is the one string of it
 _TAG["'"] = BAD  # a quote mark that opens no character literal
 # the tag of any other token, by its first character
-_FIRST = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz", NAME),
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_FIRST = {**dict.fromkeys(_LETTERS, NAME),
           **dict.fromkeys("0123456789", NAT), "'": CHAR, "<": QUOTE}
 _KIND = {**dict.fromkeys(KEYWORDS, "kw"), **dict.fromkeys(_PUNCT, "punct"),
          **{label: label[1:] for label in (NAME, NAT, REAL, CHAR, QUOTE, EOF, BAD)}}
@@ -144,32 +147,70 @@ _WORD = (  # every token but the other character, in the order `_TOKEN` tries th
     + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'"
 )
 _TOKEN = re.compile(r"[ \t\r\n]*(?:" + _WORD + r"|[^ \t\r\n])", re.ASCII)  # so `\w` is [A-Za-z0-9_]
-# The tokens up to the next `definitions` or `end`, or the next character
-# that begins no token, stepped over as `_TOKEN` splits them, building
-# nothing; possessive, so no match backtracks.  Compiled on first use
-# (`re` caches it), as only a header read needs it.
-_SKIP = r"(?:[ \t\r\n]*+(?!(?:definitions|end)(?!\w))(?:" + _WORD + r"))*+[ \t\r\n]*+"
 _BREAK = re.compile(r"\n")
+
+# Where a header read's skip may stop (`_stops`), each found by string
+# search: `end`, `definitions`, `_`, and a quote mark, which opens a
+# character literal only before one character and a quote mark, or any
+# other character outside the tokens' alphabet that the text holds.
+_WORD_CHARS = _LETTERS | frozenset("0123456789_")
+_ALPHABET = (_SPACE + "".join(sorted(_WORD_CHARS | set("".join(_PUNCT))))).encode()
+_STOP_TAGS = ("end", "definitions", BAD)
+
+
+def _places(text, word, stop: int, before=(), after=()):
+    """Each place in text[:stop] where `word` may begin a token: not glued
+    to a character of `before` before it, nor of `after` after it."""
+    at = text.find(word, 0, stop)
+    while at >= 0:
+        if text[at - 1:at] not in before and text[at + len(word):at + len(word) + 1] not in after:
+            yield at
+        at = text.find(word, at + 1, stop)
+
+
+def _stops(text: str, stop: int):
+    """The start of each `definitions`, `end` and character that begins no
+    token in text[:stop], as `_TOKEN` splits it, in order, then `stop`.
+
+    Only the lines that hold a place where one may start are tokenized,
+    each once and from its start, which is a token boundary, as no token
+    holds a line break; each search runs once over the text.  A letter
+    before `end`, `definitions` or `_` ends a name that holds it."""
+    data = text.encode("ascii", "replace")  # a `?` for each character past ASCII, so offsets hold
+    odd = [_places(data, bytes((c,)), stop) for c in set(data.translate(None, _ALPHABET))]
+    tags = _Tags(_TAG)
+    done = 0  # the text before is tokenized, or holds no stop
+    for at in merge(_places(text, "end", stop, _LETTERS, _WORD_CHARS), _places(text, "_", stop, _LETTERS),
+                    _places(text, "definitions", stop, _LETTERS, _WORD_CHARS), *odd):
+        if at < done:
+            continue  # on a line already tokenized
+        start = max(done, text.rfind("\n", done, at) + 1)
+        done = text.find("\n", at, stop)
+        if done < 0:
+            done = stop
+        for word in _TOKEN.findall(text, start, done):
+            start += len(word)
+            word = word.lstrip(_SPACE)
+            if tags[word] in _STOP_TAGS:
+                yield start - len(word)
+    yield stop
 
 
 def _header_spans(text: str, stop: int):
     """The (start, stop) spans of `text` that a header read tokenizes:
     each header through `definitions`, and each `end` on to the next
     header's `definitions`.  Each definitions block between is stepped over
-    up to its first `end`; where a skip stops short of the `definitions` or
-    `end` due there, the last span runs on to `stop`."""
-    skip = re.compile(_SKIP, re.ASCII).match
-    start = at = 0  # the first character not yet in a span; where the skip resumes
-    while True:
-        at = skip(text, at, stop).end()
-        if not text.startswith("definitions", at):
-            break
+    up to its first `end` (`_stops`); where a skip stops at anything but
+    the `definitions` or `end` due there, the last span runs on to `stop`."""
+    stops = _stops(text, stop)
+    start = 0  # the first character not yet in a span
+    while text.startswith("definitions", at := next(stops)):
         at += len("definitions")
         yield start, at
-        start, at = at, skip(text, at, stop).end()
+        start, at = at, next(stops)
         if not text.startswith("end", at):
             break
-        start, at = at, at + len("end")
+        start = at
     yield start, stop
 
 
@@ -181,8 +222,9 @@ def _scan(text: str, file: str, bodies: bool = True):
     of every significant token, end of input last, and the line-break index
     the tokens share.  Raises the ParseError of the first character that
     begins no token.  Without `bodies`, the tokens of each module's
-    definitions are left out, up to its first `end` (`_header_spans`), but
-    a character that begins no token still raises its ParseError.
+    definitions are left out, up to its first `end` (`_header_spans`), and
+    only the lines a string search picks are tokenized there (`_stops`),
+    but a character that begins no token still raises its ParseError.
     """
     src = (file, list(map(re.Match.start, _BREAK.finditer(text))), len(text))
     parts = _COMMENT.split(text)  # code, comment, code, ..., code
@@ -853,14 +895,14 @@ def parse_source(text: str, file: str = "<string>"):
 
 def parse_headers(text: str, file: str = "<string>"):
     """`parse_source`'s modules without definitions: its code tokenizes and
-    reads each header and `end` line, and steps over the definitions
-    untokenized, to the module's first `end` (`_scan` without `bodies`), so
+    reads each header and `end` line, and steps over the definitions by
+    string search, to the module's first `end` (`_scan` without `bodies`), so
     only a fault outside them, or a character that begins no token anywhere,
     raises: `parse_source`'s error.  A duplicate name, a clause's or an
     implicit invariant's included, and an unknown type name are faults
     inside them.  Sound as no definition holds `end`; once one can
-    (`cases … end`), the skip must find `end`, then the module's own name,
-    then `module` or the end."""
+    (`cases … end`), the skip must check each `end` it stops at for the
+    module's own name, then `module` or the end, and step on past any other."""
     try:
         return _Parser(text, file, bodies=False).parse_file(bodies=False)
     except (ParseError, ValueError):  # ValueError: no `end` follows a header

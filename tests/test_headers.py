@@ -8,10 +8,10 @@ import pytest
 from conftest import CORPUS
 from test_scan import SPELLINGS, _workload_texts
 
-from defsort import cli
+from defsort import cli, syntax
 from defsort.cli import run
 from defsort.diag import ParseError
-from defsort.syntax import _Parser, _scan, parse_headers, parse_source
+from defsort.syntax import _TAG, _TOKEN, BAD, _Parser, _scan, _stops, _Tags, parse_headers, parse_source
 
 
 def _input_sets():
@@ -261,3 +261,127 @@ def test_the_header_read_scan_leaves_out_every_body_token():
         return _scan(text, "m", bodies=False)[0]
 
     assert tokens(400) == tokens(0) == ["module", "M", "definitions", "end", "M", ""]
+
+
+# ── the header read's skip against tokenizing ─────────────────────────────
+
+
+def _reference_skip(text, start, stop):
+    """Where the header read's skip from the token boundary `start` stops,
+    token by token: the start of the first `definitions`, `end` or
+    character that begins no token, else `stop`."""
+    tags = _Tags(_TAG)
+    for word in _TOKEN.findall(text, start, stop):
+        start += len(word)
+        word = word.lstrip(" \t\r\n")
+        if tags[word] in ("definitions", "end", BAD):
+            return start - len(word)
+    return stop
+
+
+def _reference_stops(text, stop):
+    """The reference skip from the text's start, and from just past each
+    token it stops at, to `stop`: from every start a skip could have."""
+    found = [_reference_skip(text, 0, stop)]
+    while found[-1] < stop:
+        at = found[-1]
+        width = 11 if text.startswith("definitions", at) else 3 if text.startswith("end", at) else 1
+        found.append(_reference_skip(text, at + width, stop))
+    return found
+
+
+def _header_read_skips(text, monkeypatch):
+    """(what `_stops` yields, what the reference skip stops at) on the
+    text and bound that a header-read scan of `text` hands `_stops`; what
+    `_header_spans` took of it is checked to lead it."""
+    handed, taken = [], []
+
+    def spy(blanked, stop):
+        handed.append((blanked, stop))
+        for at in _stops(blanked, stop):
+            taken.append(at)
+            yield at
+
+    monkeypatch.setattr(syntax, "_stops", spy)
+    try:
+        _scan(text, "m", bodies=False)
+    except ParseError:
+        pass
+    monkeypatch.undo()
+    assert len(handed) == 1
+    found = list(_stops(*handed[0]))
+    assert taken == found[:len(taken)]
+    return found, _reference_stops(*handed[0])
+
+
+def test_from_every_start_on_every_input_the_skip_stops_where_tokenizing_does(monkeypatch):
+    inputs = [item for _, files in INPUT_SETS for item in files.items()]
+    inputs += [*_mutated_texts(), *_character_mutated_texts()]
+    inputs += [(name, text.replace("\n", "\r\n")) for name, text in inputs]
+    assert len(inputs) == 2760
+    for _, text in inputs:
+        found, reference = _header_read_skips(text, monkeypatch)
+        assert found == reference, text
+
+
+# snippets where a place a search finds may or may not begin a stop
+SKIP_CASES = {
+    **{case: _two(f"x = {case};") for case in ("x_1", "1_", "x1_", "_end", "'", "'e'", "1end", "x1.5end",
+                                               "1.end", "<end>", "<end", "ending", "end_x", "xdefinitions",
+                                               "definitions1", "é", "\f")},
+    "end-glued-after-a-letter": _two("x = xend;"),
+    "a-literal-past-ascii-then-a-question-mark": _two("x = '\u00e9';", "y = 1 ? 2;"),
+    "two-places-on-one-line": _two("x = 'e' + x_1 + 'f'; y = <end>;"),
+    "crlf": _two("x = 'e';", "y = x_1;").replace("\n", "\r\n"),
+    "no-newline-at-the-end": _two("x = 'e';", "y = 'f';").rstrip("\n"),
+    "a-place-on-the-last-line": _two().rstrip("\n") + " 'e'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_the_skip_stops_where_tokenizing_does(case, monkeypatch):
+    text = SKIP_CASES[case]
+    found, reference = _header_read_skips(text, monkeypatch)
+    assert found == reference
+    assert _outcome(text, "m", bodies=False) == _outcome(text, "m", bodies=True)
+
+
+def test_the_skip_cases_read_as_intended():
+    for case in ("'e'", "ending"):  # the skip over module A's body runs on to its `end`
+        text = SKIP_CASES[case]
+        assert list(_stops(text, len(text)))[1] == text.index("end A")
+    for case in ("1end", "x1.5end", "1.end", "<end"):  # the glued `end` ends module A
+        assert _outcome(SKIP_CASES[case], "m", bodies=False)[0] == "ParseError"
+    for case in ("_end", "1_", "'", "é", "\f", "a-literal-past-ascii-then-a-question-mark"):
+        with pytest.raises(ParseError):
+            parse_headers(SKIP_CASES[case])
+    for case in ("x_1", "x1_", "'e'", "<end>", "ending", "end_x", "xdefinitions", "definitions1", "crlf"):
+        assert [m.name for m in parse_headers(SKIP_CASES[case])] == ["A", "B"]
+
+
+def _guarded_module(definitions):
+    """A module whose functions use `mk_T(…)`, `is_T(…)` and `pre_f` names."""
+    return _module("M", "types\n  T :: a : nat;\nfunctions\n  f : T -> bool\n  f(t) == t.a > 0\n  pre t.a < 9;\n"
+                   + "".join(f"  g{i} : T -> bool\n  g{i}(t) == is_T(mk_T(t.a)) and pre_f(t);\n"
+                             for i in range(definitions)))
+
+
+def test_the_skip_tokenizes_only_the_lines_where_it_stops(monkeypatch):
+    handed = []
+
+    class CountingToken:
+        def findall(self, text, start, stop):
+            handed.append(text[start:stop])
+            return _TOKEN.findall(text, start, stop)
+
+    def tokenized(definitions):
+        handed.clear()
+        monkeypatch.setattr(syntax, "_TOKEN", CountingToken())
+        headers = parse_headers(_guarded_module(definitions))
+        monkeypatch.undo()
+        assert [m.name for m in headers] == ["M"]
+        return list(handed)
+
+    parse_source(_guarded_module(400))  # a module that parses
+    # the lines the skip tokenizes, each before the span `_scan` tokenizes after it
+    assert tokenized(400) == tokenized(0) == ["definitions", "module M\ndefinitions", "end M", "end M"]

@@ -2,17 +2,20 @@
 the lookups that made them before, and the tokens the parser builds on
 demand against the tokens `lex` returns."""
 
+import ast
 import dataclasses
+import importlib
 import importlib.util
 import pathlib
 import random
+import re
 import sys
 
 import pytest
 from test_syntax_reference import CORPUS, lex_both, module_text, parse_both
 
 from defsort.diag import ParseError, Record
-from defsort.syntax import _FIRST, _TAG, BAD, EOF, NAT, REAL, Token, _scan, lex, parse_source
+from defsort.syntax import _FIRST, _TAG, _TOKEN, BAD, EOF, NAT, REAL, Token, _scan, lex, parse_source
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -187,3 +190,42 @@ def test_no_tag_outlives_its_scan():
     _scan_tags(first, "A")
     assert _TAG == seed  # the table a scan starts from gains no spelling
     assert _scan_tags(later, "B") == fresh
+
+
+# ── patterns every supported Python compiles ──────────────────────────────
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "defsort"
+RE_FUNCTIONS = {"compile", "match", "fullmatch", "search", "findall", "finditer", "split", "sub", "subn"}
+# possessive repeats and atomic groups came to `re` in Python 3.11
+NEWER_SYNTAX = ("*+", "++", "?+", "}+", "(?>")
+
+
+def _regex_patterns():
+    """(where, pattern) for each regular expression in `src/defsort`: the
+    first argument of each `re` call, worked out in its module's namespace
+    where it can be, and every string literal in that argument, and each
+    compiled pattern a module holds."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"defsort.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, re.Pattern):
+                yield path.name, value.pattern
+        for call in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(call, ast.Call) and call.args and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "re"
+                    and call.func.attr in RE_FUNCTIONS):
+                where = f"{path.name}:{call.lineno}"
+                try:
+                    yield where, eval(compile(ast.Expression(call.args[0]), path.name, "eval"), vars(module))
+                except NameError:  # built from local names
+                    pass
+                for node in ast.walk(call.args[0]):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        yield where, node.value
+
+
+def test_no_pattern_needs_a_newer_python_than_the_package_supports():
+    patterns = list(_regex_patterns())
+    assert _TOKEN.pattern in {pattern for _, pattern in patterns}
+    for where, pattern in patterns:
+        assert not [s for s in NEWER_SYNTAX if s in pattern], (where, pattern)
