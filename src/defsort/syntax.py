@@ -5,7 +5,9 @@ texts, tags and offsets, and the parser reads those lists by index,
 building a `Token` only for a location the tree keeps.  A header read
 (`parse_headers`) tokenizes only each module's header and `end` line, and
 steps over the definitions between by string searches, tokenizing only
-the lines where a search finds a place that might end the step.  The
+the lines where a search finds a place that might end the step; it builds
+no line-break index, and counts the line breaks before a token only when
+its location is read (`_Lines`).  The
 parser is a recursive descent, except that an expression is read by one
 operator-precedence loop.  Every definition keeps the exact source text it
 came from (`verbatim`, leading comments included), so later stages can
@@ -59,9 +61,39 @@ _PUNCT = (
 )
 
 
+class _Lines:
+    """A header read's stand-in for the line-break index: it locates an
+    offset by counting the line breaks between it and the last offset it
+    located (`str.count`), so locating offsets in text order counts each
+    line break at most once, and no index is built."""
+
+    __slots__ = ("text", "off", "line", "start")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.off = 0  # the last offset located,
+        self.line = 1  # its line,
+        self.start = 0  # and the offset that line starts at
+
+    def locate(self, off: int) -> tuple:
+        """(line, column) of offset `off`."""
+        text = self.text
+        if off >= self.off:
+            breaks = text.count("\n", self.off, off)
+            if breaks:
+                self.line += breaks
+                self.start = text.rfind("\n", self.off, off) + 1
+        else:
+            self.line -= text.count("\n", off, self.off)
+            self.start = text.rfind("\n", 0, off) + 1
+        self.off = off
+        return self.line, off - self.start + 1
+
+
 class Token(Location):
     """One token, and its own location: line and column are worked out when
-    read, from the line-break index its lex shares, as most are never read."""
+    read, as most are never read, from the line-break index its lex shares;
+    a header read builds none, and its tokens count them out (`_Lines`)."""
 
     __slots__ = ("kind", "text", "off", "src")
 
@@ -69,15 +101,20 @@ class Token(Location):
         self.kind = kind  # kw punct name nat real char quote comment eof
         self.text = text
         self.off = off
-        self.src = src  # (file, offsets of every line break, text length), shared per lex
+        self.src = src  # (file, offsets of every line break or a _Lines, text length), shared per lex
 
     @property
     def line(self) -> int:
-        return bisect_left(self.src[1], self.off) + 1  # one past the breaks before it
+        breaks = self.src[1]
+        if type(breaks) is _Lines:
+            return breaks.locate(self.off)[0]
+        return bisect_left(breaks, self.off) + 1  # one past the breaks before it
 
     @property
     def col(self) -> int:
         breaks = self.src[1]
+        if type(breaks) is _Lines:
+            return breaks.locate(self.off)[1]
         i = bisect_left(breaks, self.off)
         return self.off - breaks[i - 1] if i else self.off + 1
 
@@ -219,14 +256,17 @@ def _scan(text: str, file: str, bodies: bool = True):
     once per distinct spelling, to tag it (`_Tags`).
 
     Returns (texts, tags, ends, src): the source text, tag and end offset
-    of every significant token, end of input last, and the line-break index
-    the tokens share.  Raises the ParseError of the first character that
-    begins no token.  Without `bodies`, the tokens of each module's
-    definitions are left out, up to its first `end` (`_header_spans`), and
-    only the lines a string search picks are tokenized there (`_stops`),
-    but a character that begins no token still raises its ParseError.
+    of every significant token, end of input last, and the (file, line
+    breaks, text length) the tokens share.  Raises the ParseError of the
+    first character that begins no token.  Without `bodies`, the tokens of
+    each module's definitions are left out, up to its first `end`
+    (`_header_spans`), and only the lines a string search picks are
+    tokenized there (`_stops`), but a character that begins no token still
+    raises its ParseError; and no line-break index is built: the line
+    breaks are a `_Lines`, which counts them as tokens are located.
     """
-    src = (file, list(map(re.Match.start, _BREAK.finditer(text))), len(text))
+    lines = list(map(re.Match.start, _BREAK.finditer(text))) if bodies else _Lines(text)
+    src = (file, lines, len(text))
     parts = _COMMENT.split(text)  # code, comment, code, ..., code
     if len(parts) > 1:
         # each comment blanked to as many spaces, so the tokens keep their offsets
@@ -285,6 +325,7 @@ def pattern_names_distinct(patterns, where: str):
 
 
 _SECTION_ENDS = (*SECTION_KEYWORDS, "end", EOF)
+_IMPORT = ["from", NAME, "all"]  # the tags of an import, after `imports` or a comma
 # the tags a definition of each section can start with
 _DEFINITION_STARTS = {"types": (NAME,), "values": (NAME, "-", "[", "{"), "functions": (NAME,)}
 _COLLECTION_TYPES = {"seq": N.TSeq, "seq1": N.TSeq1, "set": N.TSet}
@@ -377,17 +418,25 @@ class _Parser:
         if exports_all:
             self._need("all")
         imports = []
-        while self._skip("imports"):
-            imports.append(self._import())
-            while self._skip(","):
-                imports.append(self._import())
+        tags = self.tags
+        i = self.i
+        # each `from M all` after `imports` or, in a list, after a comma
+        while tags[i] == "imports" or tags[i] == "," and imports:
+            if tags[i + 1:i + 4] != _IMPORT:
+                self.i = i + 1
+                self._need("from")
+                self._take_name("module name")
+                self._need("all")  # one of the three raises
+            word = self.texts[i + 2]
+            imports.append(N.ImportRef(word, Token("name", word, self.ends[i + 2] - len(word), self.src)))
+            i += 4
+        self.i = i
         if not exports_all and self._skip("exports"):
             self._need("all")
             exports_all = True
         self._need("definitions")
         defs: list = []
         self.type_uses = []  # (name, token index) of each type name read, in source order
-        tags = self.tags
         if not bodies:  # on to the first `end`; a ValueError if none follows
             self.i = tags.index("end", self.i)
         while tags[self.i] in SECTION_KEYWORDS:
@@ -414,13 +463,6 @@ class _Parser:
             file=self.file,
             name_loc=name_tok,
         )
-
-    def _import(self) -> N.ImportRef:
-        """`from M all`: the import of module M."""
-        self._need("from")
-        t = self._take_name("module name")
-        self._need("all")
-        return N.ImportRef(t.text, t)
 
     # definitions
 
@@ -898,7 +940,9 @@ def parse_headers(text: str, file: str = "<string>"):
     reads each header and `end` line, and steps over the definitions by
     string search, to the module's first `end` (`_scan` without `bodies`), so
     only a fault outside them, or a character that begins no token anywhere,
-    raises: `parse_source`'s error.  A duplicate name, a clause's or an
+    raises: `parse_source`'s error.  No line-break index is built: a token
+    it keeps counts out its line and column when they are read (`_Lines`),
+    which equal `parse_source`'s.  A duplicate name, a clause's or an
     implicit invariant's included, and an unknown type name are faults
     inside them.  Sound as no definition holds `end`; once one can
     (`cases … end`), the skip must check each `end` it stops at for the

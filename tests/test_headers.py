@@ -3,6 +3,7 @@ equal headers wherever the bodies parse, the same located error for a fault
 outside the definitions, and no error for a fault inside one."""
 
 import random
+from itertools import chain, zip_longest
 
 import pytest
 from conftest import CORPUS
@@ -11,7 +12,8 @@ from test_scan import SPELLINGS, _workload_texts
 from defsort import cli, syntax
 from defsort.cli import run
 from defsort.diag import ParseError
-from defsort.syntax import _TAG, _TOKEN, BAD, _Parser, _scan, _stops, _Tags, parse_headers, parse_source
+from defsort.syntax import (_BREAK, _TAG, _TOKEN, BAD, _Parser, _scan, _stops, _Tags, parse_headers,
+                            parse_source)
 
 
 def _input_sets():
@@ -385,3 +387,127 @@ def test_the_skip_tokenizes_only_the_lines_where_it_stops(monkeypatch):
     parse_source(_guarded_module(400))  # a module that parses
     # the lines the skip tokenizes, each before the span `_scan` tokenizes after it
     assert tokenized(400) == tokenized(0) == ["definitions", "module M\ndefinitions", "end M", "end M"]
+
+
+# ── the header read's locations, counted out when read ────────────────────
+
+
+def _in_reverse(modules):
+    return [t for tokens in reversed(modules) for t in reversed(tokens)]
+
+
+def _interleaved(modules):
+    """The first token of each module, then the second of each, and so on."""
+    return [t for t in chain.from_iterable(zip_longest(*modules)) if t is not None]
+
+
+def _interleaved_from_the_last(modules):
+    return _interleaved(modules[::-1])
+
+
+def _in_text_order(modules):
+    return [t for tokens in modules for t in tokens]
+
+
+def _located(text, name, bodies, order):
+    """(line, column, file) of each module name and import token of the
+    header read, in text order, read in the order `order` gives; or the
+    type and text of the read's error."""
+    try:
+        modules = _Parser(text, name, bodies).parse_file(bodies=False)
+    except (ParseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    tokens = [[m.name_loc, *(imp.loc for imp in m.imports)] for m in modules]
+    at = {id(t): (t.line, t.col, t.file) for t in order(tokens)}
+    return [at[id(t)] for t in _in_text_order(tokens)]
+
+
+READ_ORDERS = (_in_text_order, _in_reverse, _interleaved, _interleaved_from_the_last)
+
+
+def test_on_every_input_the_header_read_locates_its_tokens_in_any_order_as_the_full_scan_does():
+    inputs = [item for _, files in INPUT_SETS for item in files.items()]
+    inputs += [*_mutated_texts(), *_character_mutated_texts()]
+    inputs += [(name, text.replace("\n", "\r\n")) for name, text in inputs]
+    assert len(inputs) == 2760
+    located = 0
+    for name, text in inputs:
+        full = _located(text, name, True, _in_text_order)
+        for order in READ_ORDERS:
+            assert _located(text, name, False, order) == full, (order.__name__, text)
+        located += isinstance(full, list) and len(full) > 1
+    assert located > 200  # texts with two or more header tokens
+
+
+def _three(header_b="imports from A all\n", between=""):
+    return (_module("A", "values\n  x = 1;") + between + _module("B", "values\n  y = 2;", header_b)
+            + _module("C", "values\n  z = 3;", "imports from A all, from B all\n"))
+
+
+# where counting line breaks could part from the full scan's index: long
+# runs of comment or blank lines before a header, other line ends, tabs,
+# and an error deep in a body
+LOCATION_CASES = {
+    "a-module-after-1000-comment-lines": "".join(f"-- comment {i}\n" for i in range(1000)) + _three(),
+    "a-second-module-after-500-blank-lines": _three(between="\n" * 500),
+    "crlf": _three().replace("\n", "\r\n"),
+    "tab-indented-headers": _three("\timports\tfrom A all\n").replace("module", "\t\tmodule")
+                                                               .replace("end", "\tend"),
+    "no-newline-at-the-end": _three().rstrip("\n"),
+    "a-bad-character-on-line-503": _module("D", "values\n" + "".join(f"  v{i} = {i};\n" for i in range(499))
+                                           + "  w = 1 ! 2;") + _three(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATION_CASES))
+def test_the_header_read_locates_what_the_full_parse_locates(case):
+    text = LOCATION_CASES[case]
+    full = _located(text, "m", True, _in_text_order)
+    for order in READ_ORDERS:
+        assert _located(text, "m", False, order) == full, order.__name__
+    assert _read(parse_headers, text, "m") == _read(parse_source, text, "m")
+
+
+def test_the_location_cases_read_as_intended():
+    for case in ("a-module-after-1000-comment-lines", "a-second-module-after-500-blank-lines"):
+        text = LOCATION_CASES[case]
+        lines = [text[:text.index(f"module {name}")].count("\n") + 1 for name in "ABC"]
+        assert [m.name_loc.line for m in parse_headers(text)] == lines
+    tabbed = parse_headers(LOCATION_CASES["tab-indented-headers"])
+    assert [(m.name_loc.line, m.name_loc.col) for m in tabbed] == [(1, 10), (6, 10), (12, 10)]
+    with pytest.raises(ParseError) as error:
+        parse_headers(LOCATION_CASES["a-bad-character-on-line-503"], "deep.vdmsl")
+    assert str(error.value) == "deep.vdmsl:503:9: unexpected character '!'"
+
+
+def test_a_bad_character_deep_in_a_body_is_reported_by_order_at_the_line_check_reports(tmp_path, capsys):
+    paths = _write(tmp_path, {"deep.vdmsl": LOCATION_CASES["a-bad-character-on-line-503"]})
+    assert run(["check", *paths]) == 1
+    checked = capsys.readouterr()
+    assert run(["order", *paths]) == 1
+    assert capsys.readouterr() == checked == ("", f"{paths[0]}:503:9: unexpected character '!'\n")
+
+
+def test_the_header_read_counts_line_breaks_only_up_to_the_tokens_it_locates(monkeypatch):
+    indexed, counted = [], []
+
+    class CountingBreak:
+        def finditer(self, text, *span):
+            indexed.append(len(text))
+            return _BREAK.finditer(text, *span)
+
+    class CountingText(str):
+        def count(self, sub, *span):
+            start, stop = span
+            counted.append(stop - start)
+            return str.count(self, sub, *span)
+
+    monkeypatch.setattr(syntax, "_BREAK", CountingBreak())
+    text = _guarded_module(400)
+    parse_source(text)
+    assert indexed == [len(text)]  # the full parse indexes every line break
+    indexed.clear()
+    [header] = parse_headers(CountingText(text))
+    assert counted == []  # no location is read while reading
+    assert (header.name_loc.line, header.name_loc.col) == (1, 8)
+    assert indexed == [] and sum(counted) == len("module ")
