@@ -67,12 +67,12 @@ class DefNode(Record):
     """One flattened node; two nodes are equal only when they are one.
 
     `owner` is the type or function node a clause node was flattened from,
-    None for a primary (type, value or function) node, `location` its
-    declaration `Loc` (for ordering and labels), `bound` the names its body
-    may use without depending on them, `def_index` the index of its
-    definition in the source module (equal for the nodes of one definition)
-    and `body` its expression, or None.  Its key is built once, so graphs
-    share the tuple.
+    None for a primary (type, value or function) node, `location` where it
+    is declared, as the parser located it (graphs order and label nodes by
+    its `place`), `bound` the names its body may use without depending on
+    them, `def_index` the index of its definition in the source module
+    (equal for the nodes of one definition) and `body` its expression, or
+    None.  Its key is built once, so graphs share the tuple.
     """
 
     __slots__ = ("name", "namespace", "kind", "owner", "synthetic", "location", "bound",
@@ -98,18 +98,22 @@ class FlatModule(Record):
 
 
 TRUE_LIT = N.Lit("bool", True, Loc(0, 0))
+_NO_NAMES = frozenset()  # every node that binds no name shares it: frozenset(()) makes a new set
 
 
 def collect(m: N.SourceModule) -> FlatModule:
     """Flatten a parsed module: a node per `nodes.declared_names` entry, in its
-    order, whose names the parser has checked (`syntax._check_toplevel_names`)."""
+    order, whose names the parser has checked (`syntax._check_toplevel_names`).
+    A node keeps its site as the parser made it, the name's or pattern's
+    token, and an implicit `inv_T` its owner's location: no location is
+    copied or resolved here."""
     nodes: list = []
     owners: dict = {}  # a type's or function's definition index -> its node
 
     def add(name, kind, owner, loc, bound, di, body, synthetic=False):
         ns = Namespace.TYPE if kind is DefKind.TYPE_DEF else Namespace.FUNCTION
-        loc = Loc(loc.line, loc.col, loc.file)  # resolved once: every edge and sort reads it
-        node = DefNode(name, ns, kind, owner, synthetic, loc, frozenset(bound), di, body)
+        bound = frozenset(bound) if bound else _NO_NAMES
+        node = DefNode(name, ns, kind, owner, synthetic, loc, bound, di, body)
         nodes.append(node)
         return node
 

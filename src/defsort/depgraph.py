@@ -50,7 +50,7 @@ class DepGraph:
         if old is None:
             self._witness[i, j] = e
             insort(self.deps[i], j)
-        elif (e.at.line, e.at.col) < (old.at.line, old.at.col):
+        elif e.at.place < old.at.place:
             self._witness[i, j] = e
 
     def remove_edge(self, user: NodeKey, used: NodeKey):
@@ -59,12 +59,12 @@ class DepGraph:
         self.deps[i].remove(j)
 
     def places(self) -> list:
-        """Per position, where the node is declared, as one int that orders
-        and compares like its `location`'s (line, column), as columns stay
-        below 2**32.  Worked out on first use and kept, as the nodes never
-        change; definition graphs only, as a module node has no location."""
+        """Per position, where the node is declared: its `location`'s
+        `place`, `line << 32 | col`, whatever the location's class.  Worked
+        out on first use and kept, as the nodes never change; definition
+        graphs only, as a module node has no location."""
         if self._places is None:
-            self._places = [n.location.line << 32 | n.location.col for n in self.nodes.values()]
+            self._places = [n.location.place for n in self.nodes.values()]
         return self._places
 
 

@@ -41,10 +41,10 @@ def emit_def_dot(g: DepGraph, report: SortReport | FlatModule) -> str:
     each node's edges by declaration location, then collection order.  Of
     `report` only the module name is read, which a FlatModule has too."""
     nodes = list(g.nodes.values())
-    place = g.places().__getitem__
+    place = g.places()
     starts = {n.key for n in start_points(g)}
     ids = _node_ids(nodes)
-    order = sorted(range(len(nodes)), key=place)
+    order = sorted(range(len(nodes)), key=place.__getitem__)
     name = report.module_name
     if name.lower() in _DOT_KEYWORDS:
         name = f'"{name}"'
@@ -53,10 +53,11 @@ def emit_def_dot(g: DepGraph, report: SortReport | FlatModule) -> str:
         node = nodes[i]
         style = _node_style(node, node.key in starts, bool(g.deps[i]))
         lines.append(
-            f'    "{ids[i]}" [label="{node.name}\\n(line {node.location.line})", {style}];'
+            f'    "{ids[i]}" [label="{node.name}\\n(line {place[i] >> 32})", {style}];'
         )
     for i in order:
-        lines += [f'    "{ids[i]}" -> "{ids[j]}";' for j in sorted(g.deps[i], key=place)]
+        lines += [f'    "{ids[i]}" -> "{ids[j]}";'
+                  for j in sorted(g.deps[i], key=place.__getitem__)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -91,9 +91,10 @@ class _Lines:
 
 
 class Token(Location):
-    """One token, and its own location: line and column are worked out when
-    read, as most are never read, from the line-break index its lex shares;
-    a header read builds none, and its tokens count them out (`_Lines`)."""
+    """One token, and its own location: its `place`, and so its line and
+    column, is worked out when read, as most are never read, by one bisect
+    of the line-break index its lex shares; a header read builds none, and
+    its tokens count the line breaks out instead (`_Lines`)."""
 
     __slots__ = ("kind", "text", "off", "src")
 
@@ -104,19 +105,21 @@ class Token(Location):
         self.src = src  # (file, offsets of every line break or a _Lines, text length), shared per lex
 
     @property
-    def line(self) -> int:
-        breaks = self.src[1]
+    def place(self) -> int:
+        breaks, off = self.src[1], self.off
         if type(breaks) is _Lines:
-            return breaks.locate(self.off)[0]
-        return bisect_left(breaks, self.off) + 1  # one past the breaks before it
+            line, col = breaks.locate(off)
+            return line << 32 | col
+        i = bisect_left(breaks, off)  # the breaks before it: its line is one past them
+        return (i + 1) << 32 | (off - breaks[i - 1] if i else off + 1)
+
+    @property
+    def line(self) -> int:
+        return self.place >> 32
 
     @property
     def col(self) -> int:
-        breaks = self.src[1]
-        if type(breaks) is _Lines:
-            return breaks.locate(self.off)[1]
-        i = bisect_left(breaks, self.off)
-        return self.off - breaks[i - 1] if i else self.off + 1
+        return self.place & 0xFFFFFFFF
 
     @property
     def file(self) -> str:

@@ -270,3 +270,16 @@ def test_a_node_builds_its_key_once_and_the_graph_shares_it():
     g = build_graph(fm)
     assert g.edges and all(id(k) in keys for k in g.nodes)
     assert all(id(e.user) in keys and id(e.used) in keys for e in g.edges)
+
+
+def test_every_node_that_binds_no_name_shares_one_empty_set():
+    fm = _flat(
+        "module E\ndefinitions\ntypes\n    T = nat;\n    S = nat inv s == s > 0;\n"
+        "values\n    v = 1;\nfunctions\n    f: () -> nat\n    f() == 1;\n"
+        "    g: nat -> nat\n    g(x) == x pre x > 0;\nend E\n"
+    )
+    empty = [n for n in fm.nodes if not n.bound]
+    assert [n.name for n in empty] == ["T", "S", "v", "f", "inv_T"]
+    assert len({id(n.bound) for n in empty}) == 1
+    assert {n.name: sorted(n.bound) for n in fm.nodes if n.bound} == {
+        "inv_S": ["s"], "g": ["x"], "pre_g": ["x"]}
