@@ -159,7 +159,8 @@ def _read(path: str) -> str:
 def _run_file(path: str, handle, parse) -> int:
     """Parse one file by `parse`, hand its modules to `handle(path, mods)`; returns
     its error count.  Any error stops the file: the one place one is caught.  The
-    text is freed once parsed, and the trees and analyses on return."""
+    text, which the trees' tokens keep, is freed with them and the analyses on
+    return."""
     try:
         return handle(path, parse(_read(path), path))
     except Exception as exc:

@@ -5,19 +5,18 @@ texts, tags and offsets, and the parser reads those lists by index,
 building a `Token` only for a location the tree keeps.  A header read
 (`parse_headers`) tokenizes only each module's header and `end` line, and
 steps over the definitions between by string searches, tokenizing only
-the lines where a search finds a place that might end the step; it builds
-no line-break index, and counts the line breaks before a token only when
-its location is read (`_Lines`).  The
-parser is a recursive descent, except that an expression is read by one
-operator-precedence loop.  Every definition keeps the exact source text it
-came from (`verbatim`, leading comments included), so later stages can
-move definitions around without touching their text.
+the lines where a search finds a place that might end the step.  Either
+scan counts the line breaks before a token only when its location is
+read (`_Source`).  The parser is a recursive descent, except that an
+expression is read by one operator-precedence loop.  Every definition
+keeps the exact source text it came from (`verbatim`, leading comments
+included), so later stages can move definitions around without touching
+their text.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from heapq import merge
 from itertools import accumulate, repeat
 
@@ -61,57 +60,50 @@ _PUNCT = (
 )
 
 
-class _Lines:
-    """A header read's stand-in for the line-break index: it locates an
-    offset by counting the line breaks between it and the last offset it
-    located (`str.count`), so locating offsets in text order counts each
-    line break at most once, and no index is built."""
+class _Source:
+    """One scanned file, as its tokens share it: the file name, its text,
+    and the last offset located, its line and the offset that line starts
+    at (`at`).  A token's place is counted from `at`, and `at` is replaced
+    in one store, so reads from several threads never mix two locations."""
 
-    __slots__ = ("text", "off", "line", "start")
+    __slots__ = ("file", "text", "at")
 
-    def __init__(self, text: str):
+    def __init__(self, file: str, text: str):
+        self.file = file
         self.text = text
-        self.off = 0  # the last offset located,
-        self.line = 1  # its line,
-        self.start = 0  # and the offset that line starts at
-
-    def locate(self, off: int) -> tuple:
-        """(line, column) of offset `off`."""
-        text = self.text
-        if off >= self.off:
-            breaks = text.count("\n", self.off, off)
-            if breaks:
-                self.line += breaks
-                self.start = text.rfind("\n", self.off, off) + 1
-        else:
-            self.line -= text.count("\n", off, self.off)
-            self.start = text.rfind("\n", 0, off) + 1
-        self.off = off
-        return self.line, off - self.start + 1
+        self.at = (0, 1, 0)
 
 
 class Token(Location):
     """One token, and its own location: its `place`, and so its line and
-    column, is worked out when read, as most are never read, by one bisect
-    of the line-break index its lex shares; a header read builds none, and
-    its tokens count the line breaks out instead (`_Lines`)."""
+    column, is worked out when read, as most are never read, by counting
+    the line breaks between it and the offset its file last located
+    (`_Source`), so reading the locations of a file in text order counts
+    each line break at most once."""
 
     __slots__ = ("kind", "text", "off", "src")
 
-    def __init__(self, kind: str, text: str, off: int, src: tuple):
+    def __init__(self, kind: str, text: str, off: int, src: _Source):
         self.kind = kind  # kw punct name nat real char quote comment eof
         self.text = text
         self.off = off
-        self.src = src  # (file, offsets of every line break or a _Lines, text length), shared per lex
+        self.src = src
 
     @property
     def place(self) -> int:
-        breaks, off = self.src[1], self.off
-        if type(breaks) is _Lines:
-            line, col = breaks.locate(off)
-            return line << 32 | col
-        i = bisect_left(breaks, off)  # the breaks before it: its line is one past them
-        return (i + 1) << 32 | (off - breaks[i - 1] if i else off + 1)
+        src, off = self.src, self.off
+        text = src.text
+        last, line, start = src.at
+        if off >= last:
+            breaks = text.count("\n", last, off)
+            if breaks:
+                line += breaks
+                start = text.rfind("\n", last, off) + 1
+        else:
+            line -= text.count("\n", off, last)
+            start = text.rfind("\n", 0, off) + 1
+        src.at = off, line, start
+        return line << 32 | off - start + 1
 
     @property
     def line(self) -> int:
@@ -123,15 +115,14 @@ class Token(Location):
 
     @property
     def file(self) -> str:
-        return self.src[0]
+        return self.src.file
 
     @property
     def end(self) -> int:
         """Offset just past the token's source text."""
         if self.kind == "comment":  # its text drops a trailing carriage return
-            _, breaks, length = self.src
-            i = bisect_left(breaks, self.off)
-            return breaks[i] if i < len(breaks) else length
+            end = self.src.text.find("\n", self.off)
+            return end if end >= 0 else len(self.src.text)
         quoted = self.kind == "char" or self.kind == "quote"
         return self.off + len(self.text) + (2 if quoted else 0)
 
@@ -187,7 +178,6 @@ _WORD = (  # every token but the other character, in the order `_TOKEN` tries th
     + r"]|[0-9]+(?:\.[0-9]+)?|'[^'\n]'"
 )
 _TOKEN = re.compile(r"[ \t\r\n]*(?:" + _WORD + r"|[^ \t\r\n])", re.ASCII)  # so `\w` is [A-Za-z0-9_]
-_BREAK = re.compile(r"\n")
 
 # Where a header read's skip may stop (`_stops`), each found by string
 # search: `end`, `definitions`, `_`, and a quote mark, which opens a
@@ -259,17 +249,14 @@ def _scan(text: str, file: str, bodies: bool = True):
     once per distinct spelling, to tag it (`_Tags`).
 
     Returns (texts, tags, ends, src): the source text, tag and end offset
-    of every significant token, end of input last, and the (file, line
-    breaks, text length) the tokens share.  Raises the ParseError of the
-    first character that begins no token.  Without `bodies`, the tokens of
-    each module's definitions are left out, up to its first `end`
-    (`_header_spans`), and only the lines a string search picks are
-    tokenized there (`_stops`), but a character that begins no token still
-    raises its ParseError; and no line-break index is built: the line
-    breaks are a `_Lines`, which counts them as tokens are located.
+    of every significant token, end of input last, and the `_Source` the
+    tokens share.  Raises the ParseError of the first character that
+    begins no token.  Without `bodies`, the tokens of each module's
+    definitions are left out, up to its first `end` (`_header_spans`), and
+    only the lines a string search picks are tokenized there (`_stops`),
+    but a character that begins no token still raises its ParseError.
     """
-    lines = list(map(re.Match.start, _BREAK.finditer(text))) if bodies else _Lines(text)
-    src = (file, lines, len(text))
+    src = _Source(file, text)
     parts = _COMMENT.split(text)  # code, comment, code, ..., code
     if len(parts) > 1:
         # each comment blanked to as many spaces, so the tokens keep their offsets
@@ -341,8 +328,6 @@ class _Parser:
     `Token` only for a location that a node or an error keeps."""
 
     def __init__(self, text: str, file: str, bodies: bool = True):
-        self.text = text
-        self.file = file
         self.texts, self.tags, self.ends, self.src = _scan(text, file, bodies)
         self.i = 0
 
@@ -463,7 +448,7 @@ class _Parser:
             exports_all=exports_all,
             imports=tuple(imports),
             definitions=tuple(defs),
-            file=self.file,
+            file=self.src.file,
             name_loc=name_tok,
         )
 
@@ -487,7 +472,7 @@ class _Parser:
         tag = self.tags[self.i]
         if not self._skip(";") and tag not in _SECTION_ENDS and tag not in _DEFINITION_STARTS[section]:
             raise self._expected("';' or a new definition")
-        text = self.text
+        text = self.src.text
         start = text.find("--", boundary, first)
         if start < 0:
             start = first
@@ -943,9 +928,7 @@ def parse_headers(text: str, file: str = "<string>"):
     reads each header and `end` line, and steps over the definitions by
     string search, to the module's first `end` (`_scan` without `bodies`), so
     only a fault outside them, or a character that begins no token anywhere,
-    raises: `parse_source`'s error.  No line-break index is built: a token
-    it keeps counts out its line and column when they are read (`_Lines`),
-    which equal `parse_source`'s.  A duplicate name, a clause's or an
+    raises: `parse_source`'s error.  A duplicate name, a clause's or an
     implicit invariant's included, and an unknown type name are faults
     inside them.  Sound as no definition holds `end`; once one can
     (`cases … end`), the skip must check each `end` it stops at for the

@@ -7,13 +7,13 @@ from itertools import chain, zip_longest
 
 import pytest
 from conftest import CORPUS
+from test_places import _counted
 from test_scan import SPELLINGS, _workload_texts
 
 from defsort import cli, syntax
 from defsort.cli import run
 from defsort.diag import ParseError
-from defsort.syntax import (_BREAK, _TAG, _TOKEN, BAD, _Parser, _scan, _stops, _Tags, parse_headers,
-                            parse_source)
+from defsort.syntax import _TAG, _TOKEN, BAD, _Parser, _scan, _stops, _Tags, lex, parse_headers, parse_source
 
 
 def _input_sets():
@@ -411,24 +411,36 @@ def _in_text_order(modules):
 
 def _located(text, name, bodies, order):
     """(line, column, file) of each module name and import token of the
-    header read, in text order, read in the order `order` gives; or the
-    type and text of the read's error."""
+    header read, in text order, read in the order `order` gives, each
+    checked against the line and column counted from the text; or the type
+    and text of the read's error, whose location is checked so too."""
     try:
         modules = _Parser(text, name, bodies).parse_file(bodies=False)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # no `end` follows a header
+        return type(exc).__name__, str(exc)
+    except ParseError as exc:
+        assert (exc.at.line, exc.at.col) == _counted(text, [exc.at.off])[exc.at.off]
         return type(exc).__name__, str(exc)
     tokens = [[m.name_loc, *(imp.loc for imp in m.imports)] for m in modules]
     at = {id(t): (t.line, t.col, t.file) for t in order(tokens)}
-    return [at[id(t)] for t in _in_text_order(tokens)]
+    located = [at[id(t)] for t in _in_text_order(tokens)]
+    counted = _counted(text, [t.off for t in _in_text_order(tokens)])
+    assert located == [(*counted[t.off], name) for t in _in_text_order(tokens)], order.__name__
+    return located
 
 
 READ_ORDERS = (_in_text_order, _in_reverse, _interleaved, _interleaved_from_the_last)
 
 
-def test_on_every_input_the_header_read_locates_its_tokens_in_any_order_as_the_full_scan_does():
-    inputs = [item for _, files in INPUT_SETS for item in files.items()]
+def _every_input(sets=INPUT_SETS):
+    """The files of `sets` and the mutated corpus texts, on LF and on CRLF text."""
+    inputs = [item for _, files in sets for item in files.items()]
     inputs += [*_mutated_texts(), *_character_mutated_texts()]
-    inputs += [(name, text.replace("\n", "\r\n")) for name, text in inputs]
+    return inputs + [(name, text.replace("\n", "\r\n")) for name, text in inputs]
+
+
+def test_on_every_input_the_header_read_locates_its_tokens_in_any_order_as_the_full_scan_does():
+    inputs = _every_input()
     assert len(inputs) == 2760
     located = 0
     for name, text in inputs:
@@ -437,6 +449,47 @@ def test_on_every_input_the_header_read_locates_its_tokens_in_any_order_as_the_f
             assert _located(text, name, False, order) == full, (order.__name__, text)
         located += isinstance(full, list) and len(full) > 1
     assert located > 200  # texts with two or more header tokens
+
+
+def _scanned(text, name, order):
+    """(offset, line, column, file, and a comment's end) of every token and
+    comment that `lex` returns, in text order, each read in the order
+    `order` gives with the tokens grouped by module; None if the text does
+    not lex."""
+    try:
+        tokens, comments = lex(text, name)
+    except ParseError:
+        return None
+    modules = []
+    for t in sorted(tokens + comments, key=lambda t: t.off):
+        if not modules or t.kind == "kw" and t.text == "module":
+            modules.append([])
+        modules[-1].append(t)
+    at = {id(t): (t.off, t.line, t.col, t.file, t.end if t.kind == "comment" else None) for t in order(modules)}
+    return [at[id(t)] for t in _in_text_order(modules)]
+
+
+def test_on_every_input_the_full_scan_locates_its_tokens_in_any_order_as_the_text_does():
+    # the workloads at one seed, as the full scan's tokens are many, and
+    # texts that end in a comment with no line break after it
+    inputs = _every_input([(key, files) for key, files in INPUT_SETS if not key.endswith(("-23", "-401"))])
+    inputs += [(case, text.rstrip("\r\n") + " -- the end") for case, text in LOCATION_CASES.items()]
+    scanned = 0
+    for name, text in inputs:
+        read = [_scanned(text, name, order) for order in READ_ORDERS]
+        if read[0] is None:
+            continue
+        lines = text.split("\n")
+        counted = _counted(text, [off for off, *_ in read[0]])
+        expected = []
+        for off, *_, end in read[0]:
+            line, col = counted[off]
+            # a comment ends where its line does
+            expected.append((off, line, col, name, None if end is None else off - col + 1 + len(lines[line - 1])))
+        for order, located in zip(READ_ORDERS, read):
+            assert located == expected, (order.__name__, text)
+        scanned += 1
+    assert scanned > 1000
 
 
 def _three(header_b="imports from A all\n", between=""):
@@ -488,13 +541,8 @@ def test_a_bad_character_deep_in_a_body_is_reported_by_order_at_the_line_check_r
     assert capsys.readouterr() == checked == ("", f"{paths[0]}:503:9: unexpected character '!'\n")
 
 
-def test_the_header_read_counts_line_breaks_only_up_to_the_tokens_it_locates(monkeypatch):
-    indexed, counted = [], []
-
-    class CountingBreak:
-        def finditer(self, text, *span):
-            indexed.append(len(text))
-            return _BREAK.finditer(text, *span)
+def test_every_scan_counts_line_breaks_only_up_to_the_tokens_it_locates():
+    counted = []
 
     class CountingText(str):
         def count(self, sub, *span):
@@ -502,12 +550,10 @@ def test_the_header_read_counts_line_breaks_only_up_to_the_tokens_it_locates(mon
             counted.append(stop - start)
             return str.count(self, sub, *span)
 
-    monkeypatch.setattr(syntax, "_BREAK", CountingBreak())
-    text = _guarded_module(400)
-    parse_source(text)
-    assert indexed == [len(text)]  # the full parse indexes every line break
-    indexed.clear()
-    [header] = parse_headers(CountingText(text))
-    assert counted == []  # no location is read while reading
-    assert (header.name_loc.line, header.name_loc.col) == (1, 8)
-    assert indexed == [] and sum(counted) == len("module ")
+    text = CountingText(_guarded_module(400))
+    for parse in (parse_source, parse_headers):
+        counted.clear()
+        [module] = parse(text)
+        assert counted == []  # no location is read while parsing
+        assert (module.name_loc.line, module.name_loc.col) == (1, 8)
+        assert sum(counted) == len("module ")

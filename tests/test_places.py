@@ -1,9 +1,13 @@
 """Locations order and label by one key, `Location.place` (`line << 32 | col`):
 the parser's tokens that flattened nodes keep, against the text they came
-from, and modules whose locations are `Loc`s against their parsed twins."""
+from, tokens read from four threads at once, and modules whose locations
+are `Loc`s against their parsed twins."""
 
 import dataclasses
+import random
 import re
+import sys
+import threading
 
 from conftest import CORPUS
 from test_scan import _workload_texts
@@ -98,6 +102,48 @@ def test_a_token_place_is_that_of_a_loc_of_its_line_and_column():
                 assert t.place == Loc(t.line, t.col, t.file).place == Loc(*counted[t.off], name).place
                 tokens += 1
     assert tokens > 100_000
+
+
+def _read_from_four_threads(text, tokens, reads):
+    """How many reads of a token of `text` give a (line, column) other
+    than the counted one, each of four threads reading `reads` tokens at
+    random while the interpreter switches threads every microsecond."""
+    right = []  # whether each read was right
+
+    def read(seed):
+        right.extend((t.line, t.col) == counted[t.off] for t in random.Random(seed).choices(tokens, k=reads))
+
+    counted = _counted(text, [t.off for t in tokens])
+    threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(right) == 4 * reads
+    return right.count(False)
+
+
+def _web():
+    return next(text for name, text in _workload_texts(23) if name == "sorted-tree/web.vdmsl")
+
+
+def test_header_read_tokens_read_from_four_threads_at_once_locate_as_the_text_does():
+    text = _web()
+    tokens = _header_tokens("web.vdmsl", text)
+    assert len(tokens) > 1500
+    assert _read_from_four_threads(text, tokens, 10_000) == 0
+
+
+def test_full_scan_tokens_read_from_four_threads_at_once_locate_as_the_text_does():
+    text = _web()
+    scanned, comments = lex(text, "web.vdmsl")
+    assert _read_from_four_threads(text, scanned + comments, 10_000) == 0
 
 
 def _with_locs(x):

@@ -180,7 +180,7 @@ class RefParser(_Parser):
             raise ParseError(f"expected ';' or a new definition, found {t.describe()}", t)
         start = leading[0] if leading else first
         start_off = start.off
-        if self.text[start.off - (start.col - 1) : start.off].strip() == "":
+        if self.src.text[start.off - (start.col - 1) : start.off].strip() == "":
             start_off -= start.col - 1
         end = self.tok(self.i - 1).end
         nxt = self.cur()
@@ -189,7 +189,7 @@ class RefParser(_Parser):
             trailing = [c for c in self.comments if end <= c.off < nxt.off]
             if trailing:
                 end = trailing[-1].end
-        core.verbatim = self.text[start_off:end]
+        core.verbatim = self.src.text[start_off:end]
         return core
 
     def parse_expr(self):
