@@ -3,6 +3,13 @@
 All behaviour lives in the library modules; this file only dispatches,
 resolves configuration (defaults, then a properties file, then DEFSORT_*
 environment variables, then flags) and formats the trace output.
+
+Importing this module loads only `diag` of the library.  Each layer
+function the commands call (`parse_source`, `analyse`, `order_modules`, ...)
+is an attribute of this module that imports its layer on first read, and
+each command reads the ones it calls once the arguments and configuration
+are resolved: `--help`, a usage error and a bad properties file load no
+layer, and `order` loads none of the definition analysis.
 """
 
 from __future__ import annotations
@@ -13,15 +20,27 @@ import os
 import sys
 from functools import partial
 
-from .defcollect import collect
-from .depgraph import build_graph
+from . import _import_on_first_read
 from .diag import Diagnostic, Loc, ParseError, Record
-from .dotviz import emit_def_dot, emit_module_dot
-from .freevars import check_bodies, check_init_cycles
-from .modorder import build_module_graph, order_modules
-from .nodes import ImportRef, SourceModule
-from .reorder import analyse
-from .syntax import parse_headers, parse_source, print_module
+
+# the module that defines each layer name the commands call: each is imported
+# on first read, so a command loads only the layers it runs
+__getattr__ = _import_on_first_read(globals(), {
+    "parse_source": "syntax", "parse_headers": "syntax", "print_module": "syntax",
+    "ImportRef": "nodes", "SourceModule": "nodes",
+    "collect": "defcollect", "build_graph": "depgraph",
+    "check_bodies": "freevars", "check_init_cycles": "freevars",
+    "order_modules": "modorder", "build_module_graph": "modorder",
+    "analyse": "reorder", "emit_def_dot": "dotviz", "emit_module_dot": "dotviz",
+})
+
+
+def _load(*names):
+    """Make each of `names` a global of this module, unless it is one."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
 
 BANNER = "Calling Exu VDM analyser..."
 
@@ -93,8 +112,11 @@ def _truthy(value) -> bool:
 
 
 def resolve_config(args):
-    """Defaults < properties file < DEFSORT_* environment < flags."""
+    """Defaults < properties file < DEFSORT_* environment < flags.  A
+    properties file named by a flag must exist; the default one may not."""
     props = dict(DEFAULTS)
+    if args.properties:
+        os.stat(args.properties)  # raises FileNotFoundError for a missing file
     path = args.properties or DEFAULT_PROPERTIES_FILE
     file_props, warnings = load_properties(path)
     props.update(file_props)
@@ -243,6 +265,9 @@ def _sort_file(cfg: ToolConfig, written: dict, path: str, mods) -> int:
 
 
 def _cmd_sort(cfg: ToolConfig, paths) -> int:
+    _load("parse_source", "analyse", "print_module")
+    if cfg.dot_enabled:
+        _load("emit_def_dot")
     return _run_files(paths, partial(_sort_file, cfg, {}))
 
 
@@ -269,6 +294,9 @@ def _check_file(cfg: ToolConfig, path: str, mods) -> int:
 
 
 def _cmd_check(cfg: ToolConfig, paths) -> int:
+    _load("parse_source", "collect", "check_bodies", "check_init_cycles")
+    if cfg.debug:
+        _load("analyse")
     return _run_files(paths, partial(_check_file, cfg))
 
 
@@ -279,6 +307,7 @@ def _keep_headers(headers: list, path: str, mods) -> int:
 
 
 def _cmd_order(cfg: ToolConfig, paths) -> int:
+    _load("parse_headers", "order_modules", "ImportRef", "SourceModule")
     headers: list = []
     if _run_files(paths, partial(_keep_headers, headers), parse_headers):
         return 1
@@ -300,6 +329,8 @@ def _dot_file(cfg: ToolConfig, written: dict, headers: list, path: str, mods) ->
 
 
 def _cmd_dot(cfg: ToolConfig, paths) -> int:
+    _load("parse_source", "collect", "build_graph", "emit_def_dot", "build_module_graph",
+          "emit_module_dot", "ImportRef", "SourceModule")
     written: dict = {}
     headers: list = []
     errors = _run_files(paths, partial(_dot_file, cfg, written, headers))
@@ -363,7 +394,7 @@ def run(argv=None) -> int:
         ap.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg, warnings = resolve_config(args)
-    except (OSError, UnicodeDecodeError) as exc:  # an unreadable properties file
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable properties file
         _report(exc, args.properties or DEFAULT_PROPERTIES_FILE)
         return 2
     for w in warnings:

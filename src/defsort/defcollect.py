@@ -14,6 +14,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import nodes as N
+from .depgraph import Edge
 from .diag import Loc, Record
 from .nodes import pattern_names
 
@@ -46,21 +47,6 @@ TYPE_CLAUSES = tuple(_KINDS[attr] for attr in N.NamedTypeDef.clauses)
 
 # (namespace, name): names are unique per namespace, not per module
 NodeKey = tuple
-
-
-class Edge(Record):
-    """`user` depends on `used`, two node keys; `at` is the earliest use site
-    witnessing the edge.  The name properties assume definition keys."""
-
-    __slots__ = ("user", "used", "at")
-
-    @property
-    def user_name(self):
-        return self.user[1]
-
-    @property
-    def used_name(self):
-        return self.used[1]
 
 
 class DefNode(Record):

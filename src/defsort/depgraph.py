@@ -13,9 +13,22 @@ from bisect import insort
 from collections import deque
 from itertools import chain, count
 
-from .defcollect import Edge, FlatModule, NodeKey, type_dependency_links
 from .diag import CycleError, Record
-from .freevars import def_use_sites
+
+
+class Edge(Record):
+    """`user` depends on `used`, two node keys; `at` is the earliest use site
+    witnessing the edge.  The name properties assume definition keys."""
+
+    __slots__ = ("user", "used", "at")
+
+    @property
+    def user_name(self):
+        return self.user[1]
+
+    @property
+    def used_name(self):
+        return self.used[1]
 
 
 class DepGraph:
@@ -53,7 +66,7 @@ class DepGraph:
         elif e.at.place < old.at.place:
             self._witness[i, j] = e
 
-    def remove_edge(self, user: NodeKey, used: NodeKey):
+    def remove_edge(self, user, used):
         i, j = self.pos[user], self.pos[used]
         del self._witness[i, j]
         self.deps[i].remove(j)
@@ -68,9 +81,14 @@ class DepGraph:
         return self._places
 
 
-def build_graph(fm: FlatModule) -> DepGraph:
-    """Graph of every flattened node with signature and body dependencies;
-    a use of another definition's clause is also a use of its owner."""
+def build_graph(fm) -> DepGraph:
+    """Graph of every node of the flat module `fm` with signature and body
+    dependencies; a use of another definition's clause is also a use of its
+    owner.  `order` runs the kernel without the definition layers, so they
+    load here."""
+    from .defcollect import type_dependency_links
+    from .freevars import def_use_sites
+
     g = DepGraph({n.key: n for n in fm.nodes}, type_dependency_links(fm))
     for node in fm.nodes:
         for use, target in def_use_sites(node, fm):

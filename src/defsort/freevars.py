@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from . import nodes as N
 from .defcollect import DefKind, FlatModule, Namespace
+from .depgraph import DepGraph, Edge, find_cycles
 from .diag import Diagnostic, Record
 
 
@@ -224,8 +225,6 @@ def check_init_cycles(fm: FlatModule, reads: dict | None = None) -> list:
     """Unconditional value-initialization cycles are errors, a value that
     reads itself included.  `reads` is `check_bodies`' third result; without
     it each value definition's initialiser is walked here."""
-    from .depgraph import DepGraph, Edge, find_cycles
-
     values = [n for n in fm.nodes if n.kind is DefKind.VALUE_DEF]
     g = DepGraph({n.key: n for n in values}, [])
     cycles: list = []

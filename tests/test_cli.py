@@ -769,6 +769,19 @@ def test_an_unreadable_properties_file_is_a_usage_error(argv, blocked, err, tmp_
     assert not (tmp_path / "out").exists()
 
 
+def test_a_missing_named_properties_file_is_a_usage_error(tmp_path, capsys):
+    """A properties file named by `--properties` must exist; the absent
+    default `./defsort.properties` stays silent."""
+    for command in ("sort", "check", "order", "dot"):
+        code = run([command, "--properties", "nope.properties", _corpus("M.vdmsl")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "nope.properties: error: No such file or directory\n")
+    assert os.listdir(tmp_path) == []
+    assert run(["check", _corpus("M.vdmsl")]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_a_properties_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
     (tmp_path / "bom.properties").write_bytes(b"\xef\xbb\xbfdebug=true\ncheck=true\n")
     assert load_properties("bom.properties") == ({"debug": "true", "check": "true"}, [])
